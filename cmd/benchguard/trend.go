@@ -50,14 +50,10 @@ var speedupPairs = []struct {
 	fast, ref, label string
 }{
 	{"BenchmarkMinFilterU8256", "BenchmarkMinFilterFloat256", "uint8 vHGW min filter"},
-	{"BenchmarkMedianU8256", "BenchmarkMedianFilter256Serial", "uint8 histogram median"},
-	{"BenchmarkBoxFixed256", "BenchmarkBoxFilter256Serial", "int32 running-sum box"},
-	{"BenchmarkResizeFixed256", "BenchmarkResize256Serial", "Q1.15 fixed-point resize"},
 	{"BenchmarkCoeffFor64to16", "BenchmarkBuildCoeff64to16", "memoized coefficient lookup"},
 	{"BenchmarkFFT2DBlocked256", "BenchmarkFFT2DPerColumn256", "cache-blocked FFT columns"},
 	{"BenchmarkCenteredSpectrumInto256", "BenchmarkCenteredSpectrum256", "pooled centered spectrum"},
 	{"BenchmarkEnsemblePipeline", "BenchmarkEnsembleLegacy", "stage-DAG ensemble"},
-	{"BenchmarkEnsembleU8", "BenchmarkEnsemblePipeline", "quantized ensemble"},
 }
 
 // runTrend is the -trend entry point. Exit codes match compare mode:

@@ -180,7 +180,8 @@ func TestTrendWriteMarkdown(t *testing.T) {
 	}})
 	writeTrendSnapshot(t, dir, benchfmt.Document{Date: "2026-08-09", Env: env, Benchmarks: []benchfmt.Result{
 		result("BenchmarkResize256Serial-8", 595_000),
-		result("BenchmarkResizeFixed256-8", 387_000),
+		result("BenchmarkMinFilterU8256-8", 387_000),
+		result("BenchmarkMinFilterFloat256-8", 595_000),
 	}})
 	md := filepath.Join(dir, "README.md")
 	const shell = "# Bench\n\nintro\n\n<!-- benchtrend:begin -->\nstale\n<!-- benchtrend:end -->\n\noutro\n"
@@ -199,9 +200,9 @@ func TestTrendWriteMarkdown(t *testing.T) {
 	got := string(buf)
 	for _, want := range []string{
 		"# Bench", "outro", // text outside the markers survives
-		"| ResizeFixed256 |", "| Resize256Serial |",
+		"| MinFilterU8256 |", "| Resize256Serial |",
 		"| 2026-08-05 | 2026-08-09 |",
-		"Q1.15 fixed-point resize | 595.0µs | 387.0µs | 1.54×",
+		"uint8 vHGW min filter | 595.0µs | 387.0µs | 1.54×",
 		"linux/amd64 maxprocs=1", "go1.24.0",
 	} {
 		if !strings.Contains(got, want) {

@@ -156,7 +156,9 @@ func NewEnsemble(s *Scaler, scalingTh, filteringTh Threshold) (*Ensemble, error)
 	})
 }
 
-// ScoreScaling computes Method 1's raw score for one image.
+// ScoreScaling computes Method 1's raw score for one image, through the
+// same stage code Detect runs, so thresholds calibrated on these scores
+// judge bit-identical ensemble scores.
 func ScoreScaling(s *Scaler, metric Metric, img *Image) (float64, error) {
 	scorer, err := detect.NewScalingScorer(s, metric)
 	if err != nil {
@@ -165,7 +167,8 @@ func ScoreScaling(s *Scaler, metric Metric, img *Image) (float64, error) {
 	return scorer.Score(img)
 }
 
-// ScoreFiltering computes Method 2's raw score for one image.
+// ScoreFiltering computes Method 2's raw score for one image, through the
+// same stage code Detect runs.
 func ScoreFiltering(window int, metric Metric, img *Image) (float64, error) {
 	scorer, err := detect.NewFilteringScorer(window, metric)
 	if err != nil {
@@ -174,7 +177,8 @@ func ScoreFiltering(window int, metric Metric, img *Image) (float64, error) {
 	return scorer.Score(img)
 }
 
-// ScoreCSP computes Method 3's centered-spectrum-point count.
+// ScoreCSP computes Method 3's centered-spectrum-point count, through the
+// same stage code Detect runs.
 func ScoreCSP(img *Image, opts ...StegOptions) (int, error) {
 	var o StegOptions
 	if len(opts) > 1 {
@@ -183,7 +187,8 @@ func ScoreCSP(img *Image, opts ...StegOptions) (int, error) {
 	if len(opts) == 1 {
 		o = opts[0]
 	}
-	return steg.CSP(img, o)
+	n, err := detect.NewStegScorer(o).Score(img)
+	return int(n), err
 }
 
 // CalibrateWhiteBox selects the optimal threshold from labelled benign and

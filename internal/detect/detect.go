@@ -9,9 +9,7 @@ import (
 	"errors"
 	"fmt"
 
-	"decamouflage/internal/filtering"
 	"decamouflage/internal/imgcore"
-	"decamouflage/internal/metrics"
 	"decamouflage/internal/obs"
 	"decamouflage/internal/scaling"
 	"decamouflage/internal/steg"
@@ -121,37 +119,16 @@ type Verdict struct {
 }
 
 // Scorer computes a raw detection score for an image. Implementations must
-// be safe for concurrent use.
+// be safe for concurrent use. The built-in scorers compute their scores
+// through the stage-DAG pipeline (pipeline.go), so a standalone Score —
+// the call calibration and evaluation make — runs exactly the code
+// Ensemble.Detect runs; third-party implementations are handed the raw
+// image.
 type Scorer interface {
 	// Name identifies the method/metric pair, e.g. "scaling/MSE".
 	Name() string
 	// Score computes the raw metric value for img.
 	Score(img *imgcore.Image) (float64, error)
-}
-
-// ContextScorer is a Scorer that additionally accepts a context, through
-// which per-stage observability (obs spans and latency histograms) flows.
-// Detector.DetectCtx uses ScoreCtx when available and falls back to Score,
-// so third-party Scorer implementations keep working unchanged.
-type ContextScorer interface {
-	Scorer
-	// ScoreCtx computes the raw metric value for img, recording stage
-	// timings under ctx's trace (if any).
-	ScoreCtx(ctx context.Context, img *imgcore.Image) (float64, error)
-}
-
-// Interface compliance.
-var (
-	_ ContextScorer = (*ScalingScorer)(nil)
-	_ ContextScorer = (*FilteringScorer)(nil)
-	_ ContextScorer = (*StegScorer)(nil)
-)
-
-// stageHist returns the latency histogram for one named stage of a scorer,
-// resolved once at scorer construction so the hot path never touches the
-// registry.
-func stageHist(scorer, stage string) *obs.Histogram {
-	return obs.H("detect.stage." + scorer + "." + stage + ".seconds")
 }
 
 // ErrNilScaler indicates a scorer constructed without its scaler.
@@ -163,13 +140,7 @@ var ErrNilScaler = errors.New("detect: scaler is required")
 // trip; attack images flip to the hidden target.
 type ScalingScorer struct {
 	scaler *scaling.Scaler
-	// upscaler is the prepared dst->src operator for inputs matching the
-	// scaler's source geometry; other sizes fall back to a fresh build.
-	upscaler *scaling.Scaler
-	metric   Metric
-
-	// Per-stage latency histograms, resolved at construction.
-	downH, upH, metricH *obs.Histogram
+	metric Metric
 }
 
 // NewScalingScorer builds the Method-1 scorer.
@@ -180,58 +151,17 @@ func NewScalingScorer(scaler *scaling.Scaler, metric Metric) (*ScalingScorer, er
 	if metric != MSE && metric != SSIM && metric != PSNR {
 		return nil, fmt.Errorf("detect: scaling method does not support metric %v", metric)
 	}
-	srcW, srcH := scaler.SrcSize()
-	dstW, dstH := scaler.DstSize()
-	up, err := scaling.NewScaler(dstW, dstH, srcW, srcH, scaler.Options())
-	if err != nil {
-		return nil, fmt.Errorf("detect: prepare upscaler: %w", err)
-	}
-	name := "scaling/" + metric.String()
-	return &ScalingScorer{
-		scaler: scaler, upscaler: up, metric: metric,
-		downH:   stageHist(name, "downscale"),
-		upH:     stageHist(name, "upscale"),
-		metricH: stageHist(name, "metric"),
-	}, nil
+	return &ScalingScorer{scaler: scaler, metric: metric}, nil
 }
 
 // Name implements Scorer.
 func (s *ScalingScorer) Name() string { return "scaling/" + s.metric.String() }
 
-// Score implements Scorer.
+// Score implements Scorer through a one-member pipeline table.
 //
-//declint:nan-ok delegates to ScoreCtx, which validates the input via imgcore.Validate
+//declint:nan-ok scoreAlone validates the input via imgcore.Validate; NaN/Inf totality is pinned by FuzzPipelineDetect
 func (s *ScalingScorer) Score(img *imgcore.Image) (float64, error) {
-	return s.ScoreCtx(context.Background(), img)
-}
-
-// ScoreCtx implements ContextScorer: the round trip runs as three observed
-// stages (downscale, upscale, metric).
-func (s *ScalingScorer) ScoreCtx(ctx context.Context, img *imgcore.Image) (float64, error) {
-	if err := img.Validate(); err != nil {
-		return 0, err
-	}
-	_, st := obs.StartStage(ctx, "downscale", s.downH)
-	down, err := s.scaler.Resize(img)
-	st.End()
-	if err != nil {
-		return 0, fmt.Errorf("detect: scaling downscale: %w", err)
-	}
-	var up *imgcore.Image
-	_, st = obs.StartStage(ctx, "upscale", s.upH)
-	if upW, upH := s.upscaler.DstSize(); upW == img.W && upH == img.H {
-		up, err = s.upscaler.Resize(down)
-	} else {
-		up, err = scaling.Resize(down, img.W, img.H, s.scaler.Options())
-	}
-	st.End()
-	if err != nil {
-		return 0, fmt.Errorf("detect: scaling upscale: %w", err)
-	}
-	_, st = obs.StartStage(ctx, "metric", s.metricH)
-	v, err := applyMetric(s.metric, img, up)
-	st.End()
-	return v, err
+	return scoreAlone(context.Background(), s, img)
 }
 
 // FilteringScorer implements the paper's Method 2: apply a minimum filter
@@ -241,9 +171,6 @@ func (s *ScalingScorer) ScoreCtx(ctx context.Context, img *imgcore.Image) (float
 type FilteringScorer struct {
 	window int
 	metric Metric
-
-	// Per-stage latency histograms, resolved at construction.
-	filterH, metricH *obs.Histogram
 }
 
 // NewFilteringScorer builds the Method-2 scorer with the given minimum
@@ -255,90 +182,39 @@ func NewFilteringScorer(window int, metric Metric) (*FilteringScorer, error) {
 	if metric != MSE && metric != SSIM && metric != PSNR {
 		return nil, fmt.Errorf("detect: filtering method does not support metric %v", metric)
 	}
-	name := "filtering/" + metric.String()
-	return &FilteringScorer{
-		window: window, metric: metric,
-		filterH: stageHist(name, "minfilter"),
-		metricH: stageHist(name, "metric"),
-	}, nil
+	return &FilteringScorer{window: window, metric: metric}, nil
 }
 
 // Name implements Scorer.
 func (s *FilteringScorer) Name() string { return "filtering/" + s.metric.String() }
 
-// Score implements Scorer.
+// Score implements Scorer through a one-member pipeline table.
 //
-//declint:nan-ok delegates to ScoreCtx, which validates the input via imgcore.Validate
+//declint:nan-ok scoreAlone validates the input via imgcore.Validate; NaN/Inf totality is pinned by FuzzPipelineDetect
 func (s *FilteringScorer) Score(img *imgcore.Image) (float64, error) {
-	return s.ScoreCtx(context.Background(), img)
-}
-
-// ScoreCtx implements ContextScorer: erosion and the metric run as two
-// observed stages.
-func (s *FilteringScorer) ScoreCtx(ctx context.Context, img *imgcore.Image) (float64, error) {
-	if err := img.Validate(); err != nil {
-		return 0, err
-	}
-	_, st := obs.StartStage(ctx, "minfilter", s.filterH)
-	f, err := filtering.Minimum(img, s.window)
-	st.End()
-	if err != nil {
-		return 0, fmt.Errorf("detect: minimum filter: %w", err)
-	}
-	_, st = obs.StartStage(ctx, "metric", s.metricH)
-	v, err := applyMetric(s.metric, img, f)
-	st.End()
-	return v, err
+	return scoreAlone(context.Background(), s, img)
 }
 
 // StegScorer implements the paper's Method 3: the CSP count in the
 // frequency domain (see internal/steg).
 type StegScorer struct {
 	opts steg.Options
-	cspH *obs.Histogram
 }
 
 // NewStegScorer builds the Method-3 scorer. Zero-valued options take the
 // calibrated defaults.
 func NewStegScorer(opts steg.Options) *StegScorer {
-	return &StegScorer{opts: opts, cspH: stageHist("steganalysis/CSP", "csp")}
+	return &StegScorer{opts: opts}
 }
 
 // Name implements Scorer.
 func (s *StegScorer) Name() string { return "steganalysis/CSP" }
 
-// Score implements Scorer.
+// Score implements Scorer through a one-member pipeline table.
 //
-//declint:nan-ok delegates to steg.CSP, which validates input; NaN/Inf totality is pinned by FuzzCSP
+//declint:nan-ok scoreAlone validates the input via imgcore.Validate; NaN/Inf totality is pinned by FuzzPipelineDetect
 func (s *StegScorer) Score(img *imgcore.Image) (float64, error) {
-	return s.ScoreCtx(context.Background(), img)
-}
-
-// ScoreCtx implements ContextScorer: the CSP computation is one observed
-// stage.
-//
-//declint:nan-ok delegates to steg.CSP, which validates input; NaN/Inf totality is pinned by FuzzCSP
-func (s *StegScorer) ScoreCtx(ctx context.Context, img *imgcore.Image) (float64, error) {
-	_, st := obs.StartStage(ctx, "csp", s.cspH)
-	n, err := steg.CSP(img, s.opts)
-	st.End()
-	if err != nil {
-		return 0, fmt.Errorf("detect: csp: %w", err)
-	}
-	return float64(n), nil
-}
-
-func applyMetric(m Metric, a, b *imgcore.Image) (float64, error) {
-	switch m {
-	case MSE:
-		return metrics.MSE(a, b)
-	case SSIM:
-		return metrics.SSIM(a, b)
-	case PSNR:
-		return metrics.PSNR(a, b)
-	default:
-		return 0, fmt.Errorf("detect: unsupported metric %v", m)
-	}
+	return scoreAlone(context.Background(), s, img)
 }
 
 // Detector couples a scorer with a decision threshold — one deployable
@@ -384,52 +260,37 @@ func (d *Detector) Detect(img *imgcore.Image) (Verdict, error) {
 	return d.DetectCtx(context.Background(), img)
 }
 
-// DetectCtx scores img and classifies it, recording the method's score
-// latency and verdict tally, and — under a traced context — a span named
-// after the method carrying the score and decision, with the scorer's
-// stage spans nested beneath it (when the scorer is a ContextScorer).
+// DetectCtx scores img and classifies it through a one-member table on
+// the standalone pipeline, recording the method's score latency and
+// verdict tally, and — under a traced context — a span named after the
+// method carrying the score and decision, with the pipeline's stage spans
+// nested beneath it.
 //
 //declint:nan-ok NaN/Inf handling is the scorer's contract; a NaN score classifies as benign (Classify is false on NaN)
 func (d *Detector) DetectCtx(ctx context.Context, img *imgcore.Image) (Verdict, error) {
-	sctx, st := obs.StartStage(ctx, d.scorer.Name(), d.scoreH)
-	var (
-		score float64
-		err   error
-	)
-	if cs, ok := d.scorer.(ContextScorer); ok {
-		score, err = cs.ScoreCtx(sctx, img)
-	} else {
-		score, err = d.scorer.Score(img)
+	if err := img.Validate(); err != nil {
+		return Verdict{}, err
 	}
-	return d.verdictFrom(st, score, err)
+	in := standalone.intermediates(img)
+	defer in.release()
+	return d.detectIn(ctx, in)
 }
 
-// detectIn scores through a per-image Intermediates table when the scorer
-// supports it, sharing memoized substrates with the other ensemble
-// members; ContextScorer and plain Scorer implementations fall back to
-// their legacy entry points on the raw image, so third-party scorers keep
-// working inside the pipeline ensemble unchanged.
+// detectIn scores through a per-image Intermediates table, sharing
+// memoized substrates with the other members of the table. Plain Scorer
+// implementations fall back to Score on the raw image, so third-party
+// scorers keep working inside the ensemble unchanged.
 func (d *Detector) detectIn(ctx context.Context, in *Intermediates) (Verdict, error) {
 	sctx, st := obs.StartStage(ctx, d.scorer.Name(), d.scoreH)
 	var (
 		score float64
 		err   error
 	)
-	switch s := d.scorer.(type) {
-	case PipelineScorer:
-		score, err = s.ScorePipeline(sctx, in)
-	case ContextScorer:
-		score, err = s.ScoreCtx(sctx, in.img)
-	default:
+	if ps, ok := d.scorer.(pipelineScorer); ok {
+		score, err = ps.ScorePipeline(sctx, in)
+	} else {
 		score, err = d.scorer.Score(in.img)
 	}
-	return d.verdictFrom(st, score, err)
-}
-
-// verdictFrom finishes a detection: classify, annotate the stage span and
-// tally the verdict counters. Shared by DetectCtx and detectIn so both
-// paths record identically.
-func (d *Detector) verdictFrom(st obs.Stage, score float64, err error) (Verdict, error) {
 	if err != nil {
 		st.End()
 		return Verdict{}, err

@@ -72,28 +72,13 @@ func (e *Ensemble) Detectors() []*Detector {
 	return append([]*Detector(nil), e.detectors...)
 }
 
-// SetQuantized toggles the fixed-point resize fast path for 8-bit inputs.
-// When enabled, the round trip's downscale runs through the Q1.15
-// integer accumulators of scaling.ResizeU8Into — measurably faster, and
-// accurate to scaling.FixedTolerance rather than bit-identical, so
-// scaling-method scores can differ from the float64 path within that
-// contract. The bit-exact uint8 routing (LUT gray, integer min filter)
-// is always on for 8-bit inputs and is unaffected by this switch.
-// Safe to call concurrently with Detect; in-flight images may use either
-// path for their downscale.
-func (e *Ensemble) SetQuantized(on bool) { e.pipe.quantized.Store(on) }
-
-// Quantized reports whether the fixed-point resize fast path is enabled.
-func (e *Ensemble) Quantized() bool { return e.pipe.quantized.Load() }
-
 // Detect runs every member concurrently (via parallel.Do, one task per
 // method, bounded by GOMAXPROCS) and majority-votes. The members score
 // through the stage-DAG pipeline: each expensive substrate (gray plane,
 // round trip, erosion, spectrum) is computed exactly once per image and
-// shared, with scores bit-identical to the legacy per-scorer path
-// (DetectLegacy). It honours ctx cancellation between and during method
-// launches; the first scoring error — by detector order — aborts the
-// ensemble.
+// shared, with scores bit-identical to each member's standalone Score.
+// It honours ctx cancellation between and during method launches; the
+// first scoring error — by detector order — aborts the ensemble.
 //
 // Observability: the whole call is one stage ("ensemble.detect", latency
 // in detect.ensemble.seconds) with each method's span nested under it —
@@ -161,41 +146,8 @@ func (e *Ensemble) detect(ctx context.Context, img *imgcore.Image, popts ...para
 	return out, err
 }
 
-// DetectLegacy runs every member through its standalone Score/ScoreCtx
-// path with no substrate sharing — the pre-pipeline ensemble pass. It is
-// retained as the differential oracle: the equivalence suite and the
-// BenchmarkEnsemble{Legacy,Pipeline} pair pin that Detect produces
-// bit-identical verdicts in strictly less work.
-func (e *Ensemble) DetectLegacy(ctx context.Context, img *imgcore.Image) (*EnsembleVerdict, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := img.Validate(); err != nil {
-		return nil, err
-	}
-	sctx, st := obs.StartStage(ctx, "ensemble.detect", e.detectH)
-	defer st.End()
-	verdicts := make([]Verdict, len(e.detectors))
-	tasks := make([]func() error, len(e.detectors))
-	for i, d := range e.detectors {
-		tasks[i] = func() error {
-			v, err := d.DetectCtx(sctx, img)
-			if err != nil {
-				return fmt.Errorf("%s: %w", d.Name(), err)
-			}
-			verdicts[i] = v
-			return nil
-		}
-	}
-	if err := parallel.Do(ctx, tasks); err != nil {
-		return nil, err
-	}
-	return e.tally(st, verdicts), nil
-}
-
 // tally majority-votes the member verdicts, annotates the ensemble stage
-// span and records the outcome counters — the shared tail of every
-// ensemble pass.
+// span and records the outcome counters.
 func (e *Ensemble) tally(st obs.Stage, verdicts []Verdict) *EnsembleVerdict {
 	votes := 0
 	for _, v := range verdicts {

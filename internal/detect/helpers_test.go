@@ -3,7 +3,7 @@ package detect
 // Shared test helpers. mustScaler and the stub scorer/detector pair were
 // previously duplicated across test files; every detect test builds its
 // fixtures from this one set so the stubs exercise the pipeline adapter
-// and the legacy path identically.
+// and the reference path identically.
 
 import (
 	"testing"
@@ -23,8 +23,8 @@ func mustScaler(t testing.TB, srcW, srcH, dstW, dstH int) *scaling.Scaler {
 }
 
 // stubScorer returns a fixed score or error. It is a plain Scorer (no
-// ScoreCtx, no ScorePipeline), so ensembles built over it pin the
-// pipeline adapter's fallback path for third-party scorers.
+// ScorePipeline), so ensembles built over it pin the pipeline adapter's
+// fallback path for third-party scorers.
 type stubScorer struct {
 	name  string
 	score float64

@@ -129,8 +129,8 @@ func TestDetectMetrics(t *testing.T) {
 	}
 }
 
-// TestPlainScorerStillWorks pins the ContextScorer fallback: a Detector
-// over a Scorer without ScoreCtx must keep detecting, traced or not.
+// TestPlainScorerStillWorks pins the plain-Scorer fallback: a Detector
+// over a Scorer without ScorePipeline must keep detecting, traced or not.
 func TestPlainScorerStillWorks(t *testing.T) {
 	d, err := NewDetector(&stubScorer{name: "stub/metric", score: 5}, Threshold{Value: 1, Direction: Above})
 	if err != nil {

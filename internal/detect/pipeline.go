@@ -1,15 +1,13 @@
-// The stage-DAG pipeline engine. An ensemble pass over one image is a
-// small DAG of typed stages:
+// The stage-DAG pipeline engine: the one implementation of every
+// built-in detection method. A pass over one image is a small DAG of
+// typed stages:
 //
 //	input tensor ──┬─▶ grayscale ──▶ 2-D spectrum ──▶ CSP count
 //	               │       └───────▶ SSIM reference
 //	               ├─▶ downscale ──▶ upscale round trip ──▶ metric score
 //	               └─▶ min-filter ─────────────────────────▶ metric score
 //
-// The legacy per-scorer path re-derives shared substrates per method: an
-// ensemble with several scaling or filtering members recomputes round
-// trips, gray planes and spectra it already has. The pipeline instead
-// gives every image one Intermediates table whose entries are memoized by
+// Every image gets one Intermediates table whose entries are memoized by
 // stage identity (stageKey), so each substrate is computed exactly once
 // per image no matter how many scorers request it, and derived scores
 // (PSNR from a memoized MSE, every SSIM from one prepared reference)
@@ -17,19 +15,19 @@
 // and 2-D FFT plans across all images of a batch, and pooled pixel
 // buffers flow through the request instead of being allocated per stage.
 //
-// Scores are bit-identical to the legacy path (pinned by the differential
-// suite in pipeline_diff_test.go): every stage runs the same kernels in
-// the same order as its legacy counterpart, memoization only removes
-// repeated identical computations, and buffer pooling only changes where
-// results are written, not what is written.
+// An ensemble opens one table per image for all of its members; a
+// standalone Scorer.Score or Detector.Detect opens a one-member table on
+// the package's standalone pipeline. Calibration, evaluation and serving
+// therefore run the same stage code, and a threshold calibrated on
+// standalone scores is applied to bit-identical ensemble scores (pinned,
+// together with the kernel-composed reference in pipeline_diff_test.go,
+// by the differential suite).
 //
 // Inputs whose samples are all 8-bit integers — every decoded PNG and
 // every quantized attack output — additionally get a memoized U8Image
 // view, and the gray and min-filter stages route through uint8 kernels
 // that are provably bit-identical on such inputs (LUT luminance, integer
-// vHGW erosion). The fixed-point downscale, which is tolerance-accurate
-// rather than bit-exact, stays behind the opt-in quantized mode
-// (Ensemble.SetQuantized).
+// vHGW erosion).
 package detect
 
 import (
@@ -48,11 +46,11 @@ import (
 	"decamouflage/internal/steg"
 )
 
-// PipelineScorer is a Scorer that can score through a per-image
+// pipelineScorer is a Scorer that scores through a per-image
 // Intermediates table, sharing memoized substrates with the other members
 // of an ensemble. The built-in scorers implement it; third-party scorers
-// that don't fall back to Score/ScoreCtx on the un-shared input image.
-type PipelineScorer interface {
+// fall back to Score on the un-shared input image.
+type pipelineScorer interface {
 	Scorer
 	// ScorePipeline computes the raw metric value for the image behind in,
 	// requesting every expensive substrate from in's memo table.
@@ -61,9 +59,9 @@ type PipelineScorer interface {
 
 // Interface compliance.
 var (
-	_ PipelineScorer = (*ScalingScorer)(nil)
-	_ PipelineScorer = (*FilteringScorer)(nil)
-	_ PipelineScorer = (*StegScorer)(nil)
+	_ pipelineScorer = (*ScalingScorer)(nil)
+	_ pipelineScorer = (*FilteringScorer)(nil)
+	_ pipelineScorer = (*StegScorer)(nil)
 )
 
 // stageKind enumerates the typed stages of the detection DAG.
@@ -114,13 +112,6 @@ type Pipeline struct {
 	plans   *cache.LRU[geomKey, *fourier.Plan2D]
 	memo    *obs.MemoStats
 
-	// quantized routes the round trip's downscale through the Q1.15
-	// fixed-point resize when the input has an 8-bit view. Unlike the
-	// automatic u8 routing (gray LUT, u8 min filter), the fixed-point
-	// resize is tolerance-accurate rather than bit-identical to the
-	// float64 path, so it is opt-in (Ensemble.SetQuantized).
-	quantized atomic.Bool
-
 	grayH, downH, upH, minH, specH, cspH, metricH, u8H *obs.Histogram
 }
 
@@ -170,6 +161,22 @@ func (p *Pipeline) planFor(w, h int) (*fourier.Plan2D, error) {
 	return p.plans.GetOrBuild(geomKey{w, h}, func() (*fourier.Plan2D, error) {
 		return fourier.Plan2DFor(w, h)
 	})
+}
+
+// standalone is the pipeline behind every standalone Score and
+// Detector.Detect call, so one-image scoring shares prepared scalers and
+// FFT plans across calls the way an ensemble's batch does.
+var standalone = NewPipeline()
+
+// scoreAlone scores one image through a one-member table on the
+// standalone pipeline: validate, open the table, score, release.
+func scoreAlone(ctx context.Context, s pipelineScorer, img *imgcore.Image) (float64, error) {
+	if err := img.Validate(); err != nil {
+		return 0, err
+	}
+	in := standalone.intermediates(img)
+	defer in.release()
+	return s.ScorePipeline(ctx, in)
 }
 
 // intermediates opens a fresh per-image memo table over img.
@@ -377,23 +384,9 @@ func (in *Intermediates) roundTrip(ctx context.Context, key stageKey) (*imgcore.
 		if err != nil {
 			return nil, fmt.Errorf("detect: scaling upscale: %w", err)
 		}
-		// Quantized mode: the downscale (the only pass whose input is
-		// 8-bit) runs through the Q1.15 fixed-point resize. The upscale
-		// input is the float64 intermediate, so it stays on the float
-		// path either way.
-		var u8in *imgcore.U8Image
-		if in.pipe.quantized.Load() {
-			if u8in, err = in.u8View(ctx); err != nil {
-				return nil, err
-			}
-		}
 		_, st := obs.StartStage(ctx, "pipeline.downscale", in.pipe.downH)
 		down, putDown := pooledImage(key.dstW, key.dstH, img.C)
-		if u8in != nil {
-			err = downScaler.ResizeU8Into(ctx, u8in, down)
-		} else {
-			err = downScaler.ResizeInto(ctx, img, down)
-		}
+		err = downScaler.ResizeInto(ctx, img, down)
 		st.End()
 		if err != nil {
 			putDown()
@@ -577,7 +570,7 @@ func (in *Intermediates) scoreAgainst(ctx context.Context, m Metric, sub stageKe
 	}
 }
 
-// ScorePipeline implements PipelineScorer: the round trip is a memoized
+// ScorePipeline implements pipelineScorer: the round trip is a memoized
 // substrate shared by every scaling scorer of the same geometry, and the
 // score derives from the shared MSE/SSIM machinery.
 func (s *ScalingScorer) ScorePipeline(ctx context.Context, in *Intermediates) (float64, error) {
@@ -590,7 +583,7 @@ func (s *ScalingScorer) ScorePipeline(ctx context.Context, in *Intermediates) (f
 	return in.scoreAgainst(ctx, s.metric, key, up)
 }
 
-// ScorePipeline implements PipelineScorer: the erosion is a memoized
+// ScorePipeline implements pipelineScorer: the erosion is a memoized
 // substrate shared by every filtering scorer of the same window.
 func (s *FilteringScorer) ScorePipeline(ctx context.Context, in *Intermediates) (float64, error) {
 	key := stageKey{kind: stageMinFilter, window: s.window}
@@ -601,7 +594,7 @@ func (s *FilteringScorer) ScorePipeline(ctx context.Context, in *Intermediates) 
 	return in.scoreAgainst(ctx, s.metric, key, f)
 }
 
-// ScorePipeline implements PipelineScorer: the spectrum is computed once
+// ScorePipeline implements pipelineScorer: the spectrum is computed once
 // per image and the component count once per resolved option set.
 //
 //declint:nan-ok delegates to the memoized CSP stage; NaN/Inf totality is pinned by FuzzPipelineDetect

@@ -1,9 +1,10 @@
 package detect
 
 // BenchmarkEnsembleLegacy / BenchmarkEnsemblePipeline gate the stage-DAG
-// pipeline's reason to exist: the fused path must beat the per-scorer
-// path on both time and allocations for the full method×metric matrix.
-// cmd/benchguard compares the pair's committed medians in CI.
+// pipeline's reason to exist: the fused path must beat the
+// kernel-composed per-scorer reference on both time and allocations for
+// the full method×metric matrix. cmd/benchguard compares the pair's
+// medians in CI.
 
 import (
 	"context"
@@ -60,20 +61,20 @@ func benchEnsemble(b *testing.B) *Ensemble {
 	return e
 }
 
-// BenchmarkEnsembleLegacy measures the pre-pipeline path: every scorer
-// recomputes its own substrates (gray plane, round trip, min filter,
-// spectrum) from the decoded tensor.
+// BenchmarkEnsembleLegacy measures the kernel-composed reference
+// (legacyDetect): every scorer recomputes its own substrates (gray plane,
+// round trip, min filter, spectrum) from the decoded tensor.
 func BenchmarkEnsembleLegacy(b *testing.B) {
 	e := benchEnsemble(b)
 	img := corpusImage(b, 2026, 0, benchSrcW, benchSrcH)
 	ctx := context.Background()
-	if _, err := e.DetectLegacy(ctx, img); err != nil { // warm coeff/plan caches
+	if _, err := legacyDetect(ctx, e, img); err != nil { // warm coeff/plan caches
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.DetectLegacy(ctx, img); err != nil {
+		if _, err := legacyDetect(ctx, e, img); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -83,29 +84,6 @@ func BenchmarkEnsembleLegacy(b *testing.B) {
 // substrates are memoized per image and buffers are pooled.
 func BenchmarkEnsemblePipeline(b *testing.B) {
 	e := benchEnsemble(b)
-	img := corpusImage(b, 2026, 0, benchSrcW, benchSrcH)
-	ctx := context.Background()
-	if _, err := e.Detect(ctx, img); err != nil { // warm coeff/plan/scaler caches
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Detect(ctx, img); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEnsembleU8 measures the quantized pipeline: the bit-exact u8
-// routing (LUT gray, integer min filter) plus the opt-in Q1.15
-// fixed-point downscale, whose ~3× win over the float downscale gives
-// the quantized path a small whole-ensemble edge. The CI guard allows
-// +5% over BenchmarkEnsemblePipeline so shared-runner noise cannot
-// flake the pair; the committed snapshot records the actual medians.
-func BenchmarkEnsembleU8(b *testing.B) {
-	e := benchEnsemble(b)
-	e.SetQuantized(true)
 	img := corpusImage(b, 2026, 0, benchSrcW, benchSrcH)
 	ctx := context.Background()
 	if _, err := e.Detect(ctx, img); err != nil { // warm coeff/plan/scaler caches

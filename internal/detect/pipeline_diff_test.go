@@ -1,9 +1,11 @@
 package detect
 
 // The differential equivalence suite: the stage-DAG pipeline (Detect)
-// must produce bit-identical scores and verdicts to the legacy
-// per-scorer path (DetectLegacy) — memoization and buffer pooling are
-// allowed to change where bytes are computed, never which bytes.
+// must produce bit-identical scores and verdicts to the kernel-composed
+// reference (legacyDetect) — memoization and buffer pooling are allowed
+// to change where bytes are computed, never which bytes — and every
+// member's standalone Score (the calibration and evaluation path) must
+// equal its score inside the ensemble (the serving path).
 
 import (
 	"context"
@@ -12,12 +14,98 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"decamouflage/internal/filtering"
 	"decamouflage/internal/imgcore"
+	"decamouflage/internal/metrics"
 	"decamouflage/internal/obs"
 	"decamouflage/internal/parallel"
+	"decamouflage/internal/scaling"
 	"decamouflage/internal/steg"
 	"decamouflage/internal/testutil"
 )
+
+// legacyScore is the reference implementation of each built-in method,
+// composed directly from the public kernels with no memo table, no
+// pooling and no u8 routing: the pre-pipeline per-scorer bodies. Plain
+// scorers are called as-is.
+func legacyScore(s Scorer, img *imgcore.Image) (float64, error) {
+	switch s := s.(type) {
+	case *ScalingScorer:
+		down, err := s.scaler.Resize(img)
+		if err != nil {
+			return 0, fmt.Errorf("detect: scaling downscale: %w", err)
+		}
+		up, err := scaling.Resize(down, img.W, img.H, s.scaler.Options())
+		if err != nil {
+			return 0, fmt.Errorf("detect: scaling upscale: %w", err)
+		}
+		return legacyMetric(s.metric, img, up)
+	case *FilteringScorer:
+		if err := img.Validate(); err != nil {
+			return 0, err
+		}
+		f, err := filtering.Minimum(img, s.window)
+		if err != nil {
+			return 0, fmt.Errorf("detect: minimum filter: %w", err)
+		}
+		return legacyMetric(s.metric, img, f)
+	case *StegScorer:
+		n, err := steg.CSP(img, s.opts)
+		if err != nil {
+			return 0, fmt.Errorf("detect: csp: %w", err)
+		}
+		return float64(n), nil
+	default:
+		return s.Score(img)
+	}
+}
+
+// legacyMetric scores an image against its reconstruction with the
+// whole-image metric kernels.
+func legacyMetric(m Metric, a, b *imgcore.Image) (float64, error) {
+	switch m {
+	case MSE:
+		return metrics.MSE(a, b)
+	case SSIM:
+		return metrics.SSIM(a, b)
+	case PSNR:
+		return metrics.PSNR(a, b)
+	default:
+		return 0, fmt.Errorf("detect: unsupported metric %v", m)
+	}
+}
+
+// legacyDetect is the reference ensemble pass: every member scores
+// concurrently through legacyScore, recomputing its own substrates, and
+// the verdicts are majority-voted as Detect does.
+func legacyDetect(ctx context.Context, e *Ensemble, img *imgcore.Image) (*EnsembleVerdict, error) {
+	if err := img.Validate(); err != nil {
+		return nil, err
+	}
+	verdicts := make([]Verdict, len(e.detectors))
+	tasks := make([]func() error, len(e.detectors))
+	for i, d := range e.detectors {
+		tasks[i] = func() error {
+			score, err := legacyScore(d.scorer, img)
+			if err != nil {
+				return fmt.Errorf("%s: %w", d.Name(), err)
+			}
+			verdicts[i] = Verdict{Attack: d.threshold.Classify(score), Score: score, Method: d.Name()}
+			return nil
+		}
+	}
+	if err := parallel.Do(ctx, tasks); err != nil {
+		return nil, err
+	}
+	out := &EnsembleVerdict{Verdicts: verdicts}
+	for _, v := range verdicts {
+		if v.Attack {
+			out.Votes++
+		}
+	}
+	out.Attack = out.Votes*2 > len(verdicts)
+	return out, nil
+}
 
 // matrixThreshold returns a plausible decision boundary per metric; the
 // equivalence suite only needs both paths to classify against the same
@@ -92,8 +180,43 @@ func requireEqualVerdicts(t *testing.T, pipe, legacy *EnsembleVerdict) {
 	}
 }
 
+// requireStandaloneMatches asserts that every member's standalone paths —
+// Scorer.Score, Scores over a one-image corpus, and Detector.Detect —
+// reproduce the member's ensemble score bit for bit: thresholds
+// calibrated on standalone scores judge exactly the scores the ensemble
+// serves.
+func requireStandaloneMatches(t *testing.T, e *Ensemble, img *imgcore.Image, served *EnsembleVerdict) {
+	t.Helper()
+	for i, d := range e.Detectors() {
+		want := served.Verdicts[i].Score
+		alone, err := d.scorer.Score(img)
+		if err != nil {
+			t.Fatalf("%s: standalone Score: %v", d.Name(), err)
+		}
+		batch, err := Scores(d.scorer, []*imgcore.Image{img})
+		if err != nil {
+			t.Fatalf("%s: Scores: %v", d.Name(), err)
+		}
+		det, err := d.Detect(img)
+		if err != nil {
+			t.Fatalf("%s: Detector.Detect: %v", d.Name(), err)
+		}
+		for _, got := range []struct {
+			path  string
+			score float64
+		}{{"Score", alone}, {"Scores", batch[0]}, {"Detector.Detect", det.Score}} {
+			if !testutil.BitEqual(got.score, want) {
+				t.Fatalf("%s: %s score %v != ensemble %v (ULP %d)",
+					d.Name(), got.path, got.score, want, testutil.ULPDiff(got.score, want))
+			}
+		}
+	}
+}
+
 // TestPipelineMatchesLegacy sweeps odd/even/prime geometries, grayscale
-// and RGB inputs, and every metric, asserting bit-identical verdicts.
+// and RGB inputs, and every metric, asserting bit-identical verdicts
+// between the ensemble, the kernel-composed reference and each member's
+// standalone scoring paths.
 func TestPipelineMatchesLegacy(t *testing.T) {
 	cases := []struct {
 		srcW, srcH, dstW, dstH int
@@ -118,13 +241,52 @@ func TestPipelineMatchesLegacy(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				legacy, err := e.DetectLegacy(ctx, img)
+				legacy, err := legacyDetect(ctx, e, img)
 				if err != nil {
 					t.Fatal(err)
 				}
 				requireEqualVerdicts(t, pipe, legacy)
+				requireStandaloneMatches(t, e, img, pipe)
 			})
 		}
+	}
+}
+
+// TestStandaloneScoreConcurrent pins the shared standalone pipeline under
+// concurrent use: every member scoring several images at once from
+// several workers reproduces its serial scores bit for bit.
+func TestStandaloneScoreConcurrent(t *testing.T) {
+	ds := matrixEnsemble(t, 24, 18, 8, 6).Detectors()
+	imgs := make([]*imgcore.Image, 4)
+	for i := range imgs {
+		imgs[i] = corpusImage(t, int64(i), i, 24, 18)
+	}
+	score := func(k int) (float64, error) {
+		return ds[k%len(ds)].scorer.Score(imgs[k/len(ds)])
+	}
+	want := make([]float64, len(ds)*len(imgs))
+	for k := range want {
+		v, err := score(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[k] = v
+	}
+	got := make([]float64, len(want))
+	tasks := make([]func() error, len(want))
+	for k := range tasks {
+		tasks[k] = func() error {
+			v, err := score(k)
+			got[k] = v
+			return err
+		}
+	}
+	if err := parallel.Do(context.Background(), tasks, parallel.Workers(8)); err != nil {
+		t.Fatal(err)
+	}
+	if k := testutil.FirstDiff(got, want); k != -1 {
+		t.Fatalf("%s on image %d: concurrent score %v != serial %v",
+			ds[k%len(ds)].Name(), k/len(ds), got[k], want[k])
 	}
 }
 
@@ -203,8 +365,8 @@ func TestPipelineMemoizesSubstrates(t *testing.T) {
 }
 
 // TestPipelineAdapterWithStubs pins the adapter's fallback: a plain
-// Scorer (no ScoreCtx/ScorePipeline) runs unchanged inside the pipeline
-// ensemble, and mixed stub/real ensembles vote correctly.
+// Scorer (no ScorePipeline) runs unchanged inside the pipeline ensemble
+// and votes exactly as the reference does.
 func TestPipelineAdapterWithStubs(t *testing.T) {
 	e, err := NewEnsemble(
 		stubDetector(t, "stub/attack", 0, true),
@@ -223,7 +385,7 @@ func TestPipelineAdapterWithStubs(t *testing.T) {
 	if v.Attack || v.Votes != 1 {
 		t.Fatalf("stub ensemble verdict = %+v", v)
 	}
-	legacy, err := e.DetectLegacy(context.Background(), img)
+	legacy, err := legacyDetect(context.Background(), e, img)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,11 +10,12 @@ import (
 )
 
 // FuzzPipelineDetect cross-checks the stage-DAG pipeline against the
-// legacy per-scorer path on adversarial inputs: NaN/Inf pixels, 1×N and
-// N×1 geometries, and degenerate scale ratios (identity, upscale, down
-// to 1×1). The contract: both paths agree on error presence, and when
-// both succeed every score is bit-identical (NaN pairs included) along
-// with the votes and final verdict.
+// kernel-composed reference on adversarial inputs: NaN/Inf pixels, 1×N
+// and N×1 geometries, and degenerate scale ratios (identity, upscale,
+// down to 1×1). The contract: both paths agree on error presence, and
+// when both succeed every score is bit-identical (NaN pairs included)
+// along with the votes and final verdict, and each member's standalone
+// Score reproduces its ensemble score.
 func FuzzPipelineDetect(f *testing.F) {
 	f.Add(uint8(16), uint8(16), uint8(4), uint8(4), false, []byte{0, 50, 100}, uint8(0))
 	f.Add(uint8(1), uint8(24), uint8(1), uint8(8), true, []byte{255, 1}, uint8(1))   // 1×N
@@ -60,7 +61,7 @@ func FuzzPipelineDetect(f *testing.F) {
 		e := matrixEnsemble(t, srcW, srcH, dstW, dstH)
 		ctx := context.Background()
 		pipe, perr := e.Detect(ctx, img)
-		legacy, lerr := e.DetectLegacy(ctx, img)
+		legacy, lerr := legacyDetect(ctx, e, img)
 		if (perr == nil) != (lerr == nil) {
 			t.Fatalf("error disagreement: pipeline=%v legacy=%v", perr, lerr)
 		}
@@ -84,6 +85,14 @@ func FuzzPipelineDetect(f *testing.F) {
 			}
 			if pipe.Verdicts[i].Attack != legacy.Verdicts[i].Attack {
 				t.Fatalf("verdict %d (%s): attack flag disagreement", i, pipe.Verdicts[i].Method)
+			}
+			alone, err := e.detectors[i].scorer.Score(img)
+			if err != nil {
+				t.Fatalf("verdict %d (%s): standalone Score failed: %v", i, pipe.Verdicts[i].Method, err)
+			}
+			if !testutil.ApproxEqual(alone, ps, 0, 0) {
+				t.Fatalf("verdict %d (%s): standalone score %v != ensemble %v",
+					i, pipe.Verdicts[i].Method, alone, ps)
 			}
 		}
 	})

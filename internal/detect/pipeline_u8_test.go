@@ -1,23 +1,20 @@
 package detect
 
-// Tests for the pipeline's 8-bit routing: the always-on bit-exact u8
-// stages (LUT gray, integer min filter) and the opt-in quantized
-// downscale with its FixedTolerance contract.
+// Tests for the pipeline's 8-bit routing: the u8 stages (LUT gray,
+// integer min filter) that every integral input takes, and the float64
+// fallback for inputs without an 8-bit view.
 
 import (
 	"context"
 	"math"
-	"strings"
 	"testing"
 
-	"decamouflage/internal/imgcore"
-	"decamouflage/internal/scaling"
 	"decamouflage/internal/testutil"
 )
 
 // TestPipelineNonIntegralInputFallsBack pins the float64 fallback: an
 // image with fractional samples has no u8 view, and the pipeline must
-// still match the legacy path bit-for-bit through the float stages.
+// still match the reference bit-for-bit through the float stages.
 func TestPipelineNonIntegralInputFallsBack(t *testing.T) {
 	e := matrixEnsemble(t, 24, 18, 8, 6)
 	img := corpusImage(t, 43, 0, 24, 18)
@@ -29,7 +26,7 @@ func TestPipelineNonIntegralInputFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := e.DetectLegacy(ctx, img)
+	legacy, err := legacyDetect(ctx, e, img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,65 +53,17 @@ func TestGrayLUTBitEqual(t *testing.T) {
 	}
 }
 
-// TestQuantizedRoundTripWithinTolerance pins the quantized downscale's
-// error contract at the substrate level: the round trip of a quantized
-// ensemble must agree with the float64 round trip within a multiple of
-// the resize's FixedTolerance (the upscale is weight-bounded, so the
-// downscale's per-pixel error grows by at most the up-operator's
-// absolute weight sum, well under the 10× margin used here).
-func TestQuantizedRoundTripWithinTolerance(t *testing.T) {
-	const srcW, srcH, dstW, dstH = 32, 24, 8, 6
-	opts := scaling.Options{Algorithm: scaling.Lanczos4}
-	img := corpusImage(t, 44, 0, srcW, srcH)
-
-	run := func(quantized bool) *imgcore.Image {
-		t.Helper()
-		e := matrixEnsemble(t, srcW, srcH, dstW, dstH)
-		e.SetQuantized(quantized)
-		in := e.pipe.intermediates(img)
-		key := stageKey{kind: stageRoundTrip, dstW: dstW, dstH: dstH, sopts: opts}
-		up, err := in.roundTrip(context.Background(), key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Copy out before release returns the pooled plane.
-		out := imgcore.MustNew(up.W, up.H, up.C)
-		copy(out.Pix, up.Pix)
-		in.release()
-		return out
-	}
-	want := run(false)
-	got := run(true)
-	downH, err := scaling.CoeffFor(srcW, dstW, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	downV, err := scaling.CoeffFor(srcH, dstH, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tol := 10 * scaling.FixedTolerance(downV, downH)
-	for i := range want.Pix {
-		if !testutil.ApproxEqual(got.Pix[i], want.Pix[i], 0, tol) {
-			t.Fatalf("sample %d: quantized %v vs float %v (Δ=%v, tol %v)",
-				i, got.Pix[i], want.Pix[i], got.Pix[i]-want.Pix[i], tol)
-		}
-	}
-}
-
-// TestQuantizedEnsembleDeterministic pins that a quantized ensemble is
-// itself deterministic (repeat detects agree bit-for-bit) and that the
-// toggle reads back.
+// TestQuantizedEnsembleDeterministic pins that an ensemble over quantized
+// (8-bit integral) input, which routes gray and min-filter through the u8
+// kernels, is deterministic: a repeat detect — running on recycled,
+// un-zeroed pool buffers — agrees bit-for-bit with the first, and both
+// match the reference.
 func TestQuantizedEnsembleDeterministic(t *testing.T) {
 	e := matrixEnsemble(t, 32, 24, 8, 6)
-	if e.Quantized() {
-		t.Fatal("quantized mode on by default")
-	}
-	e.SetQuantized(true)
-	if !e.Quantized() {
-		t.Fatal("SetQuantized(true) did not stick")
-	}
 	img := corpusImage(t, 45, 0, 32, 24)
+	if _, ok := img.ToU8(); !ok {
+		t.Fatal("corpus image has no 8-bit view")
+	}
 	ctx := context.Background()
 	a, err := e.Detect(ctx, img)
 	if err != nil {
@@ -125,25 +74,9 @@ func TestQuantizedEnsembleDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireEqualVerdicts(t, a, b)
-	// The non-resize members (filtering, steganalysis) are untouched by
-	// quantized mode: their scores must equal the float64 pipeline's.
-	e2 := matrixEnsemble(t, 32, 24, 8, 6)
-	c, err := e2.Detect(ctx, img)
+	ref, err := legacyDetect(ctx, e, img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sawScaling := false
-	for i, v := range a.Verdicts {
-		if strings.HasPrefix(v.Method, "scaling/") {
-			sawScaling = true
-			continue
-		}
-		if !testutil.BitEqual(v.Score, c.Verdicts[i].Score) {
-			t.Errorf("verdict %d (%s): quantized score %v != float %v",
-				i, v.Method, v.Score, c.Verdicts[i].Score)
-		}
-	}
-	if !sawScaling {
-		t.Error("matrix ensemble reported no scaling members")
-	}
+	requireEqualVerdicts(t, a, ref)
 }

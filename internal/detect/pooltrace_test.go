@@ -28,7 +28,7 @@ func rgbImage(w, h int, seed float64) *imgcore.Image {
 	return &imgcore.Image{W: w, H: h, C: 3, Pix: pix}
 }
 
-// grayScorer is a PipelineScorer that forces the pooled gray substrate.
+// grayScorer is a pipelineScorer that forces the pooled gray substrate.
 type grayScorer struct {
 	after func() // runs once after the first completed score, if set
 	once  sync.Once
@@ -75,6 +75,33 @@ func TestPoolTraceBatchBalances(t *testing.T) {
 	}
 	if _, err := e.DetectBatch(context.Background(), imgs); err != nil {
 		t.Fatal(err)
+	}
+	if err := poolTraceVerify(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPoolTraceStandaloneScoreBalances: standalone Score and
+// Detector.Detect calls — the calibration and evaluation path — open a
+// one-member table per image and must return every pooled buffer it
+// borrowed (gray plane, round trip, min filter, SSIM reference), on 8-bit
+// and fractional inputs alike.
+func TestPoolTraceStandaloneScoreBalances(t *testing.T) {
+	poolTraceReset()
+	e := matrixEnsemble(t, 16, 12, 4, 3)
+	for i := 0; i < 2; i++ {
+		img := corpusImage(t, int64(i), i, 16, 12)
+		frac := rgbImage(16, 12, float64(i))
+		for _, d := range e.Detectors() {
+			for _, in := range []*imgcore.Image{img, frac} {
+				if _, err := d.scorer.Score(in); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := d.Detect(in); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 	}
 	if err := poolTraceVerify(); err != nil {
 		t.Fatal(err)

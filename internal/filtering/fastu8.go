@@ -1,24 +1,11 @@
-// Fixed-point sliding-window kernels over the 8-bit image view. The
-// float64 kernels in fast.go remain the canonical implementations; the
-// variants in this file run the same algorithms over imgcore.U8Image —
-// one byte per sample instead of eight — for the common case where every
-// input intensity is an 8-bit integer:
-//
-//   - min/max: van Herk–Gil–Werman over uint8 lanes. Comparisons on
-//     integers order identically to comparisons on their float64 images,
-//     so MinimumU8/MaximumU8 are bit-exact against Minimum/Maximum after
-//     FromU8 (pinned by the u8 equivalence suite and the fixed-point
-//     fuzzer).
-//   - median: a 256-bin uint16 count histogram slides along each row —
-//     remove the leaving column, add the entering column, re-select the
-//     rank by bin scan. The histogram holds exactly the naive window
-//     multiset, and the even-window mean (a+b)/2 of two integers is exact
-//     in float64, so MedianU8 output is bit-exact against Median.
-//   - box: separable running sums in int32 — window sums of uint8 samples
-//     are exact integers, so the only rounding is the final division by
-//     size². BoxU8 therefore agrees with the float64 Box to tolerance
-//     (the float path rounds inside its running sums; the fixed path
-//     does not), pinned by ApproxEqual contracts.
+// Fixed-point minimum filter over the 8-bit image view. The float64
+// kernel in fast.go remains the canonical implementation; the variant in
+// this file runs the same van Herk–Gil–Werman algorithm over
+// imgcore.U8Image — one byte per sample instead of eight — for the
+// common case where every input intensity is an 8-bit integer.
+// Comparisons on integers order identically to comparisons on their
+// float64 images, so MinimumU8 is bit-exact against Minimum after FromU8
+// (pinned by the u8 equivalence suite and the fixed-point fuzzer).
 //
 // Window anchoring and replicate-clamp borders match fast.go exactly.
 package filtering
@@ -31,30 +18,16 @@ import (
 	"decamouflage/internal/parallel"
 )
 
-// maxU8MedianWindow bounds the histogram median's window edge so that a
-// full window (size² samples) fits the uint16 bin counters.
-const maxU8MedianWindow = 255
-
-// maxU8BoxWindow bounds the running-sum box window edge so a window sum
-// (size²·255) fits an int32 accumulator.
-const maxU8BoxWindow = 2896
-
 // MinimumU8 applies a size×size minimum filter to an 8-bit image. The
 // output equals Minimum over FromU8(u) bit-exactly.
 func MinimumU8(u *imgcore.U8Image, size int) (*imgcore.U8Image, error) {
-	return minMaxFilterU8(context.Background(), u, size, false)
+	return minFilterU8(context.Background(), u, size)
 }
 
 // MinimumU8Ctx is MinimumU8 honouring ctx cancellation in its parallel
 // sweeps.
 func MinimumU8Ctx(ctx context.Context, u *imgcore.U8Image, size int) (*imgcore.U8Image, error) {
-	return minMaxFilterU8(ctx, u, size, false)
-}
-
-// MaximumU8 applies a size×size maximum filter to an 8-bit image. The
-// output equals Maximum over FromU8(u) bit-exactly.
-func MaximumU8(u *imgcore.U8Image, size int) (*imgcore.U8Image, error) {
-	return minMaxFilterU8(context.Background(), u, size, true)
+	return minFilterU8(ctx, u, size)
 }
 
 // padClampedU8 is padClamped over uint8 lanes: dst[t] = src[clamp(t+lo)]
@@ -115,51 +88,10 @@ func slidingMinU8(out, padded, wedge []uint8, w int) {
 	}
 }
 
-// slidingMaxU8 is slidingMinU8 with the comparison flipped.
-//
-//declint:hot
-func slidingMaxU8(out, padded, wedge []uint8, w int) {
-	p := len(padded)
-	if w == 2 {
-		for i := range out {
-			if padded[i+1] > padded[i] {
-				out[i] = padded[i+1]
-			} else {
-				out[i] = padded[i]
-			}
-		}
-		return
-	}
-	for t := p - 1; t >= 0; t-- {
-		if t == p-1 || (t+1)%w == 0 {
-			wedge[t] = padded[t]
-		} else if padded[t] > wedge[t+1] {
-			wedge[t] = padded[t]
-		} else {
-			wedge[t] = wedge[t+1]
-		}
-	}
-	var prefix uint8
-	for t := 0; t < p; t++ {
-		if t%w == 0 {
-			prefix = padded[t]
-		} else if padded[t] > prefix {
-			prefix = padded[t]
-		}
-		if i := t - w + 1; i >= 0 {
-			if wedge[i] > prefix {
-				out[i] = wedge[i]
-			} else {
-				out[i] = prefix
-			}
-		}
-	}
-}
-
-// minMaxFilterU8 mirrors minMaxFilter over the 8-bit view: a horizontal
-// vHGW sweep into an intermediate image, then a vertical sweep, with
-// per-band uint8 scratch.
-func minMaxFilterU8(ctx context.Context, u *imgcore.U8Image, size int, isMax bool, popts ...parallel.Option) (*imgcore.U8Image, error) {
+// minFilterU8 mirrors minMaxFilter's minimum over the 8-bit view: a
+// horizontal vHGW sweep into an intermediate image, then a vertical
+// sweep, with per-band uint8 scratch.
+func minFilterU8(ctx context.Context, u *imgcore.U8Image, size int, popts ...parallel.Option) (*imgcore.U8Image, error) {
 	if err := u.Validate(); err != nil {
 		return nil, err
 	}
@@ -169,10 +101,6 @@ func minMaxFilterU8(ctx context.Context, u *imgcore.U8Image, size int, isMax boo
 	lo, _ := windowOffsets(size)
 	tmp := u.Clone()
 	out := u.Clone()
-	pass := slidingMinU8
-	if isMax {
-		pass = slidingMaxU8
-	}
 
 	rowCost := u.W * u.C
 	hOpts := append([]parallel.Option{
@@ -185,7 +113,7 @@ func minMaxFilterU8(ctx context.Context, u *imgcore.U8Image, size int, isMax boo
 		for y := yLo; y < yHi; y++ {
 			for c := 0; c < u.C; c++ {
 				padClampedU8(padded, u.Pix[(y*u.W)*u.C+c:], u.W, u.C, lo)
-				pass(line, padded, wedge, size)
+				slidingMinU8(line, padded, wedge, size)
 				for x := 0; x < u.W; x++ {
 					tmp.Pix[(y*u.W+x)*u.C+c] = line[x]
 				}
@@ -208,275 +136,9 @@ func minMaxFilterU8(ctx context.Context, u *imgcore.U8Image, size int, isMax boo
 		for x := xLo; x < xHi; x++ {
 			for c := 0; c < u.C; c++ {
 				padClampedU8(padded, tmp.Pix[x*u.C+c:], u.H, u.W*u.C, lo)
-				pass(line, padded, wedge, size)
+				slidingMinU8(line, padded, wedge, size)
 				for y := 0; y < u.H; y++ {
 					out.Pix[(y*u.W+x)*u.C+c] = line[y]
-				}
-			}
-		}
-		return nil
-	}, vOpts...)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// histMedian selects the window median from a 256-bin count histogram of
-// n samples: the bin holding rank n/2 for odd n, the exact float64 mean
-// of the bins holding ranks n/2-1 and n/2 for even n — the same rule as
-// pickMedian, and exact because the mean of two integers ≤ 255 is a
-// float64 with at most one fractional bit.
-//
-//declint:hot
-func histMedian(h *[256]uint16, n int) float64 {
-	if n%2 == 1 {
-		want := uint16(n/2 + 1)
-		var cum uint16
-		for v := 0; v < 256; v++ {
-			cum += h[v]
-			if cum >= want {
-				return float64(v)
-			}
-		}
-		return 255
-	}
-	wantLo := uint16(n / 2) // 1-based rank of the lower middle
-	var cum uint16
-	for v := 0; v < 256; v++ {
-		cum += h[v]
-		if cum >= wantLo {
-			lov := v
-			if cum >= wantLo+1 {
-				// Both middles fall in this bin.
-				return float64(lov)
-			}
-			for w := v + 1; w < 256; w++ {
-				if h[w] > 0 {
-					return float64(lov+w) / 2
-				}
-			}
-			return float64(lov)
-		}
-	}
-	return 255
-}
-
-// MedianU8 applies a size×size median filter to an 8-bit image via a
-// sliding 256-bin histogram per row. The result is a float64 image (even
-// windows can produce half-integer medians) equal to Median over
-// FromU8(u) bit-exactly. Windows wider than 255 overflow the uint16 bin
-// counters and fall back to the float64 sorted-window path.
-func MedianU8(u *imgcore.U8Image, size int) (*imgcore.Image, error) {
-	return medianFilterU8(context.Background(), u, size)
-}
-
-// MedianU8Ctx is MedianU8 honouring ctx cancellation.
-func MedianU8Ctx(ctx context.Context, u *imgcore.U8Image, size int) (*imgcore.Image, error) {
-	return medianFilterU8(ctx, u, size)
-}
-
-func medianFilterU8(ctx context.Context, u *imgcore.U8Image, size int, popts ...parallel.Option) (*imgcore.Image, error) {
-	if err := u.Validate(); err != nil {
-		return nil, err
-	}
-	if size < 2 {
-		return nil, fmt.Errorf("%w: got %d", ErrBadWindow, size)
-	}
-	if size > maxU8MedianWindow {
-		wide, err := imgcore.FromU8(u)
-		if err != nil {
-			return nil, err
-		}
-		return medianFilter(ctx, wide, size, popts...)
-	}
-	lo, hi := windowOffsets(size)
-	out, err := imgcore.New(u.W, u.H, u.C)
-	if err != nil {
-		return nil, err
-	}
-	n := size * size
-	rowCost := u.W * u.C * size * 4
-	opts := append([]parallel.Option{
-		parallel.Grain(parallel.GrainForWidth(rowCost, minFilterWork)),
-	}, popts...)
-	err = parallel.For(ctx, u.H, func(yLo, yHi int) error {
-		var hist [256]uint16
-		rows := make([]int, size) // clamped row bases of the window's rows
-		for y := yLo; y < yHi; y++ {
-			for k := 0; k < size; k++ {
-				yy := y + lo + k
-				if yy < 0 {
-					yy = 0
-				} else if yy >= u.H {
-					yy = u.H - 1
-				}
-				rows[k] = yy * u.W
-			}
-			for c := 0; c < u.C; c++ {
-				// Seed the histogram at x=0.
-				hist = [256]uint16{}
-				for _, base := range rows {
-					for dx := lo; dx <= hi; dx++ {
-						xx := dx
-						if xx < 0 {
-							xx = 0
-						} else if xx >= u.W {
-							xx = u.W - 1
-						}
-						hist[u.Pix[(base+xx)*u.C+c]]++
-					}
-				}
-				out.Set(0, y, c, histMedian(&hist, n))
-				// Slide: the column leaving the window is replaced by the
-				// one entering it; clamped taps repeat border samples, so
-				// the histogram stays exactly the naive window multiset.
-				for x := 1; x < u.W; x++ {
-					xm := x - 1 + lo
-					if xm < 0 {
-						xm = 0
-					} else if xm >= u.W {
-						xm = u.W - 1
-					}
-					xp := x + hi
-					if xp >= u.W {
-						xp = u.W - 1
-					}
-					for _, base := range rows {
-						hist[u.Pix[(base+xm)*u.C+c]]--
-						hist[u.Pix[(base+xp)*u.C+c]]++
-					}
-					out.Set(x, y, c, histMedian(&hist, n))
-				}
-			}
-		}
-		return nil
-	}, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// slidingSumU8 writes out[i] = Σ padded[i : i+w] as an int32 running sum.
-//
-//declint:hot
-func slidingSumU8(out []int32, padded []uint8, w int) {
-	var s int32
-	for t := 0; t < w; t++ {
-		s += int32(padded[t])
-	}
-	out[0] = s
-	for i := 1; i < len(out); i++ {
-		s += int32(padded[i+w-1]) - int32(padded[i-1])
-		out[i] = s
-	}
-}
-
-// padClampedI32 is padClamped over int32 lanes.
-//
-//declint:hot
-func padClampedI32(dst, src []int32, n, stride, lo int) {
-	for t := range dst {
-		j := t + lo
-		if j < 0 {
-			j = 0
-		} else if j >= n {
-			j = n - 1
-		}
-		dst[t] = src[j*stride]
-	}
-}
-
-// slidingSumI32 is slidingSumU8 over int32 inputs (the vertical pass over
-// horizontal window sums).
-//
-//declint:hot
-func slidingSumI32(out, padded []int32, w int) {
-	var s int32
-	for t := 0; t < w; t++ {
-		s += padded[t]
-	}
-	out[0] = s
-	for i := 1; i < len(out); i++ {
-		s += padded[i+w-1] - padded[i-1]
-		out[i] = s
-	}
-}
-
-// BoxU8 applies a size×size mean filter to an 8-bit image with int32
-// fixed-point accumulators: both separable passes sum exactly in integer
-// arithmetic and the single division by size² at the end is the only
-// rounding step. Output agrees with Box over FromU8(u) within the pinned
-// ApproxEqual contract (the float64 running sums round along the way; the
-// integer sums do not). Windows wider than 2896 would overflow the int32
-// window sum and fall back to the float64 path.
-func BoxU8(u *imgcore.U8Image, size int) (*imgcore.Image, error) {
-	return boxFilterU8(context.Background(), u, size)
-}
-
-// BoxU8Ctx is BoxU8 honouring ctx cancellation.
-func BoxU8Ctx(ctx context.Context, u *imgcore.U8Image, size int) (*imgcore.Image, error) {
-	return boxFilterU8(ctx, u, size)
-}
-
-func boxFilterU8(ctx context.Context, u *imgcore.U8Image, size int, popts ...parallel.Option) (*imgcore.Image, error) {
-	if err := u.Validate(); err != nil {
-		return nil, err
-	}
-	if size < 2 {
-		return nil, fmt.Errorf("%w: got %d", ErrBadWindow, size)
-	}
-	if size > maxU8BoxWindow {
-		wide, err := imgcore.FromU8(u)
-		if err != nil {
-			return nil, err
-		}
-		return boxFilter(ctx, wide, size, popts...)
-	}
-	lo, _ := windowOffsets(size)
-	mid := make([]int32, u.W*u.H*u.C)
-	out, err := imgcore.New(u.W, u.H, u.C)
-	if err != nil {
-		return nil, err
-	}
-	inv := 1 / float64(size*size)
-
-	rowCost := u.W * u.C
-	hOpts := append([]parallel.Option{
-		parallel.Grain(parallel.GrainForWidth(rowCost, minFilterWork)),
-	}, popts...)
-	err = parallel.For(ctx, u.H, func(yLo, yHi int) error {
-		padded := make([]uint8, u.W+size-1)
-		line := make([]int32, u.W)
-		for y := yLo; y < yHi; y++ {
-			for c := 0; c < u.C; c++ {
-				padClampedU8(padded, u.Pix[(y*u.W)*u.C+c:], u.W, u.C, lo)
-				slidingSumU8(line, padded, size)
-				for x := 0; x < u.W; x++ {
-					mid[(y*u.W+x)*u.C+c] = line[x]
-				}
-			}
-		}
-		return nil
-	}, hOpts...)
-	if err != nil {
-		return nil, err
-	}
-
-	colCost := u.H * u.C
-	vOpts := append([]parallel.Option{
-		parallel.Grain(parallel.GrainForWidth(colCost, minFilterWork)),
-	}, popts...)
-	err = parallel.For(ctx, u.W, func(xLo, xHi int) error {
-		padded := make([]int32, u.H+size-1)
-		line := make([]int32, u.H)
-		for x := xLo; x < xHi; x++ {
-			for c := 0; c < u.C; c++ {
-				padClampedI32(padded, mid[x*u.C+c:], u.H, u.W*u.C, lo)
-				slidingSumI32(line, padded, size)
-				for y := 0; y < u.H; y++ {
-					out.Pix[(y*u.W+x)*u.C+c] = float64(line[y]) * inv
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package filtering
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"testing"
@@ -22,48 +23,20 @@ func noiseU8Image(rng *rand.Rand, w, h, c int) *imgcore.U8Image {
 	return u
 }
 
-// u8FloatPairs returns the three fixed-point rank filters alongside the
-// float64 kernels they must match bit-for-bit on 8-bit data. The u8
-// outputs are widened through FromU8 where needed so both sides compare
-// as float64 planes.
-type u8FilterPair struct {
-	name  string
-	u8    func(*imgcore.U8Image, int) (*imgcore.Image, error)
-	float func(*imgcore.Image, int) (*imgcore.Image, error)
-}
-
-func u8FloatPairs() []u8FilterPair {
-	return []u8FilterPair{
-		{"min",
-			func(u *imgcore.U8Image, size int) (*imgcore.Image, error) {
-				out, err := MinimumU8(u, size)
-				if err != nil {
-					return nil, err
-				}
-				return imgcore.FromU8(out)
-			},
-			Minimum},
-		{"max",
-			func(u *imgcore.U8Image, size int) (*imgcore.Image, error) {
-				out, err := MaximumU8(u, size)
-				if err != nil {
-					return nil, err
-				}
-				return imgcore.FromU8(out)
-			},
-			Maximum},
-		{"median",
-			func(u *imgcore.U8Image, size int) (*imgcore.Image, error) {
-				return MedianU8(u, size)
-			},
-			Median},
+// minU8Widened runs MinimumU8 and widens its output through FromU8 so it
+// compares against the float64 Minimum as a float64 plane.
+func minU8Widened(u *imgcore.U8Image, size int) (*imgcore.Image, error) {
+	out, err := MinimumU8(u, size)
+	if err != nil {
+		return nil, err
 	}
+	return imgcore.FromU8(out)
 }
 
-// TestU8FiltersBitEqualFloat is the central exactness pin of the
-// fixed-point rank kernels: on 8-bit inputs, MinimumU8/MaximumU8/MedianU8
-// must be BIT-IDENTICAL to the float64 fast kernels across odd and even
-// windows, both channel counts, and non-square geometries.
+// TestU8FiltersBitEqualFloat is the central exactness pin of the uint8
+// minimum: on 8-bit inputs MinimumU8 must be BIT-IDENTICAL to the float64
+// fast kernel across odd and even windows, both channel counts, and
+// non-square geometries.
 func TestU8FiltersBitEqualFloat(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	sizes := [][2]int{{2, 3}, {7, 5}, {16, 16}, {31, 29}, {64, 48}, {97, 11}}
@@ -75,19 +48,17 @@ func TestU8FiltersBitEqualFloat(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, window := range []int{2, 3, 4, 5, 7} {
-				for _, p := range u8FloatPairs() {
-					want, err := p.float(wide, window)
-					if err != nil {
-						t.Fatalf("%s float %dx%dx%d w=%d: %v", p.name, wh[0], wh[1], c, window, err)
-					}
-					got, err := p.u8(u, window)
-					if err != nil {
-						t.Fatalf("%s u8 %dx%dx%d w=%d: %v", p.name, wh[0], wh[1], c, window, err)
-					}
-					if i := testutil.FirstDiff(got.Pix, want.Pix); i != -1 {
-						t.Fatalf("%s %dx%dx%d w=%d: sample %d differs: u8 %v vs float %v",
-							p.name, wh[0], wh[1], c, window, i, got.Pix[i], want.Pix[i])
-					}
+				want, err := Minimum(wide, window)
+				if err != nil {
+					t.Fatalf("float %dx%dx%d w=%d: %v", wh[0], wh[1], c, window, err)
+				}
+				got, err := minU8Widened(u, window)
+				if err != nil {
+					t.Fatalf("u8 %dx%dx%d w=%d: %v", wh[0], wh[1], c, window, err)
+				}
+				if i := testutil.FirstDiff(got.Pix, want.Pix); i != -1 {
+					t.Fatalf("%dx%dx%d w=%d: sample %d differs: u8 %v vs float %v",
+						wh[0], wh[1], c, window, i, got.Pix[i], want.Pix[i])
 				}
 			}
 		}
@@ -120,114 +91,18 @@ func TestU8FiltersDegenerateGeometry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range u8FloatPairs() {
-			want, err := p.float(wide, tc.window)
-			if err != nil {
-				t.Fatalf("%s float %dx%dx%d w=%d: %v", p.name, tc.w, tc.h, tc.c, tc.window, err)
-			}
-			got, err := p.u8(u, tc.window)
-			if err != nil {
-				t.Fatalf("%s u8 %dx%dx%d w=%d: %v", p.name, tc.w, tc.h, tc.c, tc.window, err)
-			}
-			if i := testutil.FirstDiff(got.Pix, want.Pix); i != -1 {
-				t.Fatalf("%s %dx%dx%d w=%d: sample %d differs: u8 %v vs float %v",
-					p.name, tc.w, tc.h, tc.c, tc.window, i, got.Pix[i], want.Pix[i])
-			}
-		}
-		want, err := Box(wide, tc.window)
+		want, err := Minimum(wide, tc.window)
 		if err != nil {
-			t.Fatalf("box float %dx%dx%d w=%d: %v", tc.w, tc.h, tc.c, tc.window, err)
+			t.Fatalf("float %dx%dx%d w=%d: %v", tc.w, tc.h, tc.c, tc.window, err)
 		}
-		got, err := BoxU8(u, tc.window)
+		got, err := minU8Widened(u, tc.window)
 		if err != nil {
-			t.Fatalf("box u8 %dx%dx%d w=%d: %v", tc.w, tc.h, tc.c, tc.window, err)
+			t.Fatalf("u8 %dx%dx%d w=%d: %v", tc.w, tc.h, tc.c, tc.window, err)
 		}
-		for i := range want.Pix {
-			if !testutil.ApproxEqual(got.Pix[i], want.Pix[i], 1e-12, 1e-9) {
-				t.Fatalf("box %dx%dx%d w=%d sample %d: u8 %v vs float %v",
-					tc.w, tc.h, tc.c, tc.window, i, got.Pix[i], want.Pix[i])
-			}
+		if i := testutil.FirstDiff(got.Pix, want.Pix); i != -1 {
+			t.Fatalf("%dx%dx%d w=%d: sample %d differs: u8 %v vs float %v",
+				tc.w, tc.h, tc.c, tc.window, i, got.Pix[i], want.Pix[i])
 		}
-	}
-}
-
-// TestBoxU8WithinToleranceOfFloat pins the fixed-point box contract: the
-// int32 path sums exactly and rounds only at the final division, so it
-// must agree with the float64 running-sum box within 1e-12 relative /
-// 1e-9 absolute — the same contract boxFilter carries against boxNaive.
-func TestBoxU8WithinToleranceOfFloat(t *testing.T) {
-	rng := rand.New(rand.NewSource(73))
-	for _, wh := range [][2]int{{5, 3}, {17, 23}, {32, 32}, {41, 19}, {128, 64}} {
-		for _, c := range []int{1, 3} {
-			u := noiseU8Image(rng, wh[0], wh[1], c)
-			wide, err := imgcore.FromU8(u)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, window := range []int{2, 3, 5, 8} {
-				want, err := Box(wide, window)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := BoxU8(u, window)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range want.Pix {
-					if !testutil.ApproxEqual(got.Pix[i], want.Pix[i], 1e-12, 1e-9) {
-						t.Fatalf("box %dx%dx%d w=%d sample %d: u8 %v vs float %v (Δ=%v)",
-							wh[0], wh[1], c, window, i, got.Pix[i], want.Pix[i],
-							got.Pix[i]-want.Pix[i])
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestBoxU8ExactOnExactWindows: when size² divides every window sum the
-// fixed-point box is exact, so a constant image must come back
-// bit-identical — a stronger property than the float64 path guarantees.
-func TestBoxU8ExactOnExactWindows(t *testing.T) {
-	u, err := imgcore.NewU8(16, 16, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range u.Pix {
-		u.Pix[i] = 200
-	}
-	got, err := BoxU8(u, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got.Pix {
-		if !testutil.BitEqual(v, 200) {
-			t.Fatalf("constant image sample %d = %v, want exactly 200", i, v)
-		}
-	}
-}
-
-// TestU8FiltersWideWindowFallback pins the overflow-guard fallbacks: a
-// median window wider than the uint16 bin capacity must still agree with
-// the float64 median (it silently reroutes through FromU8).
-func TestU8FiltersWideWindowFallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(74))
-	u := noiseU8Image(rng, 9, 7, 1)
-	wide, err := imgcore.FromU8(u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	window := maxU8MedianWindow + 2
-	want, err := Median(wide, window)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := MedianU8(u, window)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if i := testutil.FirstDiff(got.Pix, want.Pix); i != -1 {
-		t.Fatalf("median fallback sample %d differs: %v vs %v", i, got.Pix[i], want.Pix[i])
 	}
 }
 
@@ -236,62 +111,20 @@ func TestU8FiltersWideWindowFallback(t *testing.T) {
 func TestU8FiltersSerialParallelEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
 	u := noiseU8Image(rng, 64, 48, 3)
+	run := func(window int, po ...parallel.Option) []uint8 {
+		t.Helper()
+		out, err := minFilterU8(context.Background(), u, window, po...)
+		if err != nil {
+			t.Fatalf("w=%d: %v", window, err)
+		}
+		return out.Pix
+	}
 	for _, window := range []int{2, 5} {
-		type run struct {
-			name string
-			fn   func(...parallel.Option) ([]float64, error)
-		}
-		runs := []run{
-			{"min", func(po ...parallel.Option) ([]float64, error) {
-				out, err := minMaxFilterU8(context.Background(), u, window, false, po...)
-				if err != nil {
-					return nil, err
-				}
-				wide, err := imgcore.FromU8(out)
-				if err != nil {
-					return nil, err
-				}
-				return wide.Pix, nil
-			}},
-			{"max", func(po ...parallel.Option) ([]float64, error) {
-				out, err := minMaxFilterU8(context.Background(), u, window, true, po...)
-				if err != nil {
-					return nil, err
-				}
-				wide, err := imgcore.FromU8(out)
-				if err != nil {
-					return nil, err
-				}
-				return wide.Pix, nil
-			}},
-			{"median", func(po ...parallel.Option) ([]float64, error) {
-				out, err := medianFilterU8(context.Background(), u, window, po...)
-				if err != nil {
-					return nil, err
-				}
-				return out.Pix, nil
-			}},
-			{"box", func(po ...parallel.Option) ([]float64, error) {
-				out, err := boxFilterU8(context.Background(), u, window, po...)
-				if err != nil {
-					return nil, err
-				}
-				return out.Pix, nil
-			}},
-		}
-		for _, r := range runs {
-			want, err := r.fn(parallel.Workers(1), parallel.Grain(1))
-			if err != nil {
-				t.Fatalf("%s serial: %v", r.name, err)
-			}
-			for _, workers := range []int{2, 4, 7} {
-				got, err := r.fn(parallel.Workers(workers), parallel.Grain(1))
-				if err != nil {
-					t.Fatalf("%s workers=%d: %v", r.name, workers, err)
-				}
-				if i := testutil.FirstDiff(got, want); i != -1 {
-					t.Fatalf("%s w=%d workers=%d: sample %d differs", r.name, window, workers, i)
-				}
+		want := run(window, parallel.Workers(1), parallel.Grain(1))
+		for _, workers := range []int{2, 4, 7} {
+			got := run(window, parallel.Workers(workers), parallel.Grain(1))
+			if !bytes.Equal(got, want) {
+				t.Fatalf("w=%d workers=%d: output differs from serial", window, workers)
 			}
 		}
 	}
@@ -304,25 +137,10 @@ func TestU8FiltersValidation(t *testing.T) {
 		if _, err := MinimumU8(u, size); err == nil {
 			t.Errorf("MinimumU8(size=%d) = nil error", size)
 		}
-		if _, err := MaximumU8(u, size); err == nil {
-			t.Errorf("MaximumU8(size=%d) = nil error", size)
-		}
-		if _, err := MedianU8(u, size); err == nil {
-			t.Errorf("MedianU8(size=%d) = nil error", size)
-		}
-		if _, err := BoxU8(u, size); err == nil {
-			t.Errorf("BoxU8(size=%d) = nil error", size)
-		}
 	}
 	empty := &imgcore.U8Image{}
 	if _, err := MinimumU8(empty, 2); err == nil {
 		t.Error("MinimumU8(empty) = nil error")
-	}
-	if _, err := MedianU8(empty, 2); err == nil {
-		t.Error("MedianU8(empty) = nil error")
-	}
-	if _, err := BoxU8(empty, 2); err == nil {
-		t.Error("BoxU8(empty) = nil error")
 	}
 }
 
@@ -330,30 +148,12 @@ func TestU8FiltersValidation(t *testing.T) {
 func TestU8FiltersDoNotMutateInput(t *testing.T) {
 	u := noiseU8Image(rand.New(rand.NewSource(77)), 9, 7, 3)
 	snapshot := append([]uint8(nil), u.Pix...)
-	check := func(name string) {
-		t.Helper()
-		for i := range snapshot {
-			if u.Pix[i] != snapshot[i] {
-				t.Fatalf("%s mutated its input at sample %d", name, i)
-			}
-		}
-	}
 	if _, err := MinimumU8(u, 3); err != nil {
 		t.Fatal(err)
 	}
-	check("MinimumU8")
-	if _, err := MaximumU8(u, 3); err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(u.Pix, snapshot) {
+		t.Fatal("MinimumU8 mutated its input")
 	}
-	check("MaximumU8")
-	if _, err := MedianU8(u, 3); err != nil {
-		t.Fatal(err)
-	}
-	check("MedianU8")
-	if _, err := BoxU8(u, 3); err != nil {
-		t.Fatal(err)
-	}
-	check("BoxU8")
 }
 
 // benchmarkU8Filter256 runs one fixed-point filter at 256×256×3, window 5,
@@ -375,7 +175,7 @@ func benchmarkU8Filter256(b *testing.B, fn func(*imgcore.U8Image) error) {
 // float64 counterpart is BenchmarkMinFilterFloat256.
 func BenchmarkMinFilterU8256(b *testing.B) {
 	benchmarkU8Filter256(b, func(u *imgcore.U8Image) error {
-		_, err := minMaxFilterU8(context.Background(), u, 5, false, parallel.Workers(1))
+		_, err := minFilterU8(context.Background(), u, 5, parallel.Workers(1))
 		return err
 	})
 }
@@ -386,22 +186,4 @@ func BenchmarkMinFilterFloat256(b *testing.B) {
 	benchmarkFilter256(b, func(img *imgcore.Image, size int) (*imgcore.Image, error) {
 		return minMaxFilter(context.Background(), img, size, false, parallel.Workers(1))
 	}, 5)
-}
-
-// BenchmarkMedianU8256 is the 256-bin histogram median at window 5; its
-// float64 counterpart is BenchmarkMedianFilter256Serial.
-func BenchmarkMedianU8256(b *testing.B) {
-	benchmarkU8Filter256(b, func(u *imgcore.U8Image) error {
-		_, err := medianFilterU8(context.Background(), u, 5, parallel.Workers(1))
-		return err
-	})
-}
-
-// BenchmarkBoxFixed256 is the int32 running-sum box at window 5; its
-// float64 counterpart is BenchmarkBoxFilter256Serial.
-func BenchmarkBoxFixed256(b *testing.B) {
-	benchmarkU8Filter256(b, func(u *imgcore.U8Image) error {
-		_, err := boxFilterU8(context.Background(), u, 5, parallel.Workers(1))
-		return err
-	})
 }

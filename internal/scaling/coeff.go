@@ -3,7 +3,6 @@ package scaling
 import (
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // ErrBadSize indicates a non-positive source or destination length.
@@ -27,11 +26,6 @@ type Row struct {
 type Coeff struct {
 	N, M int
 	Rows []Row
-
-	// fixedOnce/fixedC memoize the Q1.15 quantization built by fixed();
-	// fixedC stays nil when the operator cannot be quantized safely.
-	fixedOnce sync.Once
-	fixedC    *fixedCoeff
 }
 
 // CoordMode selects the source-coordinate convention, mirroring the modes
