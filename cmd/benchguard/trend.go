@@ -37,10 +37,11 @@ const (
 // integer fast paths. They appear in the speedup table but are not
 // regression-gated: a "regression" in a reference is meaningless (no one
 // ships it), and gating it would forbid ever simplifying baseline code.
-// (CenteredSpectrum256 is the unpooled reference of CenteredSpectrumInto256 —
-// the pattern does not match the Into name — and BuildCoeff is the uncached
+// (CenteredSpectrumComplex256 is the complex-composition reference of the
+// real-input CenteredSpectrumInto256; CenteredSpectrum256 measured that
+// composition in the committed snapshots; BuildCoeff is the uncached
 // construction CoeffFor's memoization exists to avoid.)
-var referenceBench = regexp.MustCompile(`Naive|Unplanned|Legacy|PerColumn|Float256|CenteredSpectrum256|BuildCoeff`)
+var referenceBench = regexp.MustCompile(`Naive|Unplanned|Legacy|PerColumn|Float256|CenteredSpectrum(Complex)?256|BuildCoeff`)
 
 // speedupPairs names the fast path / reference pairs whose ratio the
 // trajectory table reports from the latest snapshot. Pairs whose members
@@ -52,7 +53,7 @@ var speedupPairs = []struct {
 	{"BenchmarkMinFilterU8256", "BenchmarkMinFilterFloat256", "uint8 vHGW min filter"},
 	{"BenchmarkCoeffFor64to16", "BenchmarkBuildCoeff64to16", "memoized coefficient lookup"},
 	{"BenchmarkFFT2DBlocked256", "BenchmarkFFT2DPerColumn256", "cache-blocked FFT columns"},
-	{"BenchmarkCenteredSpectrumInto256", "BenchmarkCenteredSpectrum256", "pooled centered spectrum"},
+	{"BenchmarkCenteredSpectrumInto256", "BenchmarkCenteredSpectrumComplex256", "real-input centered spectrum"},
 	{"BenchmarkEnsemblePipeline", "BenchmarkEnsembleLegacy", "stage-DAG ensemble"},
 }
 

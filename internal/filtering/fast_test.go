@@ -2,6 +2,7 @@ package filtering
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -302,4 +303,19 @@ func BenchmarkBoxFilter256Serial(b *testing.B) {
 	benchmarkFilter256(b, func(img *imgcore.Image, size int) (*imgcore.Image, error) {
 		return boxFilter(context.Background(), img, size, parallel.Workers(1))
 	}, 5)
+}
+
+// boxNaive is the per-window reference mean filter the fast path is
+// tolerance-tested against.
+func boxNaive(ctx context.Context, img *imgcore.Image, size int, popts ...parallel.Option) (*imgcore.Image, error) {
+	if size < 2 {
+		return nil, fmt.Errorf("%w: got %d", ErrBadWindow, size)
+	}
+	return rankFilter(ctx, img, size, func(buf []float64) float64 {
+		var s float64
+		for _, v := range buf {
+			s += v
+		}
+		return s / float64(len(buf))
+	}, popts...)
 }

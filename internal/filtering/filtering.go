@@ -154,21 +154,6 @@ func box(ctx context.Context, img *imgcore.Image, size int, popts ...parallel.Op
 	return boxFilter(ctx, img, size, popts...)
 }
 
-// boxNaive is the per-window reference mean filter the fast path is
-// tolerance-tested against.
-func boxNaive(ctx context.Context, img *imgcore.Image, size int, popts ...parallel.Option) (*imgcore.Image, error) {
-	if size < 2 {
-		return nil, fmt.Errorf("%w: got %d", ErrBadWindow, size)
-	}
-	return rankFilter(ctx, img, size, func(buf []float64) float64 {
-		var s float64
-		for _, v := range buf {
-			s += v
-		}
-		return s / float64(len(buf))
-	}, popts...)
-}
-
 // Gaussian applies Gaussian smoothing with the given radius and sigma to
 // each channel independently (separable implementation).
 func Gaussian(img *imgcore.Image, radius int, sigma float64) (*imgcore.Image, error) {

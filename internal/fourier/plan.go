@@ -3,10 +3,10 @@
 // bit-reversal permutation and per-stage twiddle tables for radix-2
 // lengths, plus the chirp sequence and the precomputed FFT of the chirp
 // filter for Bluestein lengths. Executing a plan performs the exact same
-// arithmetic as the naive transform in fft.go — the twiddle tables are
-// built by the same repeated-multiplication recurrence the naive loop uses
-// — so planned output is BIT-IDENTICAL to unplanned output (pinned by
-// TestPlannedMatchesNaive*).
+// arithmetic as the naive transform in reference_test.go — the twiddle
+// tables are built by the same repeated-multiplication recurrence the
+// naive loop uses — so planned output is BIT-IDENTICAL to unplanned output
+// (pinned by TestPlannedMatchesNaive*).
 //
 // Plans are cached per (length, direction) in a bounded, mutex-guarded LRU
 // (planCacheCap entries); scratch buffers for Bluestein's convolution and
@@ -149,7 +149,7 @@ func (p *Plan) initBluestein() error {
 
 // Transform runs the planned unnormalized DFT in place on x, which must
 // have length N(). The arithmetic — and therefore the output, bit for bit
-// — is identical to the naive transform in fft.go.
+// — is identical to the naive transform in reference_test.go.
 //
 //declint:hot
 func (p *Plan) Transform(x []complex128) error {
@@ -169,7 +169,12 @@ func (p *Plan) Transform(x []complex128) error {
 }
 
 // execRadix2 is the iterative Cooley-Tukey butterfly with precomputed
-// permutation and twiddles.
+// permutation and twiddles. Early stages (half < radix2Strided) hold the
+// twiddle fixed and stride through every block, so a tiny block is never
+// re-sliced; later stages walk each block's lo/hi halves with the bounds
+// checks hoisted. Either walk applies to every element the multiply, add
+// and subtract of the naive radix2 loop, so the output is bit-identical to
+// it.
 //
 //declint:hot
 func (p *Plan) execRadix2(x []complex128) {
@@ -182,18 +187,35 @@ func (p *Plan) execRadix2(x []complex128) {
 	size := 2
 	for _, tw := range p.stages {
 		half := size >> 1
-		for start := 0; start < n; start += size {
-			blk := x[start : start+size]
-			for k := 0; k < half; k++ {
-				a := blk[k]
-				b := blk[k+half] * tw[k]
-				blk[k] = a + b
-				blk[k+half] = a - b
+		if half < radix2Strided {
+			for k, w := range tw {
+				for i := k; i < n; i += size {
+					a := x[i]
+					b := x[i+half] * w
+					x[i] = a + b
+					x[i+half] = a - b
+				}
+			}
+		} else {
+			for start := 0; start < n; start += size {
+				lo := x[start : start+half]
+				hi := x[start+half : start+size]
+				hi = hi[:len(lo)]
+				tw := tw[:len(lo)]
+				for k, a := range lo {
+					b := hi[k] * tw[k]
+					lo[k] = a + b
+					hi[k] = a - b
+				}
 			}
 		}
 		size <<= 1
 	}
 }
+
+// radix2Strided is the butterfly half-size below which execRadix2 loops
+// twiddle-outermost across blocks instead of block by block.
+const radix2Strided = 8
 
 // execBluestein evaluates the chirp-z convolution with the precomputed
 // filter spectrum and pooled scratch.

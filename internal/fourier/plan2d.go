@@ -2,10 +2,9 @@
 // plans of a forward 2-D DFT for one geometry, so callers that transform
 // many same-sized signals (the detection pipeline scoring a batch of
 // images) resolve the plan cache once per geometry instead of twice per
-// image. Executing through a Plan2D performs exactly the arithmetic of
-// Transform2D/CenteredSpectrum — the plans are the same cached objects
-// PlanFor returns — so planned 2-D output is bit-identical to the
-// unplanned entry points.
+// image. The centered spectrum of Eq. 4 has exactly one implementation,
+// Plan2D.CenteredSpectrumInto; CenteredSpectrum and CenteredSpectrumWith
+// are entry points onto it, so every caller computes the same bits.
 package fourier
 
 import (
@@ -45,7 +44,6 @@ func (p *Plan2D) Size() (w, h int) { return p.row.N(), p.col.N() }
 // CenteredSpectrumWith is CenteredSpectrum executing through a prepared
 // plan and honouring ctx cancellation in its parallel passes. A nil plan
 // resolves one from the shared cache; a non-nil plan must match (w, h).
-// Output is bit-identical to CenteredSpectrum for every input.
 func CenteredSpectrumWith(ctx context.Context, p *Plan2D, data []float64, w, h int) ([]float64, error) {
 	if len(data) != w*h {
 		return nil, fmt.Errorf("fourier: data length %d does not match %dx%d", len(data), w, h)
@@ -71,16 +69,25 @@ func CenteredSpectrumWith(ctx context.Context, p *Plan2D, data []float64, w, h i
 var specScratch = sync.Pool{New: func() any { return new([]complex128) }}
 
 // CenteredSpectrumInto computes the centered log-magnitude spectrum of a
-// real (w×h) signal into dst, both sized to the plan's geometry. It is
-// the batch-amortized core of CenteredSpectrum: one pooled complex buffer
-// holds the whole transform (no per-call matrix copies), the 1-D passes
-// run in place through the prepared plans, and the fftshift, log(1+|F|)
-// and max-normalization of Eq. 4 are fused into a single pass that writes
-// dst directly. Every arithmetic step matches CenteredSpectrum — the
-// shift is a pure permutation, log-magnitude is elementwise, and the
-// maximum is order-independent — so output stays bit-identical to the
-// unplanned entry point.
+// real (w×h) signal into dst, both sized to the plan's geometry: the 2-D
+// DFT, fftshift, log(1+|F|), normalized to [0, 1] by its maximum.
+//
+// The input is real, so its spectrum is Hermitian: F(w−u, h−v) =
+// conj(F(u, v)). The row pass packs rows 2j and 2j+1 into one complex row
+// and splits the transform into both rows' half spectra; the column pass
+// transforms only columns 0..w/2; and the fused tail computes log(1+|F|)
+// once per stored element, writing it at the element's shifted position
+// and at its mirror's. One pooled complex buffer holds the transform;
+// its columns above w/2 hold stale values and are never read. Parallel
+// chunks depend only on the geometry, so output is bit-identical across
+// worker counts.
 func (p *Plan2D) CenteredSpectrumInto(ctx context.Context, data []float64, dst []float64) error {
+	return p.centeredSpectrumInto(ctx, data, dst)
+}
+
+// centeredSpectrumInto is CenteredSpectrumInto with parallel options
+// threaded through for the worker-count equivalence tests.
+func (p *Plan2D) centeredSpectrumInto(ctx context.Context, data []float64, dst []float64, opts ...parallel.Option) error {
 	w, h := p.Size()
 	if len(data) != w*h {
 		return fmt.Errorf("fourier: data length %d does not match plan geometry %dx%d", len(data), w, h)
@@ -96,35 +103,105 @@ func (p *Plan2D) CenteredSpectrumInto(ctx context.Context, data []float64, dst [
 		*bp = buf
 	}
 	buf = buf[:w*h]
-	for i, v := range data {
-		buf[i] = complex(v, 0)
+	if err := realRowPass(ctx, buf, data, w, h, p.row, opts...); err != nil {
+		return err
 	}
-	if err := transformPasses(ctx, buf, w, h, p.row, p.col); err != nil {
+	if err := columnPass(ctx, buf, w, h, w/2+1, p.col, opts...); err != nil {
 		return err
 	}
 	centeredInto(dst, buf, w, h)
 	return nil
 }
 
-// centeredInto fuses Shift + LogMagnitude + max-normalization: dst at the
-// shifted position receives log(1+|F|) of each spectrum element, then one
-// scan normalizes by the maximum. Identical arithmetic to the composed
-// form, without the two intermediate matrices.
+// realRowPass writes the row DFTs of the real (w×h) signal data into
+// columns 0..w/2 of buf. Rows 2j and 2j+1 travel as the real and
+// imaginary parts of one complex row, so one transform serves two rows;
+// an odd last row is transformed on its own with a zero imaginary part.
+func realRowPass(ctx context.Context, buf []complex128, data []float64, w, h int, rowPlan *Plan, opts ...parallel.Option) error {
+	rowOpts := append([]parallel.Option{
+		parallel.Grain(parallel.GrainForWidth(2*w, minTransformWork)),
+	}, opts...)
+	return parallel.For(ctx, (h+1)/2, func(lo, hi int) error {
+		for j := lo; j < hi; j++ {
+			y := 2 * j
+			z := buf[y*w : (y+1)*w]
+			a := data[y*w : (y+1)*w]
+			if y+1 == h {
+				for x, v := range a {
+					z[x] = complex(v, 0)
+				}
+				if err := rowPlan.Transform(z); err != nil {
+					return err
+				}
+				continue
+			}
+			b := data[(y+1)*w : (y+2)*w]
+			for x, v := range a {
+				z[x] = complex(v, b[x])
+			}
+			if err := rowPlan.Transform(z); err != nil {
+				return err
+			}
+			splitRows(z, buf[(y+1)*w:(y+2)*w])
+		}
+		return nil
+	}, rowOpts...)
+}
+
+// splitRows separates the DFT Z of a packed row pair z = a + i·b into the
+// half spectra of a and b: A[k] = (Z[k] + conj(Z[w−k]))/2 overwrites z[k]
+// and B[k] = (Z[k] − conj(Z[w−k]))/2i goes to odd[k], for k <= w/2. Both
+// inputs of bin k are read before it is written, and the only bins read
+// after being written are k itself (k = 0, and k = w/2 for even w), so
+// the split runs in place.
+//
+//declint:hot
+func splitRows(z, odd []complex128) {
+	w := len(z)
+	for k := 0; k <= w/2; k++ {
+		m := w - k
+		if k == 0 {
+			m = 0
+		}
+		zr, zi := real(z[k]), imag(z[k])
+		cr, ci := real(z[m]), imag(z[m])
+		z[k] = complex((zr+cr)*0.5, (zi-ci)*0.5)
+		odd[k] = complex((zi+ci)*0.5, (cr-zr)*0.5)
+	}
+}
+
+// centeredInto is the fused tail of the real-input spectrum: spec holds
+// F(u, v) for u <= w/2, and every other element is the conjugate of
+// F(w−u, (h−v) mod h), with the same magnitude. Each stored element's
+// log(1+|F|) is computed once and written to dst at its fftshift
+// position and, for 0 < u < w−w/2, at its mirror's; the running maximum
+// then normalizes dst to [0, 1].
 //
 //declint:hot
 func centeredInto(dst []float64, spec []complex128, w, h int) {
-	hw, hh := (w+1)/2, (h+1)/2
-	for y := 0; y < h; y++ {
-		ny := (y + h - hh) % h
-		for x := 0; x < w; x++ {
-			nx := (x + w - hw) % w
-			dst[ny*w+nx] = math.Log1p(cmplx.Abs(spec[y*w+x]))
-		}
-	}
+	half, hw := w/2, w-w/2
+	hh := h / 2
 	var mx float64
-	for _, v := range dst {
-		if v > mx {
-			mx = v
+	for y := 0; y < h; y++ {
+		row := spec[y*w : y*w+half+1]
+		ny := (y + hh) % h
+		my := ((h-y)%h + hh) % h
+		direct := dst[ny*w : (ny+1)*w]
+		mirror := dst[my*w : (my+1)*w]
+		// Column u lands at (u + w/2) mod w, its mirror w−u at w/2 − u.
+		for u, v := range row {
+			l := math.Log1p(cmplx.Abs(v))
+			if l > mx {
+				mx = l
+			}
+			nx := u + half
+			if nx == w {
+				nx = 0
+			}
+			direct[nx] = l
+			if u > 0 && u < hw {
+				mirror[half-u] = l
+			}
 		}
 	}
 	if mx > 0 {
@@ -133,25 +210,6 @@ func centeredInto(dst []float64, spec []complex128, w, h int) {
 			dst[i] *= inv
 		}
 	}
-}
-
-// centeredFromSpectrum runs the shift/log-magnitude/normalize tail shared
-// by CenteredSpectrum and CenteredSpectrumWith.
-func centeredFromSpectrum(spec *Matrix) []float64 {
-	logMag := LogMagnitude(Shift(spec))
-	var mx float64
-	for _, v := range logMag {
-		if v > mx {
-			mx = v
-		}
-	}
-	if mx > 0 {
-		inv := 1 / mx
-		for i := range logMag {
-			logMag[i] *= inv
-		}
-	}
-	return logMag
 }
 
 // transform2DWith is transform2D with both axis plans supplied by the
@@ -171,14 +229,7 @@ func transform2DWith(ctx context.Context, m *Matrix, rowPlan, colPlan *Plan, opt
 const colBlock = 8
 
 // transformPasses runs the forward-or-inverse 2-D passes in place on a
-// row-major (w×h) complex signal: rows first, then columns through
-// cache-blocked transposes. Each column chunk gathers a tile of up to
-// colBlock columns into pooled column-major scratch — walking the matrix
-// row by row, so every row read is contiguous — transforms each gathered
-// column in place, and scatters the tile back the same way. The per-column
-// arithmetic is exactly transformColumnsReference's; only the memory walk
-// order changes, so results are bit-identical (pinned by the blocked-vs-
-// reference equivalence test).
+// row-major (w×h) complex signal: every row, then every column.
 func transformPasses(ctx context.Context, data []complex128, w, h int, rowPlan, colPlan *Plan, opts ...parallel.Option) error {
 	// Rows: each chunk transforms a disjoint band of rows in place.
 	rowOpts := append([]parallel.Option{
@@ -195,10 +246,23 @@ func transformPasses(ctx context.Context, data []complex128, w, h int, rowPlan, 
 	if err != nil {
 		return err
 	}
+	return columnPass(ctx, data, w, h, w, colPlan, opts...)
+}
+
+// columnPass transforms columns [0, cols) of a row-major (w×h) complex
+// signal in place through cache-blocked transposes. Each chunk gathers a
+// tile of up to colBlock columns into pooled column-major scratch —
+// walking the matrix row by row, so every row read is contiguous —
+// transforms each gathered column in place, and scatters the tile back
+// the same way. The per-column arithmetic is exactly that of a
+// one-column-at-a-time pass; only the memory walk order changes, so
+// results are bit-identical (pinned by the blocked-vs-reference
+// equivalence test).
+func columnPass(ctx context.Context, data []complex128, w, h, cols int, colPlan *Plan, opts ...parallel.Option) error {
 	colOpts := append([]parallel.Option{
 		parallel.Grain(parallel.GrainForWidth(h, minTransformWork)),
 	}, opts...)
-	return parallel.For(ctx, w, func(lo, hi int) error {
+	return parallel.For(ctx, cols, func(lo, hi int) error {
 		cp := colScratch.Get().(*[]complex128)
 		defer colScratch.Put(cp)
 		tile := *cp
@@ -249,35 +313,4 @@ func scatterColumns(data, tile []complex128, w, h, x0, nb int) {
 			row[k] = tile[k*h+y]
 		}
 	}
-}
-
-// transformColumnsReference is the pre-blocking column pass — gather one
-// column at a time, transform, scatter — retained as the bit-equality
-// reference and benchmark baseline for the blocked transposes.
-func transformColumnsReference(ctx context.Context, data []complex128, w, h int, colPlan *Plan, opts ...parallel.Option) error {
-	colOpts := append([]parallel.Option{
-		parallel.Grain(parallel.GrainForWidth(h, minTransformWork)),
-	}, opts...)
-	return parallel.For(ctx, w, func(lo, hi int) error {
-		cp := colScratch.Get().(*[]complex128)
-		defer colScratch.Put(cp)
-		col := *cp
-		if cap(col) < h {
-			col = make([]complex128, h)
-			*cp = col
-		}
-		col = col[:h]
-		for x := lo; x < hi; x++ {
-			for y := 0; y < h; y++ {
-				col[y] = data[y*w+x]
-			}
-			if err := colPlan.Transform(col); err != nil {
-				return err
-			}
-			for y := 0; y < h; y++ {
-				data[y*w+x] = col[y]
-			}
-		}
-		return nil
-	}, colOpts...)
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -160,6 +161,13 @@ func RenderHistogram(w io.Writer, title string, labelA string, a []float64, labe
 	} else {
 		fmt.Fprintf(&sb, "  %-12s: '#' x%d samples\n", labelA, len(a))
 	}
+	// Markers sharing a bin print in name order, not map order, so the
+	// rendering is the same on every run.
+	names := make([]string, 0, len(opts.Markers))
+	for name := range opts.Markers {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	binWidth := (hi - lo) / float64(opts.Bins)
 	for i := 0; i < opts.Bins; i++ {
 		center := ha.BinCenter(i)
@@ -171,8 +179,8 @@ func RenderHistogram(w io.Writer, title string, labelA string, a []float64, labe
 		barA := strings.Repeat("#", scale(na, maxCount, opts.Width))
 		barB := strings.Repeat("*", scale(nb, maxCount, opts.Width))
 		marker := ""
-		for name, v := range opts.Markers {
-			if v >= lo+float64(i)*binWidth && v < lo+float64(i+1)*binWidth {
+		for _, name := range names {
+			if v := opts.Markers[name]; v >= lo+float64(i)*binWidth && v < lo+float64(i+1)*binWidth {
 				marker += " <-- " + name
 			}
 		}

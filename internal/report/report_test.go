@@ -79,6 +79,29 @@ func TestRenderHistogramTwoSets(t *testing.T) {
 	}
 }
 
+// TestRenderHistogramSameBinMarkersStable renders two markers that fall in
+// one bin many times: the output must not depend on map iteration order.
+func TestRenderHistogramSameBinMarkersStable(t *testing.T) {
+	opts := HistogramOptions{Bins: 5, Width: 10, Markers: map[string]float64{"p99": 2.1, "p95": 2.2}}
+	var first string
+	for i := 0; i < 20; i++ {
+		var sb strings.Builder
+		if err := RenderHistogram(&sb, "t", "x", []float64{1, 2, 3, 4, 5}, "", nil, opts); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = sb.String()
+			if !strings.Contains(first, "<-- p95 <-- p99") {
+				t.Fatalf("markers not in name order:\n%s", first)
+			}
+			continue
+		}
+		if sb.String() != first {
+			t.Fatalf("render %d differs from the first:\n%s\nvs\n%s", i, sb.String(), first)
+		}
+	}
+}
+
 func TestRenderHistogramSingleSet(t *testing.T) {
 	var sb strings.Builder
 	if err := RenderHistogram(&sb, "t", "x", []float64{1, 2, 3}, "", nil, HistogramOptions{}); err != nil {

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"decamouflage/internal/fourier"
 	"decamouflage/internal/imgcore"
@@ -436,8 +437,16 @@ func (a *Analysis) MaskImage() *imgcore.Image {
 	return img
 }
 
+// blurScratch pools the row ring of gaussianBlur2D.
+var blurScratch = sync.Pool{New: func() any { return new([]float64) }}
+
 // gaussianBlur2D applies a separable Gaussian with the given sigma (radius
-// 3σ+1) and replicate borders.
+// 3σ+1) and replicate borders. Horizontally blurred rows go into a pooled
+// ring of min(2r+1, h) rows, enough for the window of rows one output row
+// reads. The vertical pass walks rows: it adds one tap's ring row at a
+// time into the output row, so each output still sums its taps in order
+// starting from zero. The result is freshly allocated (it escapes as
+// Analysis.Spectrum).
 func gaussianBlur2D(src []float64, w, h int, sigma float64) []float64 {
 	r := int(sigma*3) + 1
 	k := make([]float64, 2*r+1)
@@ -449,36 +458,45 @@ func gaussianBlur2D(src []float64, w, h int, sigma float64) []float64 {
 	for i := range k {
 		k[i] /= s
 	}
-	tmp := make([]float64, len(src))
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			var v float64
-			for d := -r; d <= r; d++ {
-				xx := x + d
-				if xx < 0 {
-					xx = 0
-				} else if xx >= w {
-					xx = w - 1
-				}
-				v += k[d+r] * src[y*w+xx]
-			}
-			tmp[y*w+x] = v
-		}
+	n := min(2*r+1, h)
+	tp := blurScratch.Get().(*[]float64)
+	defer blurScratch.Put(tp)
+	if cap(*tp) < n*w {
+		*tp = make([]float64, n*w)
 	}
+	ring := (*tp)[:n*w]
 	out := make([]float64, len(src))
-	for x := 0; x < w; x++ {
-		for y := 0; y < h; y++ {
-			var v float64
-			for d := -r; d <= r; d++ {
-				yy := y + d
-				if yy < 0 {
-					yy = 0
-				} else if yy >= h {
-					yy = h - 1
+	next := 0 // rows [0, next) have been blurred horizontally
+	for y := 0; y < h; y++ {
+		for ; next < h && next <= y+r; next++ {
+			trow := ring[(next%n)*w : (next%n+1)*w]
+			for x := range trow {
+				var v float64
+				for d := -r; d <= r; d++ {
+					xx := x + d
+					if xx < 0 {
+						xx = 0
+					} else if xx >= w {
+						xx = w - 1
+					}
+					v += k[d+r] * src[next*w+xx]
 				}
-				v += k[d+r] * tmp[yy*w+x]
+				trow[x] = v
 			}
-			out[y*w+x] = v
+		}
+		orow := out[y*w : (y+1)*w]
+		for d := -r; d <= r; d++ {
+			yy := y + d
+			if yy < 0 {
+				yy = 0
+			} else if yy >= h {
+				yy = h - 1
+			}
+			kd := k[d+r]
+			trow := ring[(yy%n)*w : (yy%n+1)*w]
+			for x, t := range trow {
+				orow[x] += kd * t
+			}
 		}
 	}
 	return out

@@ -129,16 +129,52 @@ func TestMinAreaFiltersSpeckles(t *testing.T) {
 	}
 }
 
-func TestBenignImagesHaveOneCSP(t *testing.T) {
-	for _, corpus := range []dataset.Corpus{dataset.NeurIPSLike, dataset.CaltechLike} {
-		g, err := dataset.NewGenerator(dataset.Config{Corpus: corpus, W: 128, H: 128, C: 3, Seed: 17})
+// benignCorpus returns the n benign 128² test images of one corpus.
+func benignCorpus(t *testing.T, corpus dataset.Corpus, n int) []*imgcore.Image {
+	t.Helper()
+	g, err := dataset.NewGenerator(dataset.Config{Corpus: corpus, W: 128, H: 128, C: 3, Seed: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	imgs := make([]*imgcore.Image, n)
+	for i := range imgs {
+		imgs[i] = g.Image(i)
+	}
+	return imgs
+}
+
+// attackCorpus returns n bilinear 128→32 attack images (ε = 2).
+func attackCorpus(t *testing.T, n int) []*imgcore.Image {
+	t.Helper()
+	src, err := dataset.NewGenerator(dataset.Config{Corpus: dataset.CaltechLike, W: 128, H: 128, C: 3, Seed: 19})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tgt, err := dataset.NewGenerator(dataset.Config{Corpus: dataset.CaltechLike, W: 32, H: 32, C: 3, Seed: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scaler, err := scaling.NewScaler(128, 128, 32, 32, scaling.Options{Algorithm: scaling.Bilinear})
+	if err != nil {
+		t.Fatal(err)
+	}
+	imgs := make([]*imgcore.Image, n)
+	for i := range imgs {
+		res, err := attack.Craft(src.Image(i), tgt.Image(i), attack.Config{Scaler: scaler, Eps: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
+		imgs[i] = res.Attack
+	}
+	return imgs
+}
+
+func TestBenignImagesHaveOneCSP(t *testing.T) {
+	for _, corpus := range []dataset.Corpus{dataset.NeurIPSLike, dataset.CaltechLike} {
 		ones := 0
 		const n = 10
-		for i := 0; i < n; i++ {
-			count, err := CSP(g.Image(i), DefaultOptions())
+		for _, img := range benignCorpus(t, corpus, n) {
+			count, err := CSP(img, DefaultOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,26 +190,10 @@ func TestBenignImagesHaveOneCSP(t *testing.T) {
 }
 
 func TestAttackImagesHaveMultipleCSP(t *testing.T) {
-	src, err := dataset.NewGenerator(dataset.Config{Corpus: dataset.CaltechLike, W: 128, H: 128, C: 3, Seed: 19})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tgt, err := dataset.NewGenerator(dataset.Config{Corpus: dataset.CaltechLike, W: 32, H: 32, C: 3, Seed: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scaler, err := scaling.NewScaler(128, 128, 32, 32, scaling.Options{Algorithm: scaling.Bilinear})
-	if err != nil {
-		t.Fatal(err)
-	}
 	multi := 0
 	const n = 6
-	for i := 0; i < n; i++ {
-		res, err := attack.Craft(src.Image(i), tgt.Image(i), attack.Config{Scaler: scaler, Eps: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		count, err := CSP(res.Attack, DefaultOptions())
+	for _, img := range attackCorpus(t, n) {
+		count, err := CSP(img, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
