@@ -17,7 +17,6 @@
 //	go run ./cmd/declint -json ./...      # machine-readable findings,
 //	                                      # suppressed ones included
 //	go run ./cmd/declint -github ./...    # GitHub Actions ::error annotations
-//	go run ./cmd/declint -cache DIR ./... # reuse function-summary cache
 //	go run ./cmd/declint -waivers ./...   # markdown inventory of every
 //	                                      # //declint:ignore currently in
 //	                                      # effect (docs/declint_waivers.md)
@@ -49,10 +48,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	listFlag := fs.Bool("list", false, "list registered checks and exit")
 	jsonFlag := fs.Bool("json", false, "emit findings as a JSON array (suppressed findings included, marked)")
 	githubFlag := fs.Bool("github", false, "emit findings as GitHub Actions ::error annotations")
-	cacheFlag := fs.String("cache", "", "directory for the function-summary cache (empty: no cache)")
 	waiversFlag := fs.Bool("waivers", false, "emit a markdown inventory of suppressed findings (check, location, reason)")
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: declint [-checks c1,c2] [-list] [-json|-github|-waivers] [-cache dir] [./... | dir ...]")
+		fmt.Fprintln(stderr, "usage: declint [-checks c1,c2] [-list] [-json|-github|-waivers] [./... | dir ...]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -92,7 +90,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	cfg.CacheDir = *cacheFlag
 	// JSON consumers and the waiver inventory see what was waived and why
 	// the tree still passes; suppressed findings never affect the exit code.
 	cfg.IncludeSuppressed = *jsonFlag || *waiversFlag

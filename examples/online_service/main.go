@@ -147,7 +147,6 @@ func main() {
 		log.Fatal(err)
 	}
 	httpServer := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
-	//declint:ignore noraw-go long-lived HTTP listener, not numeric fan-out
 	go func() {
 		if err := httpServer.Serve(ln); err != nil && err != http.ErrServerClosed {
 			log.Fatal(err)

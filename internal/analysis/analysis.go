@@ -9,10 +9,6 @@
 // numeric kernel is bit-deterministic. PR 1's internal/parallel substrate
 // established that by convention; these checks enforce it mechanically:
 //
-//	noraw-go     no raw go statements or sync.WaitGroup pools outside
-//	             internal/parallel — all fan-out routes through the substrate
-//	determinism  no time.Now, math/rand, or map-iteration-ordered output in
-//	             the numeric kernel packages
 //	floateq      no ==/!= on float operands outside the intentional
 //	             exact-equality helpers in internal/testutil
 //	naninput     exported tensor-accepting functions in metrics/steg/detect
@@ -33,8 +29,9 @@
 //	             (or the task index), and never captured scalars
 //	hotalloc     //declint:hot functions and their whole static call closure
 //	             must be allocation-free
-//	detprop      transitive determinism: no call chain from a kernel package
-//	             may reach time.Now, math/rand, or map-ordered output
+//	detprop      determinism: no time.Now, math/rand, or map-ordered output
+//	             in a kernel package, nor any call chain from one reaching
+//	             them
 //	ctxflow      internal functions receiving a ctx must use it and must not
 //	             mint context.Background/TODO; only exported entry points root
 //	             contexts
@@ -51,8 +48,11 @@
 //	             is emitted inside an active span, so instrumentation
 //	             cannot rot
 //
-// A concurrency-protocol layer (concurrency_effects.go) extends the
-// effects pass with a path-sensitive interpretation of each body — mutex
+// poollife and the concurrency layer both interpret bodies path by path
+// through one statement walker (pathwalk.go), each supplying only its
+// abstract state and transfer functions. The concurrency-protocol layer
+// (concurrency_effects.go) extends the effects pass with that path-sensitive
+// interpretation of each body — mutex
 // acquire/release with defer pairing and RWMutex modes, the held-lock set
 // at every call site, channel operations with their select/ctx guards, go
 // statements with their termination signals — and four more graph checks
@@ -66,17 +66,14 @@
 //	golife       every go statement needs a provable termination signal
 //	             (WaitGroup join, ctx.Done, or a stop channel the module
 //	             closes) plus a join, and a //declint:spawns <reason>
-//	             directive on the spawning function
+//	             directive on the spawning function; numeric fan-out belongs
+//	             in internal/parallel, so raw goroutines stay rare
 //	chandisc     channel discipline: sends in ctx-receiving functions must
 //	             be select+ctx.Done guarded, no time.After in loops, no
 //	             send-after-close, no magic buffer capacities
 //	deadline     exported ctx-less entry points of the serving packages
 //	             must not reach unbounded blocking (net, os/exec, raw
 //	             channel receives)
-//
-// Function summaries are cached on disk (Config.CacheDir) keyed by the
-// package's transitive content hash, so warm full-repo runs skip the
-// effects pass entirely.
 //
 // Intentional violations are annotated in place:
 //
@@ -120,10 +117,12 @@ type Config struct {
 	// Checks names the checks to run, in registry order. Empty = all.
 	Checks []string
 
-	// ParallelPkg is the one package allowed to own raw goroutines.
+	// ParallelPkg is the fork-join substrate: parsafe audits the closures
+	// passed to its For/Do, and lockorder counts a call to them under a
+	// held mutex as blocking.
 	ParallelPkg string
 	// DeterminismPkgs are the numeric kernel packages whose non-test code
-	// must be bit-deterministic.
+	// must be bit-deterministic (detprop).
 	DeterminismPkgs []string
 	// FloatEqAllowPkgs are packages whose float ==/!= are intentional by
 	// charter (the shared exact-equality test helpers).
@@ -163,9 +162,6 @@ type Config struct {
 	// DeadlinePkgs are the serving packages whose exported ctx-less entry
 	// points the deadline check audits for reachable unbounded blocking.
 	DeadlinePkgs []string
-	// CacheDir, when non-empty, holds the per-package function-summary
-	// JSON files keyed by transitive content hash. Empty disables caching.
-	CacheDir string
 	// IncludeSuppressed keeps ignored findings in Run's result with
 	// Finding.Suppressed set instead of dropping them.
 	IncludeSuppressed bool
@@ -211,15 +207,13 @@ type check struct {
 // registry holds every check in report order. Names are part of the
 // suppression syntax, so they are stable API.
 var registry = []check{
-	{name: "noraw-go", doc: "raw goroutines / WaitGroup pools outside internal/parallel", run: checkNoRawGo},
-	{name: "determinism", doc: "time.Now, math/rand, map-ordered output in kernel packages", run: checkDeterminism},
 	{name: "floateq", doc: "exact ==/!= on float operands", run: checkFloatEq},
 	{name: "naninput", doc: "exported tensor functions without NaN/Inf guard or nan-ok marker", run: checkNaNInput},
 	{name: "errdrop", doc: "_ = discards of error-returning calls", run: checkErrDrop},
 	{name: "obsonly", doc: "profiling/exposition imports outside internal/obs and cmd/", run: checkObsOnly},
 	{name: "parsafe", doc: "parallel closures writing captured state at non-chunk-derived indices", run: checkParSafe},
 	{name: "hotalloc", doc: "allocations reachable from //declint:hot kernel functions", runModule: checkHotAlloc},
-	{name: "detprop", doc: "transitive time/rand/map-order taint reaching kernel packages", runModule: checkDetProp},
+	{name: "detprop", doc: "time/rand/map-order sources in or reachable from kernel packages", runModule: checkDetProp},
 	{name: "ctxflow", doc: "dropped or re-minted contexts in internal library code", runModule: checkCtxFlow},
 	{name: "poollife", doc: "pooled buffers not released exactly once on every path", runModule: checkPoolLife},
 	{name: "memopure", doc: "memoized stage closures that are not pure functions of their key", runModule: checkMemoPure},
@@ -292,7 +286,7 @@ func Run(pkgs []*Package, cfg Config) ([]Finding, error) {
 	}
 	var ix *Index
 	if needIndex {
-		ix = BuildIndex(pkgs, cfg)
+		ix = BuildIndex(pkgs)
 	}
 
 	keep := func(fs []Finding) {

@@ -52,20 +52,19 @@ func TestGoldenFindings(t *testing.T) {
 				"internal/report/suppressed.go:8 golife",  // ...and no provable termination
 				"internal/report/suppressed.go:13 golife", // ServeTrailing: same pair
 				"internal/report/suppressed.go:13 golife",
-				"internal/scaling/pool.go:9 noraw-go",  // sync.WaitGroup pool
-				"internal/scaling/pool.go:13 golife",   // Sum: joined fan-out, no spawns directive
-				"internal/scaling/pool.go:13 noraw-go", // raw go statement
-				// internal/parallel is exempt from noraw-go but not from golife;
-				// the noraw-go suppressions in suppressed.go silence only that
-				// check. pool_test.go is a test file.
+				"internal/scaling/pool.go:13 golife", // Sum: joined fan-out, no spawns directive
+				// golife covers raw goroutines everywhere, the substrate
+				// included; pool_test.go is a test file.
 			},
 		},
 		{
 			fixture: "determinism",
 			want: []string{
-				"internal/scaling/bad.go:6 determinism",  // math/rand import
-				"internal/scaling/bad.go:12 determinism", // time.Now
-				"internal/scaling/bad.go:19 determinism", // map-ordered append
+				"internal/scaling/bad.go:12 detprop", // time.Now
+				"internal/scaling/bad.go:13 detprop", // math/rand use
+				"internal/scaling/bad.go:19 detprop", // map-ordered append
+				"internal/scaling/bad.go:35 detprop", // time.Now in a package-level var
+				"internal/scaling/bad.go:40 detprop", // map-ordered append in a var initializer
 				// SumValues (pure accumulation), sorted.go (annotated),
 				// bad_test.go (test file), eval/clock.go (unscoped) are silent.
 			},
@@ -172,13 +171,13 @@ func TestGoldenFindings(t *testing.T) {
 		{
 			fixture: "memopure",
 			want: []string{
-				"internal/detect/stages.go:62 memopure",    // Sum: captured write
-				"internal/detect/stages.go:74 memopure",    // Count: package-level write
-				"internal/detect/stages.go:84 determinism", // Stamp: time.Now in a kernel pkg...
-				"internal/detect/stages.go:84 memopure",    // ...and inside a stage closure
-				"internal/detect/stages.go:93 detprop",     // Tag: kernel chain to the clock...
-				"internal/detect/stages.go:93 memopure",    // ...reached from a stage closure
-				"internal/detect/stages.go:102 memopure",   // Bump: reaches a global write
+				"internal/detect/stages.go:62 memopure",  // Sum: captured write
+				"internal/detect/stages.go:74 memopure",  // Count: package-level write
+				"internal/detect/stages.go:84 detprop",   // Stamp: time.Now in a kernel pkg...
+				"internal/detect/stages.go:84 memopure",  // ...and inside a stage closure
+				"internal/detect/stages.go:93 detprop",   // Tag: kernel chain to the clock...
+				"internal/detect/stages.go:93 memopure",  // ...reached from a stage closure
+				"internal/detect/stages.go:102 memopure", // Bump: reaches a global write
 				// Gray is pure; obs.StartStage is behind the exempt barrier.
 			},
 		},
@@ -209,6 +208,7 @@ func TestGoldenFindings(t *testing.T) {
 				"internal/store/store.go:51 lockorder", // Grow -> Size reacquires mu
 				"internal/store/store.go:58 lockorder", // Nap: time.Sleep under mu
 				"internal/store/store.go:63 lockorder", // Drop: unlock without a lock
+				"internal/store/store.go:76 lockorder", // Twice: double lock after an all-break select
 				// AB alone is clean; UnderA's cross-function edge is declared
 				// with locks-after on lockB.
 			},
@@ -230,6 +230,7 @@ func TestGoldenFindings(t *testing.T) {
 				"internal/pipe/pipe.go:44 chandisc", // Poll: time.After in a loop
 				"internal/pipe/pipe.go:54 chandisc", // Flush: send after close
 				"internal/pipe/pipe.go:60 chandisc", // Feed: magic capacity 64
+				"internal/pipe/pipe.go:79 chandisc", // FlushAfterSwitch: send after close past an all-break switch
 				// PushGuarded selects on ctx.Done; FeedSized names its capacity.
 			},
 		},
@@ -240,6 +241,24 @@ func TestGoldenFindings(t *testing.T) {
 				"internal/obs/serve.go:18 deadline", // Settle: direct time.Sleep
 				"internal/obs/serve.go:23 deadline", // Converge: Sleep via helper chain
 				// WaitCtx threads ctx; the unexported helpers are not roots.
+			},
+		},
+		{
+			fixture: "pathwalk",
+			want: []string{
+				"internal/flow/conc.go:37 lockorder", // BreakUnlock: lock held on the break path only
+				"internal/flow/conc.go:46 lockorder", // SwitchDoubleLock: relock in a case
+				"internal/flow/conc.go:59 lockorder", // TypeSwitchUnlock: lock held on one arm only
+				"internal/flow/conc.go:70 chandisc",  // SelectCloseSend: close on one clause, then send
+				"internal/flow/conc.go:94 lockorder", // ExitArm: os.Exit ends its path
+				"internal/flow/pool.go:36 poollife",  // BreakLeak: live at break
+				"internal/flow/pool.go:69 poollife",  // SwitchNoDefault: no case may match
+				"internal/flow/pool.go:79 poollife",  // TypeSwitchDouble: second release on default
+				"internal/flow/pool.go:91 poollife",  // SelectDefault: default arm leaks
+				// ContinueClean, ContinueUnlock, SelectAll, PanicArm and
+				// PanicClose are clean (PanicClose's close sits on the path
+				// that panics); LabeledBreak, Goto and GotoLock pin that
+				// labeled break and goto end the path.
 			},
 		},
 		{
@@ -295,7 +314,7 @@ func TestUnknownCheckRejected(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	want := []string{
-		"noraw-go", "determinism", "floateq", "naninput", "errdrop", "obsonly",
+		"floateq", "naninput", "errdrop", "obsonly",
 		"parsafe", "hotalloc", "detprop", "ctxflow",
 		"poollife", "memopure", "obscover",
 		"lockorder", "golife", "chandisc", "deadline",

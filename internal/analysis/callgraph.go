@@ -1,34 +1,14 @@
 package analysis
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"go/types"
-	"os"
-	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 )
 
-// summarySchema versions the on-disk summary format; bump it whenever
-// FuncEffects or the effects pass changes so stale caches self-invalidate.
-const summarySchema = 3
-
-// PkgSummary is the cached unit: every function summary of one package,
-// keyed on disk by the package's transitive content hash.
-type PkgSummary struct {
-	Schema int            `json:"schema"`
-	Path   string         `json:"path"`
-	Funcs  []*FuncEffects `json:"funcs"`
-}
-
 // Index is the whole-module call graph: function summaries by ID, interface
 // method keys resolved to their module-defined implementers, and memoized
-// reachability. Interface resolution happens here — against the freshly
-// type-checked module, never inside cached summaries — so adding an
-// implementer in package B correctly invalidates nothing in package A.
+// reachability.
 type Index struct {
 	Funcs map[string]*FuncEffects
 	ids   []string            // sorted, for deterministic iteration
@@ -42,20 +22,19 @@ func (ix *Index) IDs() []string { return ix.ids }
 // Implementers returns the function IDs an interface call key dispatches to.
 func (ix *Index) Implementers(key string) []string { return ix.impls[key] }
 
-// BuildIndex computes (or loads from cfg.CacheDir) the per-package function
-// summaries for every non-test unit and links them into a call graph.
-func BuildIndex(pkgs []*Package, cfg Config) *Index {
+// BuildIndex computes the function summaries of every non-test unit and
+// links them into a call graph.
+func BuildIndex(pkgs []*Package) *Index {
 	ix := &Index{
 		Funcs: map[string]*FuncEffects{},
 		impls: map[string][]string{},
 		reach: map[string][]string{},
 	}
-	hashes := newHashCache(pkgs)
 	for _, pkg := range pkgs {
 		if strings.HasSuffix(pkg.Path, "_test") {
 			continue
 		}
-		for _, fx := range packageEffects(pkg, cfg.CacheDir, hashes) {
+		for _, fx := range computePackageEffects(pkg) {
 			if _, dup := ix.Funcs[fx.ID]; dup {
 				continue
 			}
@@ -66,126 +45,6 @@ func BuildIndex(pkgs []*Package, cfg Config) *Index {
 	sort.Strings(ix.ids)
 	ix.resolveInterfaces(pkgs)
 	return ix
-}
-
-// packageEffects returns the package's summaries, consulting the on-disk
-// cache when enabled. Cache misses and IO failures silently fall back to
-// recomputation: the cache is a performance feature, never a correctness
-// dependency.
-func packageEffects(pkg *Package, cacheDir string, hashes *hashCache) []*FuncEffects {
-	if cacheDir == "" {
-		return computePackageEffects(pkg)
-	}
-	hash := hashes.hashOf(pkg.Path)
-	if hash == "" {
-		return computePackageEffects(pkg)
-	}
-	file := filepath.Join(cacheDir, hash+".json")
-	if data, err := os.ReadFile(file); err == nil {
-		var s PkgSummary
-		if json.Unmarshal(data, &s) == nil && s.Schema == summarySchema && s.Path == pkg.Path {
-			return s.Funcs
-		}
-	}
-	funcs := computePackageEffects(pkg)
-	writeSummary(file, PkgSummary{Schema: summarySchema, Path: pkg.Path, Funcs: funcs})
-	return funcs
-}
-
-// writeSummary persists one package summary best-effort, via a temp file so
-// a concurrent reader never sees a torn write.
-func writeSummary(file string, s PkgSummary) {
-	data, err := json.Marshal(s)
-	if err != nil {
-		return
-	}
-	if err := os.MkdirAll(filepath.Dir(file), 0o755); err != nil {
-		return
-	}
-	tmp := file + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return
-	}
-	if err := os.Rename(tmp, file); err != nil {
-		os.Remove(tmp)
-	}
-}
-
-// hashCache computes per-package content hashes that also fold in the
-// hashes of module-internal imports (transitively) plus the toolchain
-// version. A summary's validity depends on its imports' signatures — an
-// interface parameter appearing two packages away changes this package's
-// boxing sites — so the key must cover the whole compile-time closure.
-type hashCache struct {
-	byPath map[string]*Package
-	memo   map[string]string
-}
-
-func newHashCache(pkgs []*Package) *hashCache {
-	h := &hashCache{byPath: map[string]*Package{}, memo: map[string]string{}}
-	for _, pkg := range pkgs {
-		if !strings.HasSuffix(pkg.Path, "_test") {
-			h.byPath[pkg.Path] = pkg
-		}
-	}
-	return h
-}
-
-// hashOf returns the hex digest for the package, or "" when any source file
-// is unreadable (which simply disables caching for that package).
-func (h *hashCache) hashOf(path string) string {
-	if v, ok := h.memo[path]; ok {
-		return v
-	}
-	h.memo[path] = "" // cycle/failure sentinel while computing
-	pkg := h.byPath[path]
-	if pkg == nil {
-		return ""
-	}
-	hash := sha256.New()
-	hash.Write([]byte(runtime.Version()))
-	hash.Write([]byte{0, byte(summarySchema), 0})
-	hash.Write([]byte(path))
-	var names []string
-	byName := map[string]*File{}
-	for _, f := range pkg.Files {
-		if f.Test {
-			continue
-		}
-		names = append(names, f.Filename)
-		byName[f.Filename] = f
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		data, err := os.ReadFile(name)
-		if err != nil {
-			return ""
-		}
-		hash.Write([]byte{0})
-		hash.Write([]byte(name))
-		hash.Write([]byte{0})
-		hash.Write(data)
-	}
-	if pkg.Pkg != nil {
-		var imps []string
-		for _, imp := range pkg.Pkg.Imports() {
-			if _, mod := h.byPath[imp.Path()]; mod {
-				imps = append(imps, imp.Path())
-			}
-		}
-		sort.Strings(imps)
-		for _, imp := range imps {
-			sub := h.hashOf(imp)
-			if sub == "" {
-				return ""
-			}
-			hash.Write([]byte{1})
-			hash.Write([]byte(sub))
-		}
-	}
-	v := hex.EncodeToString(hash.Sum(nil))
-	h.memo[path] = v
-	return v
 }
 
 // resolveInterfaces maps every "iface:" call key referenced by a summary to

@@ -1,24 +1,19 @@
 package analysis
 
 import (
-	"encoding/json"
-	"fmt"
-	"io/fs"
-	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 )
 
 // loadIndex builds the call-graph index over one fixture module.
-func loadIndex(t *testing.T, name string, cfg Config) *Index {
+func loadIndex(t *testing.T, name string) *Index {
 	t.Helper()
 	pkgs, err := LoadModule(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatalf("LoadModule(%s): %v", name, err)
 	}
-	return BuildIndex(pkgs, cfg)
+	return BuildIndex(pkgs)
 }
 
 // TestCallGraphEdges pins how the index resolves each call shape: plain
@@ -26,7 +21,7 @@ func loadIndex(t *testing.T, name string, cfg Config) *Index {
 // method values, interface dispatch to every module-defined implementer,
 // cross-package edges, and mutual recursion.
 func TestCallGraphEdges(t *testing.T) {
-	ix := loadIndex(t, "callgraph", DefaultConfig())
+	ix := loadIndex(t, "callgraph")
 	const g = "callgraph/internal/graph."
 
 	impls := ix.Implementers("iface:" + g + "Scorer.Score")
@@ -90,223 +85,4 @@ func sortedStrings(s []string) bool {
 		}
 	}
 	return true
-}
-
-// TestSummaryCacheStableFindings runs a summary-driven fixture cold (writing
-// the cache) and warm (reading it) and requires bit-identical findings: the
-// on-disk summaries must round-trip every field the checks consume.
-func TestSummaryCacheStableFindings(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.CacheDir = t.TempDir()
-	cold := loadFixture(t, "hotalloc", cfg)
-	if len(cold) == 0 {
-		t.Fatal("cold run produced no findings; fixture or checks are broken")
-	}
-	entries, err := os.ReadDir(cfg.CacheDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	summaries := 0
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".json") {
-			summaries++
-		}
-	}
-	if summaries == 0 {
-		t.Fatal("cold run wrote no summary files")
-	}
-	warm := loadFixture(t, "hotalloc", cfg)
-	if !reflect.DeepEqual(cold, warm) {
-		t.Errorf("warm-cache findings differ\ncold:\n  %s\nwarm:\n  %s",
-			strings.Join(cold, "\n  "), strings.Join(warm, "\n  "))
-	}
-}
-
-// TestCacheIgnoresStaleSchema: a cache entry with the wrong schema or path
-// must be recomputed, not trusted. Simulated by corrupting every summary
-// in place and re-running: findings must still match the cold run.
-func TestCacheIgnoresCorruptEntries(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.CacheDir = t.TempDir()
-	cold := loadFixture(t, "hotalloc", cfg)
-	entries, err := os.ReadDir(cfg.CacheDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		p := filepath.Join(cfg.CacheDir, e.Name())
-		if err := os.WriteFile(p, []byte(`{"schema":-1}`), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	again := loadFixture(t, "hotalloc", cfg)
-	if !reflect.DeepEqual(cold, again) {
-		t.Errorf("corrupt cache changed findings\ncold:\n  %s\ngot:\n  %s",
-			strings.Join(cold, "\n  "), strings.Join(again, "\n  "))
-	}
-}
-
-// TestCacheIgnoresStaleSchemaEntries: a well-formed summary written under a
-// previous schema version (here 2, pre-concurrency) must be recomputed, not
-// trusted — its FuncEffects lack the lock/spawn/channel fields the v4
-// checks consume. Each cache entry is rewritten in place as a plausible
-// schema-2 file with no function summaries; trusting it would erase every
-// lockorder finding on the warm run.
-func TestCacheIgnoresStaleSchemaEntries(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.CacheDir = t.TempDir()
-	cold := loadFixture(t, "lockorder", cfg)
-	if len(cold) == 0 {
-		t.Fatal("cold run produced no findings; fixture or checks are broken")
-	}
-	entries, err := os.ReadDir(cfg.CacheDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stale := 0
-	for _, e := range entries {
-		if !strings.HasSuffix(e.Name(), ".json") {
-			continue
-		}
-		p := filepath.Join(cfg.CacheDir, e.Name())
-		data, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var s PkgSummary
-		if err := json.Unmarshal(data, &s); err != nil {
-			t.Fatal(err)
-		}
-		s.Schema = 2
-		s.Funcs = nil
-		out, err := json.Marshal(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(p, out, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		stale++
-	}
-	if stale == 0 {
-		t.Fatal("cold run wrote no summary files to stale-ify")
-	}
-	warm := loadFixture(t, "lockorder", cfg)
-	if !reflect.DeepEqual(cold, warm) {
-		t.Errorf("stale schema-2 cache changed findings\ncold:\n  %s\nwarm:\n  %s",
-			strings.Join(cold, "\n  "), strings.Join(warm, "\n  "))
-	}
-}
-
-// copyTree duplicates a fixture module so a test can edit it without
-// touching the shared testdata.
-func copyTree(t *testing.T, src, dst string) {
-	t.Helper()
-	err := filepath.WalkDir(src, func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(src, p)
-		if err != nil {
-			return err
-		}
-		target := filepath.Join(dst, rel)
-		if d.IsDir() {
-			return os.MkdirAll(target, 0o755)
-		}
-		data, err := os.ReadFile(p)
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(target, data, 0o644)
-	})
-	if err != nil {
-		t.Fatalf("copyTree(%s): %v", src, err)
-	}
-}
-
-// loadRoot is loadFixture for an absolute module root outside testdata.
-func loadRoot(t *testing.T, root string, cfg Config) []string {
-	t.Helper()
-	pkgs, err := LoadModule(root)
-	if err != nil {
-		t.Fatalf("LoadModule(%s): %v", root, err)
-	}
-	findings, err := Run(pkgs, cfg)
-	if err != nil {
-		t.Fatalf("Run(%s): %v", root, err)
-	}
-	out := make([]string, 0, len(findings))
-	for _, f := range findings {
-		rel, err := filepath.Rel(root, f.Pos.Filename)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, fmt.Sprintf("%s:%d %s", filepath.ToSlash(rel), f.Pos.Line, f.Check))
-	}
-	return out
-}
-
-// TestCacheInvalidatesOnTransitiveEdit: editing a file in a package the
-// hot root only reaches through an import must invalidate the warm cache.
-// The edited tree's warm run has to equal a fresh cold run on the same
-// tree bit for bit, and differ from the pre-edit findings — a stale
-// summary would silently keep reporting the old allocation set.
-func TestCacheInvalidatesOnTransitiveEdit(t *testing.T) {
-	// The module root's base name doubles as the module path, so the
-	// copy must keep the fixture's directory name for imports to resolve.
-	root := filepath.Join(t.TempDir(), "hotalloc")
-	copyTree(t, filepath.Join("testdata", "hotalloc"), root)
-
-	cfg := DefaultConfig()
-	cfg.CacheDir = t.TempDir()
-	cold := loadRoot(t, root, cfg)
-	if len(cold) == 0 {
-		t.Fatal("cold run produced no findings; fixture or checks are broken")
-	}
-
-	// Grow a second allocation inside kernels.Fill, which Sweep (the
-	// //declint:hot root in internal/filtering) reaches only transitively.
-	kernels := filepath.Join(root, "internal", "kernels", "kernels.go")
-	edited := `// Fixture helper: an allocating function that is itself unmarked but sits
-// inside a hot root's static call closure.
-package kernels
-
-// Fill rebuilds its scratch on every call.
-func Fill(out []float64) {
-	tmp := make([]float64, len(out))
-	edge := make([]float64, 2)
-	copy(out, tmp)
-	copy(out, edge)
-}
-`
-	if err := os.WriteFile(kernels, []byte(edited), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	warm := loadRoot(t, root, cfg) // same cache dir: summaries must recompute
-	if reflect.DeepEqual(cold, warm) {
-		t.Fatalf("warm run after the edit reproduced the pre-edit findings; cache did not invalidate:\n  %s",
-			strings.Join(warm, "\n  "))
-	}
-	if !contains(warm, "internal/kernels/kernels.go:8 hotalloc") {
-		t.Errorf("warm run missed the new allocation site:\n  %s", strings.Join(warm, "\n  "))
-	}
-
-	freshCfg := DefaultConfig()
-	freshCfg.CacheDir = t.TempDir()
-	fresh := loadRoot(t, root, freshCfg) // empty cache: ground truth for the edited tree
-	if !reflect.DeepEqual(warm, fresh) {
-		t.Errorf("warm findings on the edited tree differ from a fresh cold run\nwarm:\n  %s\nfresh:\n  %s",
-			strings.Join(warm, "\n  "), strings.Join(fresh, "\n  "))
-	}
-}
-
-func contains(lines []string, want string) bool {
-	for _, l := range lines {
-		if l == want {
-			return true
-		}
-	}
-	return false
 }

@@ -61,48 +61,6 @@ func matchesAnySuffix(pkg *Package, suffixes []string) bool {
 	return false
 }
 
-// ---- noraw-go ----------------------------------------------------------
-
-// checkNoRawGo forbids raw `go` statements and sync.WaitGroup worker pools
-// outside the one package that is allowed to own them: internal/parallel.
-// Everything else must express fan-out through the substrate, which is what
-// makes "chunk boundaries depend only on range length and grain" a global
-// property instead of a per-call-site promise.
-func checkNoRawGo(pkg *Package, cfg Config) []Finding {
-	if pkg.HasSuffix(cfg.ParallelPkg) || pkg.HasSuffix(cfg.ParallelPkg+"_test") {
-		return nil
-	}
-	var out []Finding
-	for _, f := range pkg.Files {
-		if f.Test {
-			continue
-		}
-		ast.Inspect(f.Ast, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.GoStmt:
-				out = append(out, Finding{
-					Check: "noraw-go", Pos: pkg.pos(n),
-					Msg: "raw go statement outside " + cfg.ParallelPkg +
-						"; route fan-out through the parallel substrate",
-				})
-			case *ast.SelectorExpr:
-				if pn := pkgNameOf(pkg.Info, n.X); pn != nil &&
-					pn.Imported().Path() == "sync" && n.Sel.Name == "WaitGroup" {
-					out = append(out, Finding{
-						Check: "noraw-go", Pos: pkg.pos(n),
-						Msg: "sync.WaitGroup worker pool outside " + cfg.ParallelPkg +
-							"; route fan-out through the parallel substrate",
-					})
-				}
-			}
-			return true
-		})
-	}
-	return out
-}
-
-// ---- determinism -------------------------------------------------------
-
 // orderDependentSink reports the first statement inside a map-range body
 // whose effect depends on iteration order: growing a slice, writing or
 // formatting output, or sending on a channel. Pure accumulation (sums,
@@ -135,62 +93,6 @@ func orderDependentSink(body *ast.BlockStmt, info *types.Info) (ast.Node, string
 		return true
 	})
 	return node, what
-}
-
-// checkDeterminism forbids the three classic nondeterminism sources in the
-// numeric kernel packages' non-test code: wall-clock reads, math/rand, and
-// map iteration feeding order-dependent output.
-func checkDeterminism(pkg *Package, cfg Config) []Finding {
-	if !matchesAnySuffix(pkg, cfg.DeterminismPkgs) {
-		return nil
-	}
-	var out []Finding
-	for _, f := range pkg.Files {
-		if f.Test {
-			continue
-		}
-		for _, imp := range f.Ast.Imports {
-			path, _ := strconv.Unquote(imp.Path.Value)
-			if path == "math/rand" || path == "math/rand/v2" {
-				out = append(out, Finding{
-					Check: "determinism", Pos: pkg.pos(imp),
-					Msg: "import of " + path + " in a kernel package; " +
-						"thread explicit seeds through a deterministic source instead",
-				})
-			}
-		}
-		ast.Inspect(f.Ast, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				if selectsPkgFunc(pkg.Info, n, "time", "Now") {
-					out = append(out, Finding{
-						Check: "determinism", Pos: pkg.pos(n),
-						Msg: "time.Now in a kernel package makes output time-dependent",
-					})
-				}
-			case *ast.RangeStmt:
-				if n.X == nil {
-					return true
-				}
-				tv, ok := pkg.Info.Types[n.X]
-				if !ok {
-					return true
-				}
-				if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-					return true
-				}
-				if sink, what := orderDependentSink(n.Body, pkg.Info); sink != nil {
-					out = append(out, Finding{
-						Check: "determinism", Pos: pkg.pos(n),
-						Msg: "map iteration feeds order-dependent output (" + what +
-							"); iterate sorted keys instead",
-					})
-				}
-			}
-			return true
-		})
-	}
-	return out
 }
 
 // ---- floateq -----------------------------------------------------------

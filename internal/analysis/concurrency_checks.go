@@ -22,10 +22,6 @@ func nonLocal(ids []string) []string {
 	return out
 }
 
-// shortMutex trims the module prefix off a mutex/channel identity for
-// messages, mirroring shortID.
-func shortMutex(id string) string { return shortID(id) }
-
 // mutexMatches reports whether a //declint:locks-after operand names the
 // mutex identity, by the same suffix convention as package matching.
 func mutexMatches(id, pattern string) bool {
@@ -239,7 +235,7 @@ func checkLockOrder(pkgs []*Package, cfg Config, ix *Index) []Finding {
 		for _, op := range fx.ChanOps {
 			if held := nonLocal(op.Held); len(held) > 0 && op.Op != "close" {
 				report(Finding{Check: "lockorder", Pos: op.Pos,
-					Msg: "channel " + op.Op + " while holding " + shortMutex(held[0]) +
+					Msg: "channel " + op.Op + " while holding " + shortID(held[0]) +
 						"; move the operation outside the critical section"})
 			}
 		}
@@ -253,7 +249,7 @@ func checkLockOrder(pkgs []*Package, cfg Config, ix *Index) []Finding {
 			}
 			if label := lockBlockingCall(cs.Callee, cfg); label != "" {
 				report(Finding{Check: "lockorder", Pos: cs.Pos,
-					Msg: "blocking call " + label + " while holding " + shortMutex(held[0]) +
+					Msg: "blocking call " + label + " while holding " + shortID(held[0]) +
 						"; release the lock first (copy state out, then block)"})
 				continue
 			}
@@ -276,7 +272,7 @@ func checkLockOrder(pkgs []*Package, cfg Config, ix *Index) []Finding {
 						if h == lk.Mutex {
 							report(Finding{Check: "lockorder", Pos: cs.Pos,
 								Msg: "call chain " + shortID(id) + " -> " + renderChain(parent, targets[0], gid) +
-									" reacquires " + shortMutex(h) + " already held here: self-deadlock"})
+									" reacquires " + shortID(h) + " already held here: self-deadlock"})
 							reacquired = true
 							break
 						}
@@ -298,9 +294,9 @@ func checkLockOrder(pkgs []*Package, cfg Config, ix *Index) []Finding {
 						addEdge(h, lk.Mutex, Finding{Pos: cs.Pos}, false)
 						if !declared {
 							report(Finding{Check: "lockorder", Pos: cs.Pos,
-								Msg: "undeclared lock-order edge " + shortMutex(h) + " -> " + shortMutex(lk.Mutex) +
+								Msg: "undeclared lock-order edge " + shortID(h) + " -> " + shortID(lk.Mutex) +
 									" (via " + renderChain(parent, targets[0], gid) + "); declare it with " +
-									locksAfterMarker + " " + shortMutex(h) + " on " + shortID(gid) +
+									locksAfterMarker + " " + shortID(h) + " on " + shortID(gid) +
 									" or release before the call"})
 						}
 					}
@@ -312,7 +308,7 @@ func checkLockOrder(pkgs []*Package, cfg Config, ix *Index) []Finding {
 					report(Finding{Check: "lockorder", Pos: cs.Pos,
 						Msg: "call reaches a blocking channel " + op.Op + " in " +
 							renderChain(parent, targets[0], gid) + " while holding " +
-							shortMutex(held[0]) + "; release the lock first"})
+							shortID(held[0]) + "; release the lock first"})
 				}
 				for _, inner := range g.Calls {
 					if inner.Go {
@@ -322,7 +318,7 @@ func checkLockOrder(pkgs []*Package, cfg Config, ix *Index) []Finding {
 						report(Finding{Check: "lockorder", Pos: cs.Pos,
 							Msg: "call reaches blocking " + label + " in " +
 								renderChain(parent, targets[0], gid) + " while holding " +
-								shortMutex(held[0]) + "; release the lock first"})
+								shortID(held[0]) + "; release the lock first"})
 						break
 					}
 				}
@@ -382,7 +378,7 @@ func checkLockOrder(pkgs []*Package, cfg Config, ix *Index) []Finding {
 					cycleSeen[canon] = true
 					short := make([]string, len(cyc))
 					for j, c := range cyc {
-						short[j] = shortMutex(c)
+						short[j] = shortID(c)
 					}
 					report(Finding{Check: "lockorder", Pos: edges[n][m].pos.Pos,
 						Msg: "lock-order cycle: " + strings.Join(short, " -> ") +
@@ -420,7 +416,7 @@ func shortMsgIDs(msg string) string {
 	fields := strings.Fields(msg)
 	for i, f := range fields {
 		if strings.Contains(f, "/") && strings.Contains(f, ".") {
-			fields[i] = shortMutex(f)
+			fields[i] = shortID(f)
 		}
 	}
 	return strings.Join(fields, " ")
@@ -490,7 +486,7 @@ func checkGoLife(pkgs []*Package, cfg Config, ix *Index) []Finding {
 		}
 		if !closed {
 			fs = append(fs, Finding{Check: "golife", Pos: sp.Pos,
-				Msg: "goroutine waits on " + shortMutex(stopCh) +
+				Msg: "goroutine waits on " + shortID(stopCh) +
 					" but nothing in the module ever closes it: unreachable shutdown"})
 			return fs
 		}
@@ -506,7 +502,7 @@ func checkGoLife(pkgs []*Package, cfg Config, ix *Index) []Finding {
 		}
 		if !joined {
 			fs = append(fs, Finding{Check: "golife", Pos: sp.Pos,
-				Msg: "stop channel " + shortMutex(stopCh) + " is closed but the goroutine is " +
+				Msg: "stop channel " + shortID(stopCh) + " is closed but the goroutine is " +
 					"never joined: close a done channel in the goroutine and receive it in Stop/Close"})
 		}
 		return fs
@@ -540,7 +536,7 @@ func checkGoLife(pkgs []*Package, cfg Config, ix *Index) []Finding {
 						continue
 					}
 					out = append(out, Finding{Check: "golife", Pos: sp.Pos,
-						Msg: "goroutine runs external " + shortMutex(strings.TrimPrefix(sp.Callee, "fn:")) +
+						Msg: "goroutine runs external " + shortID(strings.TrimPrefix(sp.Callee, "fn:")) +
 							" with no module call to its Close/Stop/Shutdown counterpart"})
 					continue
 				}
@@ -654,7 +650,7 @@ func chanName(ch string) string {
 	if ch == "" || strings.HasPrefix(ch, "local:") {
 		return ""
 	}
-	return " on " + shortMutex(ch)
+	return " on " + shortID(ch)
 }
 
 // ---- deadline -----------------------------------------------------------

@@ -4,18 +4,20 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 )
 
 // This file is the effects-pass half of the concurrency-protocol layer: a
-// path-sensitive walk over each function body that records mutex
+// path domain for pathWalker that records, over each function body, mutex
 // acquire/release protocol (including defer pairing and RWMutex modes),
 // channel operations with their guard context, go statements with their
 // termination signals, and the held-lock set at every call site. The four
-// checks in concurrency_checks.go consume only these cached facts plus the
-// call graph, so warm runs never re-walk bodies.
+// checks in concurrency_checks.go consume only these facts plus the call
+// graph.
 
 // syncMethod resolves a call to a sync primitive method and returns its
 // qualified name ("Mutex.Lock", "RWMutex.RLock", "WaitGroup.Wait", ...)
@@ -148,120 +150,36 @@ func ctxWaitExpr(info *types.Info, e ast.Expr) bool {
 	return ctxDoneExpr(info, e) || timerExpr(info, e)
 }
 
-// heldLock is one mutex the current path holds, in acquisition order.
-type heldLock struct {
-	id, mode string
-}
-
 // concState is the abstract state of one execution path: held locks in
 // order, pending deferred releases, and the channels closed so far.
-// Branch merges intersect held and defers (a lock held on only one arm is
-// not held after the join) and union closed (a send after a close on any
-// path is a hazard).
+// Joins intersect held and defers (a lock held on only one arm is not held
+// after the join) and union closed (a send after a close on any path is a
+// hazard).
 type concState struct {
-	held   []heldLock
+	held   []string
 	defers []string
 	closed map[string]bool
-	term   bool
 }
 
 func newConcState() *concState {
 	return &concState{closed: map[string]bool{}}
 }
 
-func (s *concState) clone() *concState {
-	c := &concState{
-		held:   append([]heldLock(nil), s.held...),
-		defers: append([]string(nil), s.defers...),
-		closed: make(map[string]bool, len(s.closed)),
-		term:   s.term,
-	}
-	for k := range s.closed {
-		c.closed[k] = true
-	}
-	return c
-}
-
-func (s *concState) holds(id string) bool {
-	for _, h := range s.held {
-		if h.id == id {
-			return true
-		}
-	}
-	return false
-}
-
 func (s *concState) heldIDs() []string {
 	if len(s.held) == 0 {
 		return nil
 	}
-	out := make([]string, len(s.held))
-	for i, h := range s.held {
-		out[i] = h.id
-	}
+	out := slices.Clone(s.held)
 	sort.Strings(out)
 	return out
 }
 
-// mergeInto folds the branch states into base: held and defers intersect
-// across the non-terminated branches, closed unions. If every branch
-// terminated, base terminates.
-func mergeInto(base *concState, branches []*concState) {
-	live := branches[:0]
-	for _, b := range branches {
-		for k := range b.closed {
-			base.closed[k] = true
-		}
-		if !b.term {
-			live = append(live, b)
-		}
-	}
-	if len(live) == 0 {
-		base.term = true
-		return
-	}
-	first := live[0]
-	var held []heldLock
-	for _, h := range first.held {
-		in := true
-		for _, o := range live[1:] {
-			if !o.holds(h.id) {
-				in = false
-				break
-			}
-		}
-		if in {
-			held = append(held, h)
-		}
-	}
-	var defers []string
-	for _, d := range first.defers {
-		in := true
-		for _, o := range live[1:] {
-			found := false
-			for _, od := range o.defers {
-				if od == d {
-					found = true
-					break
-				}
-			}
-			if !found {
-				in = false
-				break
-			}
-		}
-		if in {
-			defers = append(defers, d)
-		}
-	}
-	base.held, base.defers, base.term = held, defers, false
-}
-
-// concWalker interprets one function body (or one in-place closure body)
-// path-sensitively, appending facts to fx.
+// concWalker is the concurrency layer's path domain over one function
+// body (or one in-place closure body), appending facts to fx.
 type concWalker struct {
 	pkg    *Package
 	fx     *FuncEffects
+	pw     *pathWalker[*concState]
 	goLits map[*ast.FuncLit]bool
 	// heldAt / goAt annotate the CallSites recorded by the effects walker:
 	// held mutexes and go-statement membership, keyed by rendered position.
@@ -270,8 +188,44 @@ type concWalker struct {
 	// wgWaited: the spawner body (outside go closures) calls WaitGroup.Wait,
 	// completing the fork-join shape for "join" spawn signals.
 	wgWaited bool
-	loop     int
 }
+
+func (w *concWalker) clone(s *concState) *concState {
+	return &concState{held: slices.Clone(s.held), defers: slices.Clone(s.defers), closed: maps.Clone(s.closed)}
+}
+
+func (w *concWalker) join(dst *concState, from []*concState) {
+	// common keeps the entries of from[0]'s list that every path has.
+	common := func(list func(*concState) []string) []string {
+		var out []string
+		for _, x := range list(from[0]) {
+			all := true
+			for _, o := range from[1:] {
+				all = all && slices.Contains(list(o), x)
+			}
+			if all {
+				out = append(out, x)
+			}
+		}
+		return out
+	}
+	closed := map[string]bool{}
+	for _, b := range from {
+		maps.Copy(closed, b.closed)
+	}
+	held := common(func(s *concState) []string { return s.held })
+	defers := common(func(s *concState) []string { return s.defers })
+	dst.held, dst.defers, dst.closed = held, defers, closed
+}
+
+func (w *concWalker) branch(cond ast.Expr, st *concState) (then, els *concState) {
+	w.expr(cond, st)
+	return w.clone(st), w.clone(st)
+}
+
+func (w *concWalker) backEdge(ast.Stmt, *concState, *concState) {}
+
+func (w *concWalker) scopeExit(ast.Node, *concState, bool) {}
 
 func posKey(p token.Position) string {
 	return p.Filename + ":" + strconv.Itoa(p.Line) + ":" + strconv.Itoa(p.Column)
@@ -290,24 +244,15 @@ func (w *concWalker) exitCheck(st *concState, n ast.Node) {
 	}
 	seen := map[string]bool{}
 	for _, h := range st.held {
-		if released[h.id] || seen[h.id] {
+		if released[h] || seen[h] {
 			continue
 		}
-		seen[h.id] = true
-		w.bug("lock of "+h.id+" is still held at this return with no deferred unlock", n)
+		seen[h] = true
+		w.bug("lock of "+h+" is still held at this return with no deferred unlock", n)
 	}
 }
 
-func (w *concWalker) stmts(list []ast.Stmt, st *concState) {
-	for _, s := range list {
-		if st.term {
-			return
-		}
-		w.stmt(s, st)
-	}
-}
-
-func (w *concWalker) stmt(s ast.Stmt, st *concState) {
+func (w *concWalker) step(s ast.Stmt, st *concState) {
 	switch s := s.(type) {
 	case *ast.ExprStmt:
 		w.expr(s.X, st)
@@ -342,152 +287,44 @@ func (w *concWalker) stmt(s ast.Stmt, st *concState) {
 			w.expr(r, st)
 		}
 		w.exitCheck(st, s)
-		st.term = true
-	case *ast.BranchStmt:
-		if s.Tok == token.BREAK || s.Tok == token.CONTINUE || s.Tok == token.GOTO {
-			st.term = true
-		}
-	case *ast.BlockStmt:
-		w.stmts(s.List, st)
-	case *ast.LabeledStmt:
-		w.stmt(s.Stmt, st)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, st)
-		}
-		w.expr(s.Cond, st)
-		then := st.clone()
-		w.stmts(s.Body.List, then)
-		els := st.clone()
-		if s.Else != nil {
-			w.stmt(s.Else, els)
-		}
-		mergeInto(st, []*concState{then, els})
 	case *ast.ForStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, st)
-		}
-		if s.Cond != nil {
-			w.expr(s.Cond, st)
-		} else {
+		if s.Cond == nil {
 			w.fx.InfLoop = true
 		}
-		w.loop++
-		body := st.clone()
-		w.stmts(s.Body.List, body)
-		if s.Post != nil && !body.term {
-			w.stmt(s.Post, body)
-		}
-		w.loop--
-		// Merge "ran once" with "never ran": a body that terminated its own
-		// path (return, or break out of the loop) contributes nothing past
-		// the join, which is the conservative reading for break.
-		mergeInto(st, []*concState{st.clone(), body})
+		w.expr(s.Cond, st)
 	case *ast.RangeStmt:
-		if s.X != nil {
-			w.expr(s.X, st)
-			if tv, ok := w.pkg.Info.Types[s.X]; ok {
-				if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-					w.chanOp("recv", s.X, s, st, false, false)
-				}
+		w.expr(s.X, st)
+		if tv, ok := w.pkg.Info.Types[s.X]; ok {
+			if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
+				w.chanOp("recv", s.X, s, st, false, false)
 			}
 		}
-		w.loop++
-		body := st.clone()
-		w.stmts(s.Body.List, body)
-		w.loop--
-		mergeInto(st, []*concState{st.clone(), body})
 	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, st)
-		}
-		if s.Tag != nil {
-			w.expr(s.Tag, st)
-		}
-		w.caseClauses(s.Body, st, switchHasDefault(s.Body))
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, st)
-		}
-		w.caseClauses(s.Body, st, switchHasDefault(s.Body))
-	case *ast.SelectStmt:
-		w.selectStmt(s, st)
-	}
-}
-
-func switchHasDefault(body *ast.BlockStmt) bool {
-	for _, c := range body.List {
-		if cc, ok := c.(*ast.CaseClause); ok && cc.List == nil {
-			return true
-		}
-	}
-	return false
-}
-
-func (w *concWalker) caseClauses(body *ast.BlockStmt, st *concState, hasDefault bool) {
-	var branches []*concState
-	for _, c := range body.List {
-		cc, ok := c.(*ast.CaseClause)
-		if !ok {
-			continue
-		}
-		for _, e := range cc.List {
+		w.expr(s.Tag, st)
+	case *ast.CaseClause:
+		for _, e := range s.List {
 			w.expr(e, st)
 		}
-		b := st.clone()
-		w.stmts(cc.Body, b)
-		branches = append(branches, b)
-	}
-	if !hasDefault {
-		branches = append(branches, st.clone()) // no case matched
-	}
-	if len(branches) > 0 {
-		mergeInto(st, branches)
 	}
 }
 
-func (w *concWalker) selectStmt(s *ast.SelectStmt, st *concState) {
+// comm applies one select clause's communication. It cannot block forever
+// when the select has a default, ctx.Done() or timer clause.
+func (w *concWalker) comm(sel *ast.SelectStmt, cc *ast.CommClause, st *concState) {
 	guarded := false
-	for _, c := range s.Body.List {
-		cc, ok := c.(*ast.CommClause)
-		if !ok {
-			continue
-		}
-		if cc.Comm == nil {
-			guarded = true // default clause: never blocks
-			continue
-		}
-		if e := commRecvExpr(cc.Comm); e != nil && ctxWaitExpr(w.pkg.Info, e.X) {
+	for _, c := range sel.Body.List {
+		comm := c.(*ast.CommClause).Comm
+		if comm == nil {
+			guarded = true
+		} else if e := commRecvExpr(comm); e != nil && ctxWaitExpr(w.pkg.Info, e.X) {
 			guarded = true
 		}
 	}
-	var branches []*concState
-	for _, c := range s.Body.List {
-		cc, ok := c.(*ast.CommClause)
-		if !ok {
-			continue
-		}
-		b := st.clone()
-		switch comm := cc.Comm.(type) {
-		case *ast.SendStmt:
-			w.expr(comm.Value, b)
-			w.chanOp("send", comm.Chan, comm, b, true, guarded)
-		case *ast.ExprStmt:
-			if ue, ok := ast.Unparen(comm.X).(*ast.UnaryExpr); ok && ue.Op == token.ARROW {
-				w.recvOp(ue, b, true, guarded)
-			}
-		case *ast.AssignStmt:
-			for _, r := range comm.Rhs {
-				if ue, ok := ast.Unparen(r).(*ast.UnaryExpr); ok && ue.Op == token.ARROW {
-					w.recvOp(ue, b, true, guarded)
-				}
-			}
-		}
-		w.stmts(cc.Body, b)
-		branches = append(branches, b)
-	}
-	if len(branches) > 0 {
-		mergeInto(st, branches)
+	if send, ok := cc.Comm.(*ast.SendStmt); ok {
+		w.expr(send.Value, st)
+		w.chanOp("send", send.Chan, send, st, true, guarded)
+	} else if ue := commRecvExpr(cc.Comm); ue != nil {
+		w.recvOp(ue, st, true, guarded)
 	}
 }
 
@@ -637,7 +474,7 @@ func (w *concWalker) deferStmt(d *ast.DeferStmt, st *concState) {
 	if m, recv := syncMethod(w.pkg.Info, call); m != "" {
 		switch m {
 		case "Mutex.Unlock", "RWMutex.Unlock", "RWMutex.RUnlock":
-			if id := lockIdentOf(w.pkg.Info, recv); id != "" {
+			if id := concObjectID(w.pkg.Info, recv); id != "" {
 				st.defers = append(st.defers, id)
 			}
 		}
@@ -658,13 +495,6 @@ func (w *concWalker) deferStmt(d *ast.DeferStmt, st *concState) {
 	for _, a := range call.Args {
 		w.expr(a, st)
 	}
-}
-
-// lockIdentOf names the mutex behind a Lock/Unlock receiver. Unnameable
-// receivers (map elements, function results) degrade to "" and are dropped
-// from protocol tracking rather than misattributed.
-func lockIdentOf(info *types.Info, recv ast.Expr) string {
-	return concObjectID(info, recv)
 }
 
 // expr walks an expression on the current path. Function literals are NOT
@@ -710,17 +540,11 @@ func (w *concWalker) call(call *ast.CallExpr, st *concState) {
 				}
 			case "make":
 				w.checkMagicBuffer(call)
-			case "panic":
-				st.term = true
 			}
 			return
 		}
 	}
-	if selectsPkgFunc(info, ast.Unparen(call.Fun), "os", "Exit") {
-		st.term = true
-		return
-	}
-	if w.loop > 0 && selectsPkgFunc(info, ast.Unparen(call.Fun), "time", "After") {
+	if w.pw.inLoop() && selectsPkgFunc(info, ast.Unparen(call.Fun), "time", "After") {
 		w.fx.TimerLoops = append(w.fx.TimerLoops,
 			Site{Kind: "time.After in a loop", Pos: w.pkg.pos(call)})
 	}
@@ -733,7 +557,7 @@ func (w *concWalker) call(call *ast.CallExpr, st *concState) {
 // syncOp applies one mutex operation to the path state, recording acquire
 // sites, nested-acquire edges, and protocol bugs.
 func (w *concWalker) syncOp(method string, recv ast.Expr, call *ast.CallExpr, st *concState) {
-	id := lockIdentOf(w.pkg.Info, recv)
+	id := concObjectID(w.pkg.Info, recv)
 	if method == "WaitGroup.Wait" || method == "WaitGroup.Done" || method == "WaitGroup.Add" {
 		if method == "WaitGroup.Wait" {
 			w.wgWaited = true
@@ -752,20 +576,20 @@ func (w *concWalker) syncOp(method string, recv ast.Expr, call *ast.CallExpr, st
 		if method == "RWMutex.RLock" {
 			mode = "r"
 		}
-		if st.holds(id) {
+		if slices.Contains(st.held, id) {
 			w.bug("double lock of "+id+" on this path (already held)", call)
 		}
 		for _, h := range st.held {
-			if h.id != id {
+			if h != id {
 				w.fx.LockEdges = append(w.fx.LockEdges,
-					LockEdge{Outer: h.id, Inner: id, Pos: w.pkg.pos(call)})
+					LockEdge{Outer: h, Inner: id, Pos: w.pkg.pos(call)})
 			}
 		}
-		st.held = append(st.held, heldLock{id: id, mode: mode})
+		st.held = append(st.held, id)
 		w.fx.Locks = append(w.fx.Locks, LockOp{Mutex: id, Mode: mode, Pos: w.pkg.pos(call)})
 	case "Mutex.Unlock", "RWMutex.Unlock", "RWMutex.RUnlock":
 		for i := len(st.held) - 1; i >= 0; i-- {
-			if st.held[i].id == id {
+			if st.held[i] == id {
 				st.held = append(st.held[:i], st.held[i+1:]...)
 				return
 			}
@@ -797,11 +621,10 @@ func (w *concWalker) checkMagicBuffer(call *ast.CallExpr) {
 		Site{Kind: "channel buffer capacity " + lit.Value, Pos: w.pkg.pos(call)})
 }
 
-// analyzeConcurrency runs the path-sensitive interpreter over fd's body and
-// every in-place closure, then annotates the already-recorded CallSites
-// with held-lock sets and go-statement membership.
-func analyzeConcurrency(pkg *Package, fd *ast.FuncDecl, fx *FuncEffects, ctxObjs map[types.Object]bool) {
-	_ = ctxObjs
+// analyzeConcurrency walks fd's body and every in-place closure with the
+// path walker, then annotates the already-recorded CallSites with held-lock
+// sets and go-statement membership.
+func analyzeConcurrency(pkg *Package, fd *ast.FuncDecl, fx *FuncEffects) {
 	w := &concWalker{
 		pkg:    pkg,
 		fx:     fx,
@@ -809,6 +632,7 @@ func analyzeConcurrency(pkg *Package, fd *ast.FuncDecl, fx *FuncEffects, ctxObjs
 		heldAt: map[string][]string{},
 		goAt:   map[string]bool{},
 	}
+	w.pw = &pathWalker[*concState]{d: w, info: pkg.Info}
 	// Pre-pass: which closures are go-closure bodies, and does the spawner
 	// itself (outside go-closures) join a WaitGroup? The wgWaited bit must
 	// be known before spawn-lit analysis, which can precede the Wait in
@@ -830,23 +654,20 @@ func analyzeConcurrency(pkg *Package, fd *ast.FuncDecl, fx *FuncEffects, ctxObjs
 		return true
 	})
 
-	st := newConcState()
-	w.stmts(fd.Body.List, st)
-	if !st.term {
-		w.exitCheck(st, fd.Body)
+	walk := func(body *ast.BlockStmt) {
+		st := newConcState()
+		if !w.pw.stmts(body.List, st) {
+			w.exitCheck(st, body)
+		}
 	}
+	walk(fd.Body)
 	// In-place closures: interpret with fresh state so their acquire sites
 	// and channel ops register under this function's ID (a closure that
 	// locks is how FlattenSpans-style recursive walkers are written), while
 	// go-closures stay with their SpawnSite.
 	for _, lit := range lits {
-		if w.goLits[lit] {
-			continue
-		}
-		ls := newConcState()
-		w.stmts(lit.Body.List, ls)
-		if !ls.term {
-			w.exitCheck(ls, lit.Body)
+		if !w.goLits[lit] {
+			walk(lit.Body)
 		}
 	}
 	for i := range fx.Calls {

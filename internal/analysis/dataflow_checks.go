@@ -511,31 +511,66 @@ func (t *reachHit) chainVia() string {
 	return strings.Join(short, " -> ")
 }
 
-// checkDetProp extends the determinism check transitively: a kernel-package
-// function must not reach time.Now, math/rand, or map-ordered output
-// through any chain of module-internal calls, however deep. Sources inside
-// the kernel packages themselves are already reported directly by
-// `determinism`, so detprop flags only chains whose carrier lives outside
-// them; packages in TaintExemptPkgs (observability: spans read clocks but
-// never feed numeric output) are barriers the traversal does not cross.
+// checkDetProp keeps the numeric kernel packages bit-deterministic: their
+// non-test code must not read time.Now or math/rand or feed map iteration
+// order into output, directly — reported at the source, package-level var
+// initializers included — or through any chain of module-internal calls,
+// however deep — reported at the kernel call site. A chain whose carrier
+// lives in a kernel package is already reported at its source, so chains
+// are flagged only when the carrier lives outside them; packages in
+// TaintExemptPkgs (observability: spans read clocks but never feed numeric
+// output) are barriers the traversal does not cross.
 func checkDetProp(pkgs []*Package, cfg Config, ix *Index) []Finding {
+	kernel := func(p string) bool { return pathMatchesAny(p, cfg.DeterminismPkgs) }
 	exemptTraverse := func(p string) bool { return pathMatchesAny(p, cfg.TaintExemptPkgs) }
-	exemptCarrier := func(p string) bool {
-		return exemptTraverse(p) || pathMatchesAny(p, cfg.DeterminismPkgs)
-	}
 	taints := newReachFinder(ix, exemptTraverse, func(fx *FuncEffects) *Site {
-		if len(fx.Sources) > 0 && !exemptCarrier(fx.PkgPath) {
+		if len(fx.Sources) > 0 && !exemptTraverse(fx.PkgPath) && !kernel(fx.PkgPath) {
 			return &fx.Sources[0]
 		}
 		return nil
 	})
+	direct := func(s Site) Finding {
+		msg := s.Kind + " in a kernel package"
+		switch s.Kind {
+		case "time.Now":
+			msg += " makes output time-dependent"
+		case "math/rand":
+			msg += "; thread explicit seeds through a deterministic source instead"
+		default:
+			msg += "; iterate sorted keys instead"
+		}
+		return Finding{Check: "detprop", Pos: s.Pos, Msg: msg}
+	}
 
 	var out []Finding
 	seenSite := map[string]bool{}
+	for _, pkg := range pkgs {
+		if !kernel(pkg.Path) {
+			continue
+		}
+		for _, f := range pkg.Files {
+			if f.Test {
+				continue
+			}
+			for _, decl := range f.Ast.Decls {
+				if gd, ok := decl.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+					ast.Inspect(gd, func(n ast.Node) bool {
+						if kind := nondetSource(pkg.Info, n); kind != "" {
+							out = append(out, direct(Site{Kind: kind, Pos: pkg.pos(n)}))
+						}
+						return true
+					})
+				}
+			}
+		}
+	}
 	for _, id := range ix.IDs() {
 		fx := ix.Funcs[id]
-		if !pathMatchesAny(fx.PkgPath, cfg.DeterminismPkgs) {
+		if !kernel(fx.PkgPath) {
 			continue
+		}
+		for _, s := range fx.Sources {
+			out = append(out, direct(s))
 		}
 		for _, cs := range fx.Calls {
 			for _, target := range ix.expand(cs.Callee) {

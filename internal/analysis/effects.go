@@ -44,26 +44,25 @@ const (
 // Site is one effect occurrence: an allocation, a forbidden-source read, or
 // a context root, classified by kind.
 type Site struct {
-	Kind string         `json:"kind"`
-	Pos  token.Position `json:"pos"`
+	Kind string
+	Pos  token.Position
 }
 
 // CallSite is one outgoing call edge. Callee is either "fn:<func-id>" for a
 // statically resolved target or "iface:<pkg>.<iface>.<method>" for dynamic
 // dispatch through a named interface; the latter is resolved to concrete
-// implementers at index time (see Index), never inside the cached summary,
-// so a summary stays valid when *other* packages gain implementers.
+// implementers at index time (see Index).
 type CallSite struct {
-	Callee string         `json:"callee"`
-	Pos    token.Position `json:"pos"`
+	Callee string
+	Pos    token.Position
 	// Go marks a call that is the operand of a go statement: the callee
 	// runs on a new goroutine, so blocking there does not block the caller
 	// (deadline skips these edges; golife owns them instead).
-	Go bool `json:"go,omitempty"`
+	Go bool
 	// Held lists the non-local mutex IDs held at the call site, sorted —
 	// the raw material of lockorder's cross-function edge and
 	// held-across-blocking analysis.
-	Held []string `json:"held,omitempty"`
+	Held []string
 }
 
 // LockOp is one mutex acquire site. Mutex is the stable identity — a
@@ -71,17 +70,17 @@ type CallSite struct {
 // package-level ones, "local:name" for locals (excluded from cross-function
 // reasoning) — and Mode is "w" (Lock) or "r" (RLock).
 type LockOp struct {
-	Mutex string         `json:"mutex"`
-	Mode  string         `json:"mode"`
-	Pos   token.Position `json:"pos"`
+	Mutex string
+	Mode  string
+	Pos   token.Position
 }
 
 // LockEdge is one intra-function nested acquire: Inner was acquired while
 // Outer was held. Edges feed the whole-module lock-order graph.
 type LockEdge struct {
-	Outer string         `json:"outer"`
-	Inner string         `json:"inner"`
-	Pos   token.Position `json:"pos"`
+	Outer string
+	Inner string
+	Pos   token.Position
 }
 
 // ChanOp is one channel operation. Chan uses the same identity scheme as
@@ -91,13 +90,13 @@ type LockEdge struct {
 // marks a receive that is a join on a completion channel — the function
 // closed a sibling stop channel of the same struct earlier on the path.
 type ChanOp struct {
-	Op          string         `json:"op"` // "send", "recv", "close"
-	Chan        string         `json:"chan"`
-	Pos         token.Position `json:"pos"`
-	Select      bool           `json:"select,omitempty"`
-	CtxGuarded  bool           `json:"ctxGuarded,omitempty"`
-	JoinGuarded bool           `json:"joinGuarded,omitempty"`
-	Held        []string       `json:"held,omitempty"`
+	Op          string // "send", "recv", "close"
+	Chan        string
+	Pos         token.Position
+	Select      bool
+	CtxGuarded  bool
+	JoinGuarded bool
+	Held        []string
 }
 
 // SpawnSite is one go statement. For `go func(){...}()` the closure body is
@@ -108,10 +107,10 @@ type ChanOp struct {
 // channels the goroutine closes (its completion broadcast). For `go f()`
 // Callee carries the call key and the checker consults f's own summary.
 type SpawnSite struct {
-	Pos     token.Position `json:"pos"`
-	Callee  string         `json:"callee,omitempty"`
-	Signals []string       `json:"signals,omitempty"`
-	Closes  []string       `json:"closes,omitempty"`
+	Pos     token.Position
+	Callee  string
+	Signals []string
+	Closes  []string
 }
 
 // FuncEffects is the intraprocedural summary of one function: what it
@@ -119,22 +118,22 @@ type SpawnSite struct {
 // it treats contexts. Closures are folded into their enclosing declaration —
 // a FuncLit contributes a "closure" allocation plus all of its body's
 // effects under the enclosing function's ID. Summaries are computed from
-// non-test files only and are JSON-stable for the on-disk cache.
+// non-test files only.
 type FuncEffects struct {
-	ID       string         `json:"id"`
-	PkgPath  string         `json:"pkgPath"`
-	Pos      token.Position `json:"pos"`
-	Exported bool           `json:"exported"`
-	Hot      bool           `json:"hot"`
+	ID       string
+	PkgPath  string
+	Pos      token.Position
+	Exported bool
+	Hot      bool
 
-	Allocs  []Site     `json:"allocs,omitempty"`
-	Sources []Site     `json:"sources,omitempty"`
-	Calls   []CallSite `json:"calls,omitempty"`
+	Allocs  []Site
+	Sources []Site
+	Calls   []CallSite
 
 	// WritesCaptured records assignments inside closures whose target is
 	// declared outside the closure — the raw material of a data race when
 	// the closure escapes to another goroutine.
-	WritesCaptured []Site `json:"writesCaptured,omitempty"`
+	WritesCaptured []Site
 
 	// Ownership facts for poollife. Acquires/Releases are the sync.Pool
 	// Get/Put call sites in the body; OwnsResults, TransfersParams and
@@ -144,24 +143,24 @@ type FuncEffects struct {
 	// silently disable enforcement. GlobalWrites are assignments whose
 	// target roots at a package-level variable — the raw material of an
 	// impure memoized stage (see checkMemoPure).
-	Acquires        []Site `json:"acquires,omitempty"`
-	Releases        []Site `json:"releases,omitempty"`
-	OwnsResults     []int  `json:"ownsResults,omitempty"`
-	TransfersParams []int  `json:"transfersParams,omitempty"`
-	TransfersRecv   bool   `json:"transfersRecv,omitempty"`
-	DirectiveErrs   []Site `json:"directiveErrs,omitempty"`
-	GlobalWrites    []Site `json:"globalWrites,omitempty"`
+	Acquires        []Site
+	Releases        []Site
+	OwnsResults     []int
+	TransfersParams []int
+	TransfersRecv   bool
+	DirectiveErrs   []Site
+	GlobalWrites    []Site
 
 	// Context facts for ctxflow: HasCtx when the signature takes a
 	// context.Context, CtxParam/CtxPos name the first such parameter,
 	// CtxUsed when any ctx parameter is referenced in the body (a parameter
 	// named or declared _ counts as an explicit, documented drop), and
 	// CtxRoots are the context.Background/TODO call sites in the body.
-	HasCtx   bool           `json:"hasCtx,omitempty"`
-	CtxParam string         `json:"ctxParam,omitempty"`
-	CtxUsed  bool           `json:"ctxUsed,omitempty"`
-	CtxPos   token.Position `json:"ctxPos,omitempty"`
-	CtxRoots []Site         `json:"ctxRoots,omitempty"`
+	HasCtx   bool
+	CtxParam string
+	CtxUsed  bool
+	CtxPos   token.Position
+	CtxRoots []Site
 
 	// Concurrency facts for lockorder/golife/chandisc/deadline, produced by
 	// the path-sensitive walker in concurrency_effects.go. Locks are the
@@ -173,19 +172,19 @@ type FuncEffects struct {
 	// literal capacity. SpawnsReason / LocksAfter mirror the
 	// //declint:spawns and //declint:locks-after doc directives, with
 	// malformed ones recorded in ConcDirectiveErrs.
-	Locks             []LockOp    `json:"locks,omitempty"`
-	LockEdges         []LockEdge  `json:"lockEdges,omitempty"`
-	LockBugs          []Site      `json:"lockBugs,omitempty"`
-	ChanOps           []ChanOp    `json:"chanOps,omitempty"`
-	Spawns            []SpawnSite `json:"spawns,omitempty"`
-	SpawnsReason      string      `json:"spawnsReason,omitempty"`
-	LocksAfter        []string    `json:"locksAfter,omitempty"`
-	TimerLoops        []Site      `json:"timerLoops,omitempty"`
-	MagicBuffers      []Site      `json:"magicBuffers,omitempty"`
-	ConcDirectiveErrs []Site      `json:"concDirectiveErrs,omitempty"`
+	Locks             []LockOp
+	LockEdges         []LockEdge
+	LockBugs          []Site
+	ChanOps           []ChanOp
+	Spawns            []SpawnSite
+	SpawnsReason      string
+	LocksAfter        []string
+	TimerLoops        []Site
+	MagicBuffers      []Site
+	ConcDirectiveErrs []Site
 	// InfLoop marks a `for {}`-shaped loop in the body: a function spawned
 	// as a goroutine with such a loop and no termination signal leaks.
-	InfLoop bool `json:"infLoop,omitempty"`
+	InfLoop bool
 }
 
 // funcIDOf renders the stable identity of a function or method:
@@ -449,6 +448,32 @@ func declaredWithin(obj types.Object, node ast.Node) bool {
 	return obj != nil && obj.Pos() >= node.Pos() && obj.Pos() < node.End()
 }
 
+// nondetSource classifies n as a nondeterminism source — a time.Now or
+// math/rand reference, or a map range feeding order-dependent output — and
+// returns its kind, or "" when n is none of them.
+func nondetSource(info *types.Info, n ast.Node) string {
+	switch n := n.(type) {
+	case *ast.SelectorExpr:
+		if selectsPkgFunc(info, n, "time", "Now") {
+			return "time.Now"
+		}
+		if pn := pkgNameOf(info, n.X); pn != nil {
+			if p := pn.Imported().Path(); p == "math/rand" || p == "math/rand/v2" {
+				return "math/rand"
+			}
+		}
+	case *ast.RangeStmt:
+		if tv, ok := info.Types[n.X]; ok {
+			if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
+				if sink, what := orderDependentSink(n.Body, info); sink != nil {
+					return "map-ordered output (" + what + ")"
+				}
+			}
+		}
+	}
+	return ""
+}
+
 // effectsWalker accumulates one function's summary during a single AST
 // walk, tracking the enclosing-node stack so closure-captured writes can be
 // distinguished from ordinary local assignments.
@@ -498,23 +523,9 @@ func (w *effectsWalker) visit(n ast.Node) bool {
 				w.alloc("slice literal", n)
 			}
 		}
-	case *ast.SelectorExpr:
-		if selectsPkgFunc(info, n, "time", "Now") {
-			w.source("time.Now", n)
-		} else if pn := pkgNameOf(info, n.X); pn != nil {
-			if p := pn.Imported().Path(); p == "math/rand" || p == "math/rand/v2" {
-				w.source("math/rand", n)
-			}
-		}
-	case *ast.RangeStmt:
-		if n.X != nil {
-			if tv, ok := info.Types[n.X]; ok {
-				if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-					if sink, what := orderDependentSink(n.Body, info); sink != nil {
-						w.source("map-ordered output ("+what+")", n)
-					}
-				}
-			}
+	case *ast.SelectorExpr, *ast.RangeStmt:
+		if kind := nondetSource(info, n); kind != "" {
+			w.source(kind, n)
 		}
 	case *ast.Ident:
 		if w.ctxObjs[info.Uses[n]] {
@@ -848,12 +859,12 @@ func computeFuncEffects(pkg *Package, fd *ast.FuncDecl, idSuffix string) *FuncEf
 		vars:    collectFuncVars(pkg.Info, fd),
 	}
 	ast.Inspect(fd.Body, w.visit)
-	analyzeConcurrency(pkg, fd, fx, ctxObjs)
+	analyzeConcurrency(pkg, fd, fx)
 	return fx
 }
 
 // computePackageEffects summarizes every function declared in the package's
-// non-test files, sorted by ID for a canonical (cacheable) order.
+// non-test files, sorted by ID for a canonical order.
 func computePackageEffects(pkg *Package) []*FuncEffects {
 	var out []*FuncEffects
 	initSeq := 0

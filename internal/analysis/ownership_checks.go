@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"path/filepath"
 	"strings"
 )
@@ -217,7 +218,7 @@ func transfersClaimHolds(ix *Index, id string, fx *FuncEffects, decls map[string
 	return found
 }
 
-// ---- the per-scope abstract interpreter --------------------------------
+// ---- the per-scope abstract state --------------------------------------
 
 type tokenState int
 
@@ -264,62 +265,7 @@ func newPstate() *pstate {
 	return &pstate{st: map[types.Object]tokenState{}, assoc: map[types.Object][]types.Object{}}
 }
 
-func (s *pstate) clone() *pstate {
-	c := newPstate()
-	for k, v := range s.st {
-		c.st[k] = v
-	}
-	for k, v := range s.assoc {
-		c.assoc[k] = v
-	}
-	return c
-}
-
-func joinStates(a, b *pstate) *pstate {
-	out := newPstate()
-	for k, v := range a.st {
-		out.st[k] = joinState(v, b.st[k])
-	}
-	for k, v := range b.st {
-		if _, ok := a.st[k]; !ok {
-			out.st[k] = joinState(stNil, v)
-		}
-	}
-	for k, v := range a.assoc {
-		out.assoc[k] = v
-	}
-	for k, v := range b.assoc {
-		if _, ok := out.assoc[k]; !ok {
-			out.assoc[k] = v
-		}
-	}
-	return out
-}
-
-// branchJoin collects the states flowing into a break target (loop exits,
-// switch/select case ends).
-type branchJoin struct {
-	states []*pstate
-	loop   bool // continue binds here too
-	conts  []*pstate
-}
-
-func (b *branchJoin) joined(fallthroughState *pstate, terminated bool) (*pstate, bool) {
-	states := b.states
-	if !terminated {
-		states = append(states, fallthroughState)
-	}
-	if len(states) == 0 {
-		return nil, true
-	}
-	out := states[0]
-	for _, s := range states[1:] {
-		out = joinStates(out, s)
-	}
-	return out, false
-}
-
-// poolScope interprets one function or closure body path-sensitively.
+// poolScope is poollife's path domain over one function or closure body.
 type poolScope struct {
 	pkg    *Package
 	ix     *Index
@@ -327,7 +273,6 @@ type poolScope struct {
 	owns   bool     // scope is //declint:owns: escapes transfer custody
 	out    *[]Finding
 	tokens map[types.Object]*tokenInfo
-	breaks []*branchJoin
 }
 
 func (a *poolScope) report(pos token.Position, msg string) {
@@ -351,7 +296,7 @@ func (a *poolScope) borrowedAt(obj types.Object) string {
 
 func (a *poolScope) run(body *ast.BlockStmt) {
 	s := newPstate()
-	if !a.stmts(body.List, s) {
+	if !(&pathWalker[*pstate]{d: a, info: a.pkg.Info}).stmts(body.List, s) {
 		a.leakCheckAll(s, a.pkg.Fset.Position(body.Rbrace), "at end of function")
 	}
 }
@@ -372,21 +317,47 @@ func (a *poolScope) leakCheckAll(s *pstate, pos token.Position, where string) {
 	}
 }
 
-// ---- statement interpretation ------------------------------------------
+// ---- the path domain ----------------------------------------------------
 
-func (a *poolScope) stmts(list []ast.Stmt, s *pstate) bool {
-	for _, st := range list {
-		if a.stmt(st, s) {
-			return true
-		}
-	}
-	return false
+func (a *poolScope) clone(s *pstate) *pstate {
+	return &pstate{st: maps.Clone(s.st), assoc: maps.Clone(s.assoc)}
 }
 
-func (a *poolScope) stmt(stmt ast.Stmt, s *pstate) bool {
+// join folds joinState over every token (a token absent on a path is nil
+// there) and unions the error associations, earlier paths first.
+func (a *poolScope) join(dst *pstate, from []*pstate) {
+	out := newPstate()
+	for _, s := range from {
+		for k := range s.st {
+			out.st[k] = stNil
+		}
+		for k, v := range s.assoc {
+			if _, ok := out.assoc[k]; !ok {
+				out.assoc[k] = v
+			}
+		}
+	}
+	for k := range out.st {
+		v := from[0].st[k]
+		for _, s := range from[1:] {
+			v = joinState(v, s.st[k])
+		}
+		out.st[k] = v
+	}
+	*dst = *out
+}
+
+func (a *poolScope) branch(cond ast.Expr, s *pstate) (then, els *pstate) {
+	a.scanExpr(cond, s)
+	then, els = a.clone(s), a.clone(s)
+	a.refine(cond, then, els)
+	return then, els
+}
+
+func (a *poolScope) step(stmt ast.Stmt, s *pstate) {
 	switch st := stmt.(type) {
 	case *ast.ExprStmt:
-		return a.handleExprStmt(st, s)
+		a.handleExprStmt(st, s)
 	case *ast.AssignStmt:
 		a.handleAssign(st, s)
 	case *ast.DeclStmt:
@@ -395,27 +366,6 @@ func (a *poolScope) stmt(stmt ast.Stmt, s *pstate) bool {
 		a.handleDefer(st, s)
 	case *ast.ReturnStmt:
 		a.handleReturn(st, s)
-		return true
-	case *ast.IfStmt:
-		return a.handleIf(st, s)
-	case *ast.BlockStmt:
-		term := a.stmts(st.List, s)
-		a.dropScoped(s, st, term)
-		return term
-	case *ast.ForStmt:
-		a.handleFor(st, s)
-	case *ast.RangeStmt:
-		a.handleRange(st, s)
-	case *ast.SwitchStmt:
-		return a.handleSwitch(st, st.Init, st.Tag, caseClauses(st.Body), s)
-	case *ast.TypeSwitchStmt:
-		return a.handleSwitch(st, st.Init, nil, caseClauses(st.Body), s)
-	case *ast.SelectStmt:
-		return a.handleSelect(st, s)
-	case *ast.LabeledStmt:
-		return a.stmt(st.Stmt, s)
-	case *ast.BranchStmt:
-		return a.handleBranch(st, s)
 	case *ast.GoStmt:
 		a.handleGo(st, s)
 	case *ast.SendStmt:
@@ -423,136 +373,28 @@ func (a *poolScope) stmt(stmt ast.Stmt, s *pstate) bool {
 		a.scanExpr(st.Value, s)
 	case *ast.IncDecStmt:
 		a.scanExpr(st.X, s)
-	}
-	return false
-}
-
-func caseClauses(body *ast.BlockStmt) [][]ast.Stmt {
-	var out [][]ast.Stmt
-	for _, c := range body.List {
-		if cc, ok := c.(*ast.CaseClause); ok {
-			out = append(out, cc.Body)
-		}
-	}
-	return out
-}
-
-func hasDefaultClause(stmt ast.Stmt) bool {
-	var body *ast.BlockStmt
-	switch st := stmt.(type) {
-	case *ast.SwitchStmt:
-		body = st.Body
-	case *ast.TypeSwitchStmt:
-		body = st.Body
-	default:
-		return false
-	}
-	for _, c := range body.List {
-		if cc, ok := c.(*ast.CaseClause); ok && cc.List == nil {
-			return true
-		}
-	}
-	return false
-}
-
-func (a *poolScope) handleBranch(st *ast.BranchStmt, s *pstate) bool {
-	if len(a.breaks) == 0 {
-		return true // goto, or a branch outside any tracked construct
-	}
-	top := a.breaks[len(a.breaks)-1]
-	switch st.Tok {
-	case token.BREAK:
-		if st.Label == nil {
-			top.states = append(top.states, s.clone())
-		}
-	case token.CONTINUE:
-		if st.Label == nil {
-			for i := len(a.breaks) - 1; i >= 0; i-- {
-				if a.breaks[i].loop {
-					a.breaks[i].conts = append(a.breaks[i].conts, s.clone())
-					break
-				}
-			}
-		}
-	}
-	return true
-}
-
-func (a *poolScope) handleIf(st *ast.IfStmt, s *pstate) bool {
-	if st.Init != nil && a.stmt(st.Init, s) {
-		return true
-	}
-	a.scanExpr(st.Cond, s)
-	sThen := s.clone()
-	sElse := s.clone()
-	a.refine(st.Cond, sThen, sElse)
-	termThen := a.stmts(st.Body.List, sThen)
-	a.dropScoped(sThen, st.Body, termThen)
-	termElse := false
-	if st.Else != nil {
-		termElse = a.stmt(st.Else, sElse)
-	}
-	switch {
-	case termThen && termElse:
-		return true
-	case termThen:
-		*s = *sElse
-	case termElse:
-		*s = *sThen
-	default:
-		*s = *joinStates(sThen, sElse)
-	}
-	a.dropScoped(s, st, false)
-	return false
-}
-
-func (a *poolScope) handleFor(st *ast.ForStmt, s *pstate) {
-	if st.Init != nil {
-		a.stmt(st.Init, s)
-	}
-	if st.Cond != nil {
+	case *ast.ForStmt:
 		a.scanExpr(st.Cond, s)
+	case *ast.RangeStmt:
+		a.scanExpr(st.X, s)
+	case *ast.SwitchStmt:
+		a.scanExpr(st.Tag, s)
+	case *ast.CaseClause:
+		for _, e := range st.List {
+			a.scanExpr(e, s)
+		}
 	}
-	pre := s.clone()
-	body := s.clone()
-	bj := &branchJoin{loop: true}
-	a.breaks = append(a.breaks, bj)
-	term := a.stmts(st.Body.List, body)
-	a.breaks = a.breaks[:len(a.breaks)-1]
-	for _, cs := range bj.conts {
-		body = joinStates(body, cs)
-	}
-	if st.Post != nil && !term {
-		a.stmt(st.Post, body)
-	}
-	a.dropScoped(body, st.Body, term)
-	a.loopReleaseCheck(st, pre, body)
-	merged, _ := bj.joined(joinStates(pre, body), false)
-	*s = *merged
-	a.dropScoped(s, st, false)
 }
 
-func (a *poolScope) handleRange(st *ast.RangeStmt, s *pstate) {
-	a.scanExpr(st.X, s)
-	pre := s.clone()
-	body := s.clone()
-	bj := &branchJoin{loop: true}
-	a.breaks = append(a.breaks, bj)
-	term := a.stmts(st.Body.List, body)
-	a.breaks = a.breaks[:len(a.breaks)-1]
-	for _, cs := range bj.conts {
-		body = joinStates(body, cs)
+func (a *poolScope) comm(_ *ast.SelectStmt, cc *ast.CommClause, s *pstate) {
+	if cc.Comm != nil {
+		a.step(cc.Comm, s)
 	}
-	a.dropScoped(body, st.Body, term)
-	a.loopReleaseCheck(st, pre, body)
-	merged, _ := bj.joined(joinStates(pre, body), false)
-	*s = *merged
-	a.dropScoped(s, st, false)
 }
 
-// loopReleaseCheck flags a token that was live before the loop and released
-// inside its body: a second iteration would double-free it.
-func (a *poolScope) loopReleaseCheck(loop ast.Node, pre, body *pstate) {
+// backEdge flags a token that was live before the loop and released inside
+// its body: a second iteration would double-free it.
+func (a *poolScope) backEdge(loop ast.Stmt, pre, body *pstate) {
 	for obj, stPre := range pre.st {
 		if !needsRelease(stPre) {
 			continue
@@ -565,64 +407,9 @@ func (a *poolScope) loopReleaseCheck(loop ast.Node, pre, body *pstate) {
 	}
 }
 
-func (a *poolScope) handleSwitch(st ast.Stmt, init ast.Stmt, tag ast.Expr, cases [][]ast.Stmt, s *pstate) bool {
-	if init != nil && a.stmt(init, s) {
-		return true
-	}
-	if tag != nil {
-		a.scanExpr(tag, s)
-	}
-	base := s.clone()
-	bj := &branchJoin{}
-	a.breaks = append(a.breaks, bj)
-	for _, body := range cases {
-		cs := base.clone()
-		if !a.stmts(body, cs) {
-			bj.states = append(bj.states, cs)
-		}
-	}
-	a.breaks = a.breaks[:len(a.breaks)-1]
-	if !hasDefaultClause(st) || len(cases) == 0 {
-		bj.states = append(bj.states, base)
-	}
-	merged, allTerm := bj.joined(nil, true)
-	if allTerm {
-		return true
-	}
-	*s = *merged
-	a.dropScoped(s, st, false)
-	return false
-}
-
-func (a *poolScope) handleSelect(st *ast.SelectStmt, s *pstate) bool {
-	bj := &branchJoin{}
-	a.breaks = append(a.breaks, bj)
-	for _, c := range st.Body.List {
-		cc, ok := c.(*ast.CommClause)
-		if !ok {
-			continue
-		}
-		cs := s.clone()
-		if cc.Comm != nil {
-			a.stmt(cc.Comm, cs)
-		}
-		if !a.stmts(cc.Body, cs) {
-			bj.states = append(bj.states, cs)
-		}
-	}
-	a.breaks = a.breaks[:len(a.breaks)-1]
-	merged, allTerm := bj.joined(nil, true)
-	if allTerm {
-		return true
-	}
-	*s = *merged
-	a.dropScoped(s, st, false)
-	return false
-}
-
-// dropScoped leak-checks and forgets tokens whose variable is scoped to
-// node once control leaves it.
-func (a *poolScope) dropScoped(s *pstate, node ast.Node, terminated bool) {
+// scopeExit leak-checks and forgets tokens whose variable is scoped to node
+// once control leaves it.
+func (a *poolScope) scopeExit(node ast.Node, s *pstate, terminated bool) {
 	for obj, st := range s.st {
 		if !declaredWithin(obj, node) {
 			continue
@@ -1034,23 +821,14 @@ func (a *poolScope) bindAcquire(s *pstate, call *ast.CallExpr, ai *acquireInfo, 
 
 // ---- statement handlers -------------------------------------------------
 
-func (a *poolScope) handleExprStmt(st *ast.ExprStmt, s *pstate) bool {
+func (a *poolScope) handleExprStmt(st *ast.ExprStmt, s *pstate) {
 	if call, ok := ast.Unparen(st.X).(*ast.CallExpr); ok {
-		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-			if b, ok := a.pkg.Info.Uses[id].(*types.Builtin); ok && b.Name() == "panic" {
-				for _, arg := range call.Args {
-					a.scanExpr(arg, s)
-				}
-				return true
-			}
-		}
 		if ai := a.acquireOf(call); ai != nil {
 			a.report(a.posOf(call), "owned result of "+ai.label+
 				" is discarded; the pooled value can never be released")
 		}
 	}
 	a.scanExpr(st.X, s)
-	return false
 }
 
 func (a *poolScope) handleAssign(st *ast.AssignStmt, s *pstate) {

@@ -64,3 +64,18 @@ func Feed() chan int {
 func FeedSized() chan int {
 	return make(chan int, depth)
 }
+
+// FlushAfterSwitch closes and then sends after a switch whose every arm
+// ends in break: break leaves the switch, it does not end the path.
+func FlushAfterSwitch(n, k int) chan int {
+	ch := make(chan int, 1)
+	switch k {
+	case 0:
+		break
+	default:
+		break
+	}
+	close(ch)
+	ch <- n
+	return ch
+}

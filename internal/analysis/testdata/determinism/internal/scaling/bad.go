@@ -1,5 +1,5 @@
-// Package scaling is a fixture: every nondeterminism source the
-// determinism check covers, in one kernel package.
+// Package scaling is a fixture: every direct nondeterminism source detprop
+// reports in a kernel package, package-level var initializers included.
 package scaling
 
 import (
@@ -30,3 +30,15 @@ func SumValues(m map[string]float64) float64 {
 	}
 	return s
 }
+
+// t0 reads the wall clock at package initialization.
+var t0 = time.Now()
+
+// names feeds map iteration order into a package-level slice.
+var names = func() []string {
+	var out []string
+	for k := range map[string]int{"a": 1, "b": 2} {
+		out = append(out, k)
+	}
+	return out
+}()

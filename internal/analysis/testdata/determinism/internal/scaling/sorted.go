@@ -7,7 +7,7 @@ import "sort"
 // ignore directive.
 func SortedKeys(m map[string]float64) []string {
 	out := make([]string, 0, len(m))
-	//declint:ignore determinism keys are sorted immediately below
+	//declint:ignore detprop keys are sorted immediately below
 	for k := range m {
 		out = append(out, k)
 	}

@@ -1,5 +1,5 @@
 // Package parallel is a fixture: goroutine-lifecycle hazards. It sits at
-// the substrate path so noraw-go stays out of the way and the golife
+// the substrate path, where golife applies like everywhere else: its
 // findings stand alone — a leak-on-every-path loop, a stop channel that is
 // closed but never joined, a spawn with no directive, an unbacked spawns
 // claim, and the clean stop+done join shape.

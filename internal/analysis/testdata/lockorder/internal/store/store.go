@@ -62,3 +62,18 @@ func (s *Store) Nap() {
 func Drop() {
 	muA.Unlock()
 }
+
+// Twice relocks mu after a select whose every clause ends in break: break
+// leaves the select, it does not end the path.
+func (s *Store) Twice(ch chan int) {
+	select {
+	case <-ch:
+		break
+	default:
+		break
+	}
+	s.mu.Lock()
+	s.mu.Lock()
+	s.mu.Unlock()
+	s.mu.Unlock()
+}

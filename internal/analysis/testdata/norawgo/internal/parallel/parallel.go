@@ -1,5 +1,5 @@
-// Package parallel is a fixture: the one package allowed to own raw
-// goroutines and WaitGroups, so noraw-go must stay silent here.
+// Package parallel is a fixture: the fork-join substrate itself, which
+// golife still holds to a spawns directive.
 package parallel
 
 import "sync"

@@ -1,14 +1,14 @@
-// Package report is a fixture: an annotated, intentional goroutine that a
-// well-formed suppression must silence.
+// Package report is a fixture: long-lived goroutines outside the substrate,
+// which golife holds to a spawns directive and a termination signal.
 package report
 
 // Serve starts a long-lived background listener.
 func Serve(handle func()) {
-	//declint:ignore noraw-go long-lived server goroutine, not numeric fan-out
+	// A long-lived server goroutine, not numeric fan-out.
 	go handle()
 }
 
-// ServeTrailing exercises the same-line suppression form.
+// ServeTrailing starts the same listener in one line.
 func ServeTrailing(handle func()) {
-	go handle() //declint:ignore noraw-go long-lived server goroutine, not numeric fan-out
+	go handle()
 }

@@ -1,5 +1,5 @@
 // Package scaling is a fixture: a hand-rolled worker pool in a kernel
-// package, which noraw-go must flag (both the WaitGroup and the go stmt).
+// package, which golife flags for its missing spawns directive.
 package scaling
 
 import "sync"

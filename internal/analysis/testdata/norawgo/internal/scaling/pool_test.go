@@ -3,7 +3,7 @@ package scaling
 import "testing"
 
 // Test files may use raw goroutines (cancellation tests, deadlock probes);
-// noraw-go must not flag them.
+// golife must not flag them.
 func TestSum(t *testing.T) {
 	done := make(chan struct{})
 	go func() { close(done) }()

@@ -1,6 +1,6 @@
-// Fixture: goroutine capture. This package plays the substrate role so the
-// raw go statement is exempt from noraw-go — poollife still flags the
-// borrow whose lifetime crosses into the goroutine.
+// Fixture: goroutine capture. This package plays the substrate role; golife
+// flags the undirected go statement, and poollife flags the borrow whose
+// lifetime crosses into the goroutine.
 package parallel
 
 import "sync"

@@ -167,7 +167,6 @@ func ServeDebug(addr string) (*DebugServer, error) {
 
 	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	d := &DebugServer{addr: ln.Addr().String(), srv: srv, ln: ln}
-	//declint:ignore noraw-go debug server must outlive the caller; lifetime is bounded by DebugServer.Close, and parallel.For's fork-join shape cannot host a long-lived listener
 	go srv.Serve(ln)
 	return d, nil
 }

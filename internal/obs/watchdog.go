@@ -81,7 +81,6 @@ func StartWatchdog(cfg WatchdogConfig) *Watchdog {
 		ticks:      C("obs.watchdog.ticks"),
 		crossings:  C("obs.watchdog.crossings"),
 	}
-	//declint:ignore noraw-go the watchdog must sample for the whole session from outside any request; its lifetime is bounded by Stop, which parallel's fork-join tasks cannot express
 	go w.loop()
 	return w
 }
