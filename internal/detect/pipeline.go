@@ -258,7 +258,7 @@ func (in *Intermediates) release() {
 }
 
 // pixPool recycles the pixel planes of pooled stage outputs. Buffers are
-// not zeroed on reuse: every stage fully overwrites its output (grayInto
+// not zeroed on reuse: every stage fully overwrites its output (GrayInto
 // writes every sample; ResizeInto's passes assign every sample).
 var pixPool = sync.Pool{New: func() any { return new([]float64) }}
 
@@ -278,24 +278,9 @@ func pooledImage(w, h, c int) (img *imgcore.Image, put func()) {
 	return &imgcore.Image{W: w, H: h, C: c, Pix: *bp}, poolTraceWrap(func() { pixPool.Put(bp) })
 }
 
-// grayInto writes the BT.601 luminance of a 3-channel pixel plane into
-// dst (len(dst)·3 == len(pix)), with the exact weights and expression of
-// imgcore's Gray so the pipeline's gray plane is bit-identical to the
-// legacy path's.
-//
-//declint:hot
-func grayInto(dst, pix []float64) {
-	for i := range dst {
-		r := pix[i*3]
-		g := pix[i*3+1]
-		b := pix[i*3+2]
-		dst[i] = 0.299*r + 0.587*g + 0.114*b
-	}
-}
-
 // grayLUT holds the 256 possible products of each BT.601 weight with an
 // 8-bit intensity: grayLUT[c][v] = weight_c · float64(v), the exact
-// multiplication grayInto performs on integral samples.
+// multiplication imgcore.GrayInto performs on integral samples.
 var grayLUT = func() (lut [3][256]float64) {
 	for v := 0; v < 256; v++ {
 		lut[0][v] = 0.299 * float64(v)
@@ -305,11 +290,11 @@ var grayLUT = func() (lut [3][256]float64) {
 	return
 }()
 
-// grayIntoU8 is grayInto over the 8-bit view: three table lookups replace
-// three multiplies per pixel. Each lookup IS the float64 product grayInto
-// would compute (the LUT stores weight·float64(v) for every v), and the
-// additions keep grayInto's left-to-right order, so the output is
-// bit-identical to grayInto on the widened samples.
+// grayIntoU8 is imgcore.GrayInto over the 8-bit view: three table lookups
+// replace three multiplies per pixel. Each lookup IS the float64 product
+// GrayInto would compute (the LUT stores weight·float64(v) for every v), and
+// the additions keep GrayInto's left-to-right order, so the output is
+// bit-identical to GrayInto on the widened samples.
 //
 //declint:hot
 func grayIntoU8(dst []float64, pix []uint8) {
@@ -359,7 +344,7 @@ func (in *Intermediates) gray(ctx context.Context) (*imgcore.Image, error) {
 		if u != nil {
 			grayIntoU8(g.Pix, u.Pix)
 		} else {
-			grayInto(g.Pix, in.img.Pix)
+			imgcore.GrayInto(g.Pix, in.img.Pix)
 		}
 		st.End()
 		return g, nil

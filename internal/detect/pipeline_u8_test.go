@@ -9,6 +9,7 @@ import (
 	"math"
 	"testing"
 
+	"decamouflage/internal/imgcore"
 	"decamouflage/internal/testutil"
 )
 
@@ -33,7 +34,7 @@ func TestPipelineNonIntegralInputFallsBack(t *testing.T) {
 	requireEqualVerdicts(t, pipe, legacy)
 }
 
-// TestGrayLUTBitEqual pins the LUT luminance against grayInto across the
+// TestGrayLUTBitEqual pins the LUT luminance against imgcore.GrayInto across the
 // full 8-bit range (all 256 values appear in every channel position).
 func TestGrayLUTBitEqual(t *testing.T) {
 	const n = 256 * 3
@@ -45,7 +46,7 @@ func TestGrayLUTBitEqual(t *testing.T) {
 	}
 	want := make([]float64, n)
 	got := make([]float64, n)
-	grayInto(want, pix)
+	imgcore.GrayInto(want, pix)
 	grayIntoU8(got, pix8)
 	if i := testutil.FirstDiff(got, want); i != -1 {
 		t.Fatalf("sample %d: LUT %v vs direct %v (ULP %d)",

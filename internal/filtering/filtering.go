@@ -2,14 +2,16 @@
 // filtering-detection method and by the prevention baselines: rank filters
 // (minimum, maximum, median — the paper's Figure 4), box and Gaussian
 // smoothing. All filters use replicate border handling, matching OpenCV's
-// default BORDER_REPLICATE semantics for small kernels.
+// default BORDER_REPLICATE semantics for small kernels. The separable
+// Gaussian in blur.go (GaussianKernel, BlurPlane) is the repository's only
+// one: SSIM's window in internal/metrics and the CSP spectrum low-pass in
+// internal/steg run on it too.
 package filtering
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"decamouflage/internal/imgcore"
@@ -155,75 +157,29 @@ func box(ctx context.Context, img *imgcore.Image, size int, popts ...parallel.Op
 }
 
 // Gaussian applies Gaussian smoothing with the given radius and sigma to
-// each channel independently (separable implementation).
+// each channel independently: every channel plane goes through BlurPlane
+// with the GaussianKernel window.
 func Gaussian(img *imgcore.Image, radius int, sigma float64) (*imgcore.Image, error) {
-	return gaussian(context.Background(), img, radius, sigma)
-}
-
-// gaussian is Gaussian with parallel options threaded through for the
-// serial-vs-parallel equivalence tests.
-func gaussian(ctx context.Context, img *imgcore.Image, radius int, sigma float64, popts ...parallel.Option) (*imgcore.Image, error) {
 	if err := img.Validate(); err != nil {
 		return nil, err
 	}
 	if radius < 1 || sigma <= 0 {
 		return nil, fmt.Errorf("filtering: invalid gaussian radius %d sigma %v", radius, sigma)
 	}
-	kern := make([]float64, 2*radius+1)
-	var sum float64
-	for i := -radius; i <= radius; i++ {
-		v := gaussAt(float64(i), sigma)
-		kern[i+radius] = v
-		sum += v
-	}
-	for i := range kern {
-		kern[i] /= sum
-	}
-	out := img.Clone()
-	tmp := img.Clone()
-	rowCost := img.W * img.C * (2*radius + 1)
-	opts := append([]parallel.Option{
-		parallel.Grain(parallel.GrainForWidth(rowCost, minFilterWork)),
-	}, popts...)
-	// Horizontal: chunks own disjoint row bands of tmp.
-	err := parallel.For(ctx, img.H, func(yLo, yHi int) error {
-		for y := yLo; y < yHi; y++ {
-			for x := 0; x < img.W; x++ {
-				for c := 0; c < img.C; c++ {
-					var s float64
-					for k := -radius; k <= radius; k++ {
-						s += kern[k+radius] * img.AtClamped(x+k, y, c)
-					}
-					tmp.Set(x, y, c, s)
-				}
-			}
+	kern := GaussianKernel(radius, sigma)
+	out := &imgcore.Image{W: img.W, H: img.H, C: img.C, Pix: make([]float64, len(img.Pix))}
+	n := img.W * img.H
+	src, dst := make([]float64, n), make([]float64, n)
+	for c := 0; c < img.C; c++ {
+		for i := range src {
+			src[i] = img.Pix[i*img.C+c]
 		}
-		return nil
-	}, opts...)
-	if err != nil {
-		return nil, err
-	}
-	// Vertical: chunks own disjoint row bands of out, reading all of tmp.
-	err = parallel.For(ctx, img.H, func(yLo, yHi int) error {
-		for y := yLo; y < yHi; y++ {
-			for x := 0; x < img.W; x++ {
-				for c := 0; c < img.C; c++ {
-					var s float64
-					for k := -radius; k <= radius; k++ {
-						s += kern[k+radius] * tmp.AtClamped(x, y+k, c)
-					}
-					out.Set(x, y, c, s)
-				}
-			}
+		if err := BlurPlane(context.Background(), dst, src, img.W, img.H, kern); err != nil {
+			return nil, err
 		}
-		return nil
-	}, opts...)
-	if err != nil {
-		return nil, err
+		for i, v := range dst {
+			out.Pix[i*img.C+c] = v
+		}
 	}
 	return out, nil
-}
-
-func gaussAt(x, sigma float64) float64 {
-	return math.Exp(-x * x / (2 * sigma * sigma))
 }

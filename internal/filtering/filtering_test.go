@@ -251,6 +251,73 @@ func TestGaussianSmoothing(t *testing.T) {
 	}
 }
 
+// gaussianReference is the body Gaussian ran before it moved onto
+// BlurPlane: its own window builder, then an AtClamped row pass over every
+// channel into a full temporary image and an AtClamped column pass. It is
+// the bit-equality reference for Gaussian and BlurPlane.
+func gaussianReference(img *imgcore.Image, radius int, sigma float64) *imgcore.Image {
+	kern := make([]float64, 2*radius+1)
+	var sum float64
+	for i := -radius; i <= radius; i++ {
+		x := float64(i)
+		v := math.Exp(-x * x / (2 * sigma * sigma))
+		kern[i+radius] = v
+		sum += v
+	}
+	for i := range kern {
+		kern[i] /= sum
+	}
+	out := img.Clone()
+	tmp := img.Clone()
+	for y := 0; y < img.H; y++ {
+		for x := 0; x < img.W; x++ {
+			for c := 0; c < img.C; c++ {
+				var s float64
+				for k := -radius; k <= radius; k++ {
+					s += kern[k+radius] * img.AtClamped(x+k, y, c)
+				}
+				tmp.Set(x, y, c, s)
+			}
+		}
+	}
+	for y := 0; y < img.H; y++ {
+		for x := 0; x < img.W; x++ {
+			for c := 0; c < img.C; c++ {
+				var s float64
+				for k := -radius; k <= radius; k++ {
+					s += kern[k+radius] * tmp.AtClamped(x, y+k, c)
+				}
+				out.Set(x, y, c, s)
+			}
+		}
+	}
+	return out
+}
+
+// TestGaussianBitEqualReference pins Gaussian bit-equal to the reference
+// body over both channel counts, radius 1/2/5, several sigmas and odd
+// geometries, including images smaller than the window.
+func TestGaussianBitEqualReference(t *testing.T) {
+	for i, wh := range [][2]int{{1, 1}, {3, 7}, {9, 4}, {17, 23}, {41, 19}} {
+		for _, c := range []int{1, 3} {
+			img := randImage(int64(30+i), wh[0], wh[1], c)
+			for _, radius := range []int{1, 2, 5} {
+				for _, sigma := range []float64{0.6, 1.1, 2.3} {
+					got, err := Gaussian(img, radius, sigma)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := gaussianReference(img, radius, sigma)
+					if j := testutil.FirstDiff(got.Pix, want.Pix); j >= 0 {
+						t.Fatalf("%dx%dx%d r=%d σ=%v: sample %d = %v, reference %v",
+							wh[0], wh[1], c, radius, sigma, j, got.Pix[j], want.Pix[j])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestGaussianValidation(t *testing.T) {
 	img := randImage(1, 4, 4, 1)
 	if _, err := Gaussian(img, 0, 1); err == nil {

@@ -158,13 +158,23 @@ func (m *Image) Gray() *Image {
 		return m.Clone()
 	}
 	out := &Image{W: m.W, H: m.H, C: 1, Pix: make([]float64, m.W*m.H)}
-	for i := 0; i < m.W*m.H; i++ {
-		r := m.Pix[i*3]
-		g := m.Pix[i*3+1]
-		b := m.Pix[i*3+2]
-		out.Pix[i] = 0.299*r + 0.587*g + 0.114*b
-	}
+	GrayInto(out.Pix, m.Pix)
 	return out
+}
+
+// GrayInto writes the BT.601 luminance of an interleaved 3-channel pixel
+// plane into dst (len(pix) == 3·len(dst)). It is the repository's one
+// luminance expression: Gray, SSIM's luminance plane and the detection
+// pipeline's gray stage all call it, so their gray planes are bit-identical.
+//
+//declint:hot
+func GrayInto(dst, pix []float64) {
+	for i := range dst {
+		r := pix[i*3]
+		g := pix[i*3+1]
+		b := pix[i*3+2]
+		dst[i] = 0.299*r + 0.587*g + 0.114*b
+	}
 }
 
 // Channel extracts channel c as a new single-channel image.

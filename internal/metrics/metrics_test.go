@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"decamouflage/internal/filtering"
 	"decamouflage/internal/imgcore"
 	"decamouflage/internal/testutil"
 )
@@ -223,7 +224,7 @@ func TestSSIMColorUsesLuminance(t *testing.T) {
 }
 
 func TestGaussianKernelNormalized(t *testing.T) {
-	k := gaussianKernel(5, 1.5)
+	k := filtering.GaussianKernel(5, 1.5)
 	if len(k) != 11 {
 		t.Fatalf("kernel length = %d", len(k))
 	}
@@ -250,8 +251,8 @@ func TestBlurPreservesConstant(t *testing.T) {
 	for i := range src {
 		src[i] = 42
 	}
-	out, err := blurSeparable(context.Background(), src, 12, 9, gaussianKernel(3, 1.0))
-	if err != nil {
+	out := make([]float64, len(src))
+	if err := filtering.BlurPlane(context.Background(), out, src, 12, 9, filtering.GaussianKernel(3, 1.0)); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range out {

@@ -1,12 +1,83 @@
 package metrics
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"decamouflage/internal/filtering"
 	"decamouflage/internal/imgcore"
+	"decamouflage/internal/parallel"
 	"decamouflage/internal/testutil"
 )
+
+// ssimWithReference is the standalone SSIM body that SSIMWith ran before it
+// became NewSSIMRef → Score: both images' moments computed in one function,
+// with parallel options threaded through every Gaussian sweep and product
+// map. It is the bit-equality reference for SSIMRef and the public entry
+// points.
+func ssimWithReference(ctx context.Context, a, b *imgcore.Image, opts SSIMOptions, popts ...parallel.Option) (float64, error) {
+	if err := checkPair(a, b); err != nil {
+		return 0, err
+	}
+	if err := opts.validate(); err != nil {
+		return 0, err
+	}
+	w, h := a.W, a.H
+	gaPix, gaP := grayPix(a)
+	if gaP != nil {
+		defer putScratch(gaP)
+	}
+	gbPix, gbP := grayPix(b)
+	if gbP != nil {
+		defer putScratch(gbP)
+	}
+	kern := filtering.GaussianKernel(opts.WindowRadius, opts.Sigma)
+	n := w * h
+	muA, muB := make([]float64, n), make([]float64, n)
+	if err := filtering.BlurPlane(ctx, muA, gaPix, w, h, kern, popts...); err != nil {
+		return 0, err
+	}
+	if err := filtering.BlurPlane(ctx, muB, gbPix, w, h, kern, popts...); err != nil {
+		return 0, err
+	}
+	aa, bb, ab := make([]float64, n), make([]float64, n), make([]float64, n)
+	prodOpts := append([]parallel.Option{parallel.Grain(minMapWork)}, popts...)
+	if err := parallel.For(ctx, n, func(lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			aa[i] = gaPix[i] * gaPix[i]
+			bb[i] = gbPix[i] * gbPix[i]
+			ab[i] = gaPix[i] * gbPix[i]
+		}
+		return nil
+	}, prodOpts...); err != nil {
+		return 0, err
+	}
+	sAA, sBB, sAB := make([]float64, n), make([]float64, n), make([]float64, n)
+	if err := filtering.BlurPlane(ctx, sAA, aa, w, h, kern, popts...); err != nil {
+		return 0, err
+	}
+	if err := filtering.BlurPlane(ctx, sBB, bb, w, h, kern, popts...); err != nil {
+		return 0, err
+	}
+	if err := filtering.BlurPlane(ctx, sAB, ab, w, h, kern, popts...); err != nil {
+		return 0, err
+	}
+
+	c1 := (opts.K1 * opts.L) * (opts.K1 * opts.L)
+	c2 := (opts.K2 * opts.L) * (opts.K2 * opts.L)
+	var sum float64
+	for i := 0; i < n; i++ {
+		ma, mb := muA[i], muB[i]
+		varA := sAA[i] - ma*ma
+		varB := sBB[i] - mb*mb
+		cov := sAB[i] - ma*mb
+		num := (2*ma*mb + c1) * (2*cov + c2)
+		den := (ma*ma + mb*mb + c1) * (varA + varB + c2)
+		sum += num / den
+	}
+	return sum / float64(n), nil
+}
 
 // ssimDirect is the naive SSIM reference: per-pixel local moments computed
 // with an explicit 2-D Gaussian window (outer product of the 1-D kernel)
@@ -23,7 +94,7 @@ func ssimDirect(a, b *imgcore.Image, opts SSIMOptions) (float64, error) {
 	}
 	ga, gb := a.Gray(), b.Gray()
 	w, h := ga.W, ga.H
-	kern := gaussianKernel(opts.WindowRadius, opts.Sigma)
+	kern := filtering.GaussianKernel(opts.WindowRadius, opts.Sigma)
 	r := opts.WindowRadius
 	clampX := func(x int) int {
 		if x < 0 {
@@ -158,35 +229,5 @@ func TestSSIMSingleChannelBorrowsInput(t *testing.T) {
 	}
 	if i := testutil.FirstDiff(a.Pix, aOrig); i >= 0 {
 		t.Fatalf("borrowed input mutated at sample %d", i)
-	}
-}
-
-// TestKernelForCaching: the memoized window must be bit-identical to a
-// fresh build, shared across calls, keyed by both radius and sigma, and
-// bounded.
-func TestKernelForCaching(t *testing.T) {
-	k1 := kernelFor(5, 1.5)
-	fresh := gaussianKernel(5, 1.5)
-	if i := testutil.FirstDiff(k1, fresh); i >= 0 {
-		t.Fatalf("cached kernel differs from fresh build at tap %d", i)
-	}
-	k2 := kernelFor(5, 1.5)
-	if &k1[0] != &k2[0] {
-		t.Fatal("repeat kernelFor returned a distinct slice (cache miss)")
-	}
-	k3 := kernelFor(5, 1.25)
-	if &k3[0] == &k1[0] {
-		t.Fatal("sigma must be part of the cache key")
-	}
-	k4 := kernelFor(4, 1.5)
-	if len(k4) == len(k1) && &k4[0] == &k1[0] {
-		t.Fatal("radius must be part of the cache key")
-	}
-	// Flood with distinct sigmas; the cache must stay bounded.
-	for i := 0; i < 3*kernelCacheCap; i++ {
-		kernelFor(2, 0.5+float64(i)*0.01)
-	}
-	if got := kernelCache.Len(); got > kernelCacheCap {
-		t.Fatalf("kernel cache grew to %d entries, cap is %d", got, kernelCacheCap)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"decamouflage/internal/filtering"
 	"decamouflage/internal/imgcore"
 	"decamouflage/internal/parallel"
 )
@@ -14,11 +15,11 @@ import (
 // computation. The detection pipeline builds one SSIMRef per input image
 // and scores every method's reconstruction against it.
 //
-// Scores are bit-identical to SSIMWith(a, b, opts): the reference-side
-// buffers hold exactly the values ssimWith would compute (the per-element
-// products and Gaussian sweeps do not depend on the comparand), and
-// ScoreCtx runs the identical comparand-side passes and the identical
-// serial reduction.
+// SSIMWith(a, b, opts) is NewSSIMRef(a) → Score(b) → Release, so a shared
+// reference and a one-off comparison give bit-identical scores. Every
+// Gaussian sweep is filtering.BlurPlane, whose output does not depend on
+// the worker count, and the final mean is a serial reduction, so scores
+// are also bit-identical for every worker count.
 //
 // A reference is safe for concurrent ScoreCtx calls (they only read the
 // shared buffers). Release returns the buffers to the scratch pool; the
@@ -45,7 +46,7 @@ func NewSSIMRef(ctx context.Context, a *imgcore.Image, opts SSIMOptions, popts .
 	}
 	w, h := a.W, a.H
 	n := w * h
-	r := &SSIMRef{opts: opts, w: w, h: h, kern: kernelFor(opts.WindowRadius, opts.Sigma)}
+	r := &SSIMRef{opts: opts, w: w, h: h, kern: filtering.GaussianKernel(opts.WindowRadius, opts.Sigma)}
 	release := func() {
 		for _, p := range r.pins {
 			putScratch(p)
@@ -62,18 +63,17 @@ func NewSSIMRef(ctx context.Context, a *imgcore.Image, opts SSIMOptions, popts .
 	r.pins = append(r.pins, gap)
 	r.ga = *gap
 
-	rowOpts, colOpts := blurOpts(w, h, len(r.kern), popts)
 	muAp := getScratch(n)
 	r.pins = append(r.pins, muAp)
 	r.muA = *muAp
-	if err := blurWith(ctx, r.muA, r.ga, w, h, r.kern, rowOpts, colOpts); err != nil {
+	if err := filtering.BlurPlane(ctx, r.muA, r.ga, w, h, r.kern, popts...); err != nil {
 		release()
 		return nil, err
 	}
 	aap := getScratch(n)
 	aa := *aap
 	ga := r.ga
-	prodOpts := append([]parallel.Option{parallel.Grain(minBlurWork)}, popts...)
+	prodOpts := append([]parallel.Option{parallel.Grain(minMapWork)}, popts...)
 	if err := parallel.For(ctx, n, func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			aa[i] = ga[i] * ga[i]
@@ -87,7 +87,7 @@ func NewSSIMRef(ctx context.Context, a *imgcore.Image, opts SSIMOptions, popts .
 	sAAp := getScratch(n)
 	r.pins = append(r.pins, sAAp)
 	r.sAA = *sAAp
-	err := blurWith(ctx, r.sAA, aa, w, h, r.kern, rowOpts, colOpts)
+	err := filtering.BlurPlane(ctx, r.sAA, aa, w, h, r.kern, popts...)
 	putScratch(aap)
 	if err != nil {
 		release()
@@ -106,11 +106,10 @@ func (r *SSIMRef) Score(b *imgcore.Image) (float64, error) {
 	return r.ScoreCtx(context.Background(), b)
 }
 
-// ScoreCtx returns the mean SSIM index between the reference image and b,
-// bit-identical to SSIMWith(a, b, opts). Unlike SSIMWith, only the W×H
-// geometry must match: both sides are scored on their luminance planes, so
-// a reference built from a single-channel image can score multi-channel
-// comparands of the same geometry (the pipeline scores RGB round-trips
+// ScoreCtx returns the mean SSIM index between the reference image and b.
+// Unlike SSIMWith, only the W×H geometry must match: both sides are scored
+// on their luminance planes, so a reference built from a single-channel
+// image can score multi-channel comparands of the same geometry (the pipeline scores RGB round-trips
 // against the shared grayscale plane this way).
 func (r *SSIMRef) ScoreCtx(ctx context.Context, b *imgcore.Image, popts ...parallel.Option) (float64, error) {
 	if err := b.Validate(); err != nil {
@@ -124,11 +123,10 @@ func (r *SSIMRef) ScoreCtx(ctx context.Context, b *imgcore.Image, popts ...paral
 	if gbP != nil {
 		defer putScratch(gbP)
 	}
-	rowOpts, colOpts := blurOpts(w, h, len(r.kern), popts)
 	muBp := getScratch(n)
 	defer putScratch(muBp)
 	muB := *muBp
-	if err := blurWith(ctx, muB, gbPix, w, h, r.kern, rowOpts, colOpts); err != nil {
+	if err := filtering.BlurPlane(ctx, muB, gbPix, w, h, r.kern, popts...); err != nil {
 		return 0, err
 	}
 	bbp, abp := getScratch(n), getScratch(n)
@@ -136,7 +134,7 @@ func (r *SSIMRef) ScoreCtx(ctx context.Context, b *imgcore.Image, popts ...paral
 	defer putScratch(abp)
 	bb, ab := *bbp, *abp
 	ga := r.ga
-	prodOpts := append([]parallel.Option{parallel.Grain(minBlurWork)}, popts...)
+	prodOpts := append([]parallel.Option{parallel.Grain(minMapWork)}, popts...)
 	if err := parallel.For(ctx, n, func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			bb[i] = gbPix[i] * gbPix[i]
@@ -150,10 +148,10 @@ func (r *SSIMRef) ScoreCtx(ctx context.Context, b *imgcore.Image, popts ...paral
 	defer putScratch(sBBp)
 	defer putScratch(sABp)
 	sBB, sAB := *sBBp, *sABp
-	if err := blurWith(ctx, sBB, bb, w, h, r.kern, rowOpts, colOpts); err != nil {
+	if err := filtering.BlurPlane(ctx, sBB, bb, w, h, r.kern, popts...); err != nil {
 		return 0, err
 	}
-	if err := blurWith(ctx, sAB, ab, w, h, r.kern, rowOpts, colOpts); err != nil {
+	if err := filtering.BlurPlane(ctx, sAB, ab, w, h, r.kern, popts...); err != nil {
 		return 0, err
 	}
 

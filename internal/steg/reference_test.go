@@ -1,6 +1,7 @@
 package steg
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -12,9 +13,9 @@ import (
 	"decamouflage/internal/testutil"
 )
 
-// gaussianBlur2DReference is the column-outer form of gaussianBlur2D: the
-// vertical pass walks each column with a stride of w. It is the
-// bit-equality reference for the row-major pass.
+// gaussianBlur2DReference is the column-outer form of the CSP low-pass,
+// with its own window builder: the vertical pass walks each column with a
+// stride of w. It is the bit-equality reference for gaussianBlur2D.
 func gaussianBlur2DReference(src []float64, w, h int, sigma float64) []float64 {
 	r := int(sigma*3) + 1
 	k := make([]float64, 2*r+1)
@@ -94,7 +95,10 @@ func TestGaussianBlurBitEqualReference(t *testing.T) {
 			}
 			want := gaussianBlur2DReference(src, g.w, g.h, sigma)
 			for rep := 0; rep < 2; rep++ {
-				got := gaussianBlur2D(src, g.w, g.h, sigma)
+				got, err := gaussianBlur2D(context.Background(), src, g.w, g.h, sigma)
+				if err != nil {
+					t.Fatal(err)
+				}
 				if i := testutil.FirstDiff(got, want); i != -1 {
 					t.Fatalf("%dx%d σ=%v rep %d: sample %d = %v, reference %v", g.w, g.h, sigma, rep, i, got[i], want[i])
 				}

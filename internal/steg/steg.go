@@ -9,11 +9,12 @@
 package steg
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
+	"decamouflage/internal/filtering"
 	"decamouflage/internal/fourier"
 	"decamouflage/internal/imgcore"
 )
@@ -67,9 +68,21 @@ func (o Options) withDefaults(w, h int) Options {
 	return o
 }
 
-func (o Options) validate() error {
+// validate checks resolved options against a w×h spectrum. A smoothing
+// sigma must be finite, and its window radius int(3σ)+1 may not exceed the
+// spectrum's longer side: the window is built tap by tap, so an unchecked
+// σ from a config file could demand an arbitrarily large one.
+func (o Options) validate(w, h int) error {
 	if o.BinarizeThreshold <= 0 || o.BinarizeThreshold >= 1 {
 		return fmt.Errorf("steg: binarize threshold %v outside (0,1)", o.BinarizeThreshold)
+	}
+	if math.IsNaN(o.SmoothSigma) || math.IsInf(o.SmoothSigma, 0) {
+		return fmt.Errorf("steg: smoothing sigma %v is not finite", o.SmoothSigma)
+	}
+	// int(3σ)+1 > L ⇔ 3σ >= L for an integer L, compared in float64 so
+	// that a σ whose radius overflows int is rejected too.
+	if o.SmoothSigma > 0 && o.SmoothSigma*3 >= float64(max(w, h)) {
+		return fmt.Errorf("steg: smoothing sigma %v needs a window radius above the %dx%d spectrum's longer side", o.SmoothSigma, w, h)
 	}
 	if o.MinArea < 1 {
 		return fmt.Errorf("steg: min area %d < 1", o.MinArea)
@@ -133,11 +146,14 @@ func AnalyzeSpectrum(spec []float64, w, h int, opts Options) (*Analysis, error) 
 		return nil, fmt.Errorf("steg: spectrum length %d does not match %dx%d", len(spec), w, h)
 	}
 	opts = opts.withDefaults(w, h)
-	if err := opts.validate(); err != nil {
+	if err := opts.validate(w, h); err != nil {
 		return nil, err
 	}
 	if opts.SmoothSigma > 0 {
-		spec = gaussianBlur2D(spec, w, h, opts.SmoothSigma)
+		var err error
+		if spec, err = gaussianBlur2D(context.Background(), spec, w, h, opts.SmoothSigma); err != nil {
+			return nil, err
+		}
 		renormalize(spec)
 	}
 	mask := make([]bool, len(spec))
@@ -437,69 +453,16 @@ func (a *Analysis) MaskImage() *imgcore.Image {
 	return img
 }
 
-// blurScratch pools the row ring of gaussianBlur2D.
-var blurScratch = sync.Pool{New: func() any { return new([]float64) }}
-
-// gaussianBlur2D applies a separable Gaussian with the given sigma (radius
-// 3σ+1) and replicate borders. Horizontally blurred rows go into a pooled
-// ring of min(2r+1, h) rows, enough for the window of rows one output row
-// reads. The vertical pass walks rows: it adds one tap's ring row at a
-// time into the output row, so each output still sums its taps in order
-// starting from zero. The result is freshly allocated (it escapes as
+// gaussianBlur2D applies the CSP low-pass: the shared separable Gaussian
+// (filtering.BlurPlane) with the given sigma, radius int(3σ)+1 and
+// replicate borders. The result is freshly allocated (it escapes as
 // Analysis.Spectrum).
-func gaussianBlur2D(src []float64, w, h int, sigma float64) []float64 {
-	r := int(sigma*3) + 1
-	k := make([]float64, 2*r+1)
-	var s float64
-	for i := -r; i <= r; i++ {
-		k[i+r] = math.Exp(-float64(i*i) / (2 * sigma * sigma))
-		s += k[i+r]
-	}
-	for i := range k {
-		k[i] /= s
-	}
-	n := min(2*r+1, h)
-	tp := blurScratch.Get().(*[]float64)
-	defer blurScratch.Put(tp)
-	if cap(*tp) < n*w {
-		*tp = make([]float64, n*w)
-	}
-	ring := (*tp)[:n*w]
+func gaussianBlur2D(ctx context.Context, src []float64, w, h int, sigma float64) ([]float64, error) {
 	out := make([]float64, len(src))
-	next := 0 // rows [0, next) have been blurred horizontally
-	for y := 0; y < h; y++ {
-		for ; next < h && next <= y+r; next++ {
-			trow := ring[(next%n)*w : (next%n+1)*w]
-			for x := range trow {
-				var v float64
-				for d := -r; d <= r; d++ {
-					xx := x + d
-					if xx < 0 {
-						xx = 0
-					} else if xx >= w {
-						xx = w - 1
-					}
-					v += k[d+r] * src[next*w+xx]
-				}
-				trow[x] = v
-			}
-		}
-		orow := out[y*w : (y+1)*w]
-		for d := -r; d <= r; d++ {
-			yy := y + d
-			if yy < 0 {
-				yy = 0
-			} else if yy >= h {
-				yy = h - 1
-			}
-			kd := k[d+r]
-			trow := ring[(yy%n)*w : (yy%n+1)*w]
-			for x, t := range trow {
-				orow[x] += kd * t
-			}
-		}
+	if err := filtering.BlurPlane(ctx, out, src, w, h, filtering.GaussianKernel(int(sigma*3)+1, sigma)); err != nil {
+		return nil, err
 	}
-	return out
+	return out, nil
 }
 
 // renormalize rescales a non-negative field so its maximum is 1.

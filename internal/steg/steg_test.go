@@ -1,6 +1,7 @@
 package steg
 
 import (
+	"math"
 	"testing"
 
 	"decamouflage/internal/attack"
@@ -13,17 +14,31 @@ import (
 func TestOptionsValidation(t *testing.T) {
 	img := imgcore.MustNew(8, 8, 1)
 	img.Fill(100)
-	if _, err := CSP(img, Options{BinarizeThreshold: 1.5}); err == nil {
-		t.Error("threshold > 1 accepted")
-	}
-	if _, err := CSP(img, Options{BinarizeThreshold: -0.1}); err == nil {
-		t.Error("negative threshold accepted")
-	}
-	if _, err := CSP(img, Options{BinarizeThreshold: 0.5, MinArea: -2}); err == nil {
-		t.Error("negative min area accepted")
-	}
-	if _, err := CSP(&imgcore.Image{}, Options{}); err == nil {
-		t.Error("empty image accepted")
+	for _, tc := range []struct {
+		name string
+		img  *imgcore.Image
+		opts Options
+		ok   bool
+	}{
+		{"threshold > 1", img, Options{BinarizeThreshold: 1.5}, false},
+		{"negative threshold", img, Options{BinarizeThreshold: -0.1}, false},
+		{"negative min area", img, Options{BinarizeThreshold: 0.5, MinArea: -2}, false},
+		{"empty image", &imgcore.Image{}, Options{}, false},
+		{"NaN sigma", img, Options{SmoothSigma: math.NaN()}, false},
+		{"+Inf sigma", img, Options{SmoothSigma: math.Inf(1)}, false},
+		{"-Inf sigma", img, Options{SmoothSigma: math.Inf(-1)}, false},
+		{"sigma 1e18", img, Options{SmoothSigma: 1e18}, false},
+		{"radius 9 on 8x8", img, Options{SmoothSigma: 2.7}, false},
+		{"radius 8 on 8x8", img, Options{SmoothSigma: 2.5}, true},
+		{"smoothing disabled", img, Options{SmoothSigma: -1}, true},
+	} {
+		_, err := CSP(tc.img, tc.opts)
+		if tc.ok && err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		if !tc.ok && err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 
