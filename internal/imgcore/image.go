@@ -28,8 +28,9 @@ var (
 	ErrShapeMismatch = errors.New("imgcore: shape mismatch")
 	// ErrBadChannels indicates an unsupported channel count.
 	ErrBadChannels = errors.New("imgcore: channel count must be 1 or 3")
-	// ErrBadDimensions indicates non-positive width or height.
-	ErrBadDimensions = errors.New("imgcore: width and height must be positive")
+	// ErrBadDimensions indicates a non-positive width or height, or a
+	// geometry whose sample count W·H·C overflows an int.
+	ErrBadDimensions = errors.New("imgcore: invalid width or height")
 )
 
 // Image is a dense floating-point image with H rows, W columns and C
@@ -51,7 +52,19 @@ func New(w, h, c int) (*Image, error) {
 	if c != 1 && c != 3 {
 		return nil, fmt.Errorf("%w: got %d", ErrBadChannels, c)
 	}
+	if err := checkSize(w, h, c); err != nil {
+		return nil, err
+	}
 	return &Image{W: w, H: h, C: c, Pix: make([]float64, w*h*c)}, nil
+}
+
+// checkSize returns ErrBadDimensions when w*h*c overflows an int. All three
+// must be positive. It divides rather than multiplies, so it cannot wrap.
+func checkSize(w, h, c int) error {
+	if w > math.MaxInt/h/c {
+		return fmt.Errorf("%w: %dx%dx%d samples overflow int", ErrBadDimensions, w, h, c)
+	}
+	return nil
 }
 
 // MustNew is New for static geometries known to be valid; it panics on error
@@ -75,6 +88,9 @@ func (m *Image) Validate() error {
 	}
 	if m.C != 1 && m.C != 3 {
 		return fmt.Errorf("%w: got %d", ErrBadChannels, m.C)
+	}
+	if err := checkSize(m.W, m.H, m.C); err != nil {
+		return err
 	}
 	if len(m.Pix) != m.W*m.H*m.C {
 		return fmt.Errorf("imgcore: pixel buffer length %d does not match %dx%dx%d",

@@ -39,37 +39,65 @@ func DecodePNM(r io.Reader) (*Image, error) {
 	if err != nil {
 		return nil, fmt.Errorf("imgcore: pnm maxval: %w", err)
 	}
-	if w <= 0 || h <= 0 || w*h > 1<<28 {
+	if w <= 0 || h <= 0 {
 		return nil, fmt.Errorf("imgcore: pnm geometry %dx%d invalid", w, h)
+	}
+	if err := checkPixels(w, h); err != nil {
+		return nil, err
 	}
 	if maxval <= 0 || maxval > 65535 {
 		return nil, fmt.Errorf("imgcore: pnm maxval %d invalid", maxval)
+	}
+	n := w * h * channels
+	sampleBytes := 1
+	if maxval >= 256 {
+		sampleBytes = 2
+	}
+	buf, err := readBody(br, sampleBytes*n)
+	if err != nil {
+		return nil, fmt.Errorf("imgcore: pnm samples: %w", err)
 	}
 	img, err := New(w, h, channels)
 	if err != nil {
 		return nil, err
 	}
-	n := w * h * channels
 	scale := 255.0 / float64(maxval)
-	if maxval < 256 {
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("imgcore: pnm samples: %w", err)
-		}
+	if sampleBytes == 1 {
 		for i, b := range buf {
 			img.Pix[i] = float64(b) * scale
 		}
 	} else {
-		buf := make([]byte, 2*n)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("imgcore: pnm samples: %w", err)
-		}
 		for i := 0; i < n; i++ {
 			v := int(buf[2*i])<<8 | int(buf[2*i+1])
 			img.Pix[i] = float64(v) * scale
 		}
 	}
 	return img, nil
+}
+
+// readBody reads exactly n bytes. Its buffer starts at 64 KiB at most and
+// doubles, capped at n, only while bytes keep arriving, so a short body
+// under a large header fails before the image is allocated, and a full body
+// ends in a buffer of exactly n bytes after about 2n bytes of allocation.
+func readBody(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, min(n, 64<<10))
+	read := 0
+	for {
+		m, err := io.ReadFull(r, buf[read:])
+		read += m
+		if err == io.EOF && read > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, err
+		}
+		if read == n {
+			return buf, nil
+		}
+		next := make([]byte, min(2*len(buf), n))
+		copy(next, buf)
+		buf = next
+	}
 }
 
 // EncodePNM writes the image as binary PGM (1 channel) or PPM (3 channels)

@@ -2,6 +2,8 @@ package imgcore
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -116,6 +118,34 @@ func TestPNMErrors(t *testing.T) {
 	var buf bytes.Buffer
 	if err := EncodePNM(&buf, &Image{}); err == nil {
 		t.Error("empty image encoded")
+	}
+}
+
+// TestPNMBodyPastFirstChunk covers bodies longer than readBody's first
+// 64 KiB buffer: a full one round-trips, and one that ends exactly at a
+// buffer boundary fails with ErrUnexpectedEOF.
+func TestPNMBodyPastFirstChunk(t *testing.T) {
+	img := MustNew(200, 150, 3) // 90000 body bytes
+	for i := range img.Pix {
+		img.Pix[i] = float64((i * 31) % 256)
+	}
+	var buf bytes.Buffer
+	if err := EncodePNM(&buf, img); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	back, err := DecodePNM(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range img.Pix {
+		if !testutil.BitEqual(back.Pix[i], img.Pix[i]) {
+			t.Fatalf("sample %d = %v, want %v", i, back.Pix[i], img.Pix[i])
+		}
+	}
+	header := len("P6\n200 150\n255\n")
+	if _, err := DecodePNM(bytes.NewReader(data[:header+64<<10])); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("body cut at 64 KiB: err = %v, want ErrUnexpectedEOF", err)
 	}
 }
 

@@ -32,6 +32,9 @@ func NewU8(w, h, c int) (*U8Image, error) {
 	if c != 1 && c != 3 {
 		return nil, fmt.Errorf("%w: got %d", ErrBadChannels, c)
 	}
+	if err := checkSize(w, h, c); err != nil {
+		return nil, err
+	}
 	return &U8Image{W: w, H: h, C: c, Pix: make([]uint8, w*h*c)}, nil
 }
 
@@ -46,6 +49,9 @@ func (u *U8Image) Validate() error {
 	}
 	if u.C != 1 && u.C != 3 {
 		return fmt.Errorf("%w: got %d", ErrBadChannels, u.C)
+	}
+	if err := checkSize(u.W, u.H, u.C); err != nil {
+		return err
 	}
 	if len(u.Pix) != u.W*u.H*u.C {
 		return fmt.Errorf("imgcore: pixel buffer length %d does not match %dx%dx%d",
