@@ -1,9 +1,9 @@
 // Package cache provides the bounded get-or-build LRU shared by the
-// repository's memoized construction paths (fourier transform plans,
-// scaling coefficient operators, metrics Gaussian windows). One
-// implementation means one concurrency story — mutex-guarded map with a
-// logical access clock, build outside the lock, lost-race keeps the
-// incumbent — and one place where obs cache statistics are recorded.
+// repository's two memoized construction paths: fourier transform plans
+// and scaling coefficient operators. One implementation means one
+// concurrency story — mutex-guarded map with a logical access clock,
+// build outside the lock, lost-race keeps the incumbent — and one place
+// where obs cache statistics are recorded.
 package cache
 
 import (

@@ -30,8 +30,8 @@ type Ensemble struct {
 	detectors []*Detector
 
 	// pipe is the stage-DAG engine the ensemble scores through: per-image
-	// memoized substrates, batch-shared scaler/FFT-plan caches, pooled
-	// buffers (see pipeline.go).
+	// memoized substrates, pooled buffers, per-stage metrics (see
+	// pipeline.go).
 	pipe *Pipeline
 
 	// Whole-ensemble latency and majority-vote tallies, resolved at

@@ -129,6 +129,32 @@ func TestDetectMetrics(t *testing.T) {
 	}
 }
 
+// TestDetectReusesGlobalCaches pins cross-image reuse of the prepared
+// resize coefficients and FFT plans: once one ensemble has scored a
+// geometry, a fresh ensemble scoring the same geometry builds nothing and
+// misses neither the scaling.coeff nor the fourier.plan cache.
+func TestDetectReusesGlobalCaches(t *testing.T) {
+	obs.Enable()
+	t.Cleanup(obs.Disable)
+	if !obs.Enabled() {
+		t.Skip("observability compiled out (noobs)")
+	}
+	if _, err := obsTestEnsemble(t).Detect(context.Background(), obsTestImage(t, 32, 32)); err != nil {
+		t.Fatal(err)
+	}
+	coeff0 := obs.C("scaling.coeff.misses").Value()
+	plan0 := obs.C("fourier.plan.misses").Value()
+	if _, err := obsTestEnsemble(t).Detect(context.Background(), obsTestImage(t, 32, 32)); err != nil {
+		t.Fatal(err)
+	}
+	if got := obs.C("scaling.coeff.misses").Value() - coeff0; got != 0 {
+		t.Errorf("scaling.coeff misses delta = %d, want 0", got)
+	}
+	if got := obs.C("fourier.plan.misses").Value() - plan0; got != 0 {
+		t.Errorf("fourier.plan misses delta = %d, want 0", got)
+	}
+}
+
 // TestPlainScorerStillWorks pins the plain-Scorer fallback: a Detector
 // over a Scorer without ScorePipeline must keep detecting, traced or not.
 func TestPlainScorerStillWorks(t *testing.T) {

@@ -11,9 +11,10 @@
 // stage identity (stageKey), so each substrate is computed exactly once
 // per image no matter how many scorers request it, and derived scores
 // (PSNR from a memoized MSE, every SSIM from one prepared reference)
-// reuse the heavy work. Pipeline-level LRU caches share prepared scalers
-// and 2-D FFT plans across all images of a batch, and pooled pixel
-// buffers flow through the request instead of being allocated per stage.
+// reuse the heavy work. Resize coefficients and FFT plans are shared
+// across images through the global scaling.CoeffFor and fourier.PlanFor
+// caches, and pooled pixel buffers flow through the request instead of
+// being allocated per stage.
 //
 // An ensemble opens one table per image for all of its members; a
 // standalone Scorer.Score or Detector.Detect opens a one-member table on
@@ -36,7 +37,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"decamouflage/internal/cache"
 	"decamouflage/internal/filtering"
 	"decamouflage/internal/fourier"
 	"decamouflage/internal/imgcore"
@@ -103,38 +103,18 @@ type memoEntry struct {
 	err  error
 }
 
-// Pipeline holds the cross-image state of the stage engine: prepared-
-// scaler and FFT-plan caches shared by every image of a batch, the memo
-// hit/miss counters, and the per-stage latency histograms. An Ensemble
+// Pipeline holds the cross-image state of the stage engine: the memo
+// hit/miss counters and the per-stage latency histograms. An Ensemble
 // owns one Pipeline for its lifetime; it is safe for concurrent use.
 type Pipeline struct {
-	scalers *cache.LRU[scalerKey, *scaling.Scaler]
-	plans   *cache.LRU[geomKey, *fourier.Plan2D]
-	memo    *obs.MemoStats
+	memo *obs.MemoStats
 
 	grayH, downH, upH, minH, specH, cspH, metricH, u8H *obs.Histogram
 }
 
-type scalerKey struct {
-	srcW, srcH, dstW, dstH int
-	opts                   scaling.Options
-}
-
-type geomKey struct{ w, h int }
-
-// Cache capacities: a deployment scores against a handful of geometries
-// (one per protected model, plus the round-trip inverses), so small LRUs
-// hold the whole working set while bounding pathological geometry scans.
-const (
-	scalerCacheCap = 32
-	planCacheCap   = 16
-)
-
-// NewPipeline builds a stage engine with empty caches.
+// NewPipeline builds a stage engine.
 func NewPipeline() *Pipeline {
 	return &Pipeline{
-		scalers: cache.NewLRU[scalerKey, *scaling.Scaler](scalerCacheCap, obs.NewCacheStats("detect.pipeline.scalers")),
-		plans:   cache.NewLRU[geomKey, *fourier.Plan2D](planCacheCap, obs.NewCacheStats("detect.pipeline.plans")),
 		memo:    obs.NewMemoStats("detect.pipeline.memo"),
 		grayH:   obs.H("detect.pipeline.gray.seconds"),
 		downH:   obs.H("detect.pipeline.downscale.seconds"),
@@ -147,25 +127,8 @@ func NewPipeline() *Pipeline {
 	}
 }
 
-// scalerFor returns the prepared scaler for one full resize geometry,
-// built once and shared across the batch.
-func (p *Pipeline) scalerFor(srcW, srcH, dstW, dstH int, opts scaling.Options) (*scaling.Scaler, error) {
-	return p.scalers.GetOrBuild(scalerKey{srcW, srcH, dstW, dstH, opts}, func() (*scaling.Scaler, error) {
-		return scaling.NewScaler(srcW, srcH, dstW, dstH, opts)
-	})
-}
-
-// planFor returns the forward 2-D FFT plan for one geometry, built once
-// and shared across the batch.
-func (p *Pipeline) planFor(w, h int) (*fourier.Plan2D, error) {
-	return p.plans.GetOrBuild(geomKey{w, h}, func() (*fourier.Plan2D, error) {
-		return fourier.Plan2DFor(w, h)
-	})
-}
-
 // standalone is the pipeline behind every standalone Score and
-// Detector.Detect call, so one-image scoring shares prepared scalers and
-// FFT plans across calls the way an ensemble's batch does.
+// Detector.Detect call.
 var standalone = NewPipeline()
 
 // scoreAlone scores one image through a one-member table on the
@@ -361,11 +324,11 @@ func (in *Intermediates) gray(ctx context.Context) (*imgcore.Image, error) {
 func (in *Intermediates) roundTrip(ctx context.Context, key stageKey) (*imgcore.Image, error) {
 	v, err := in.memo(key, func() (any, error) {
 		img := in.img
-		downScaler, err := in.pipe.scalerFor(img.W, img.H, key.dstW, key.dstH, key.sopts)
+		downScaler, err := scaling.NewScaler(img.W, img.H, key.dstW, key.dstH, key.sopts)
 		if err != nil {
 			return nil, fmt.Errorf("detect: scaling downscale: %w", err)
 		}
-		upScaler, err := in.pipe.scalerFor(key.dstW, key.dstH, img.W, img.H, key.sopts)
+		upScaler, err := scaling.NewScaler(key.dstW, key.dstH, img.W, img.H, key.sopts)
 		if err != nil {
 			return nil, fmt.Errorf("detect: scaling upscale: %w", err)
 		}
@@ -436,14 +399,14 @@ func (in *Intermediates) minFiltered(ctx context.Context, window int) (*imgcore.
 }
 
 // spectrum returns the centered log-magnitude spectrum of the luminance
-// plane, computed once per image through the batch-shared FFT plan.
+// plane, computed once per image through the cached FFT plans.
 func (in *Intermediates) spectrum(ctx context.Context) ([]float64, error) {
 	v, err := in.memo(stageKey{kind: stageSpectrum}, func() (any, error) {
 		g, err := in.gray(ctx)
 		if err != nil {
 			return nil, err
 		}
-		plan, err := in.pipe.planFor(g.W, g.H)
+		plan, err := fourier.Plan2DFor(g.W, g.H)
 		if err != nil {
 			return nil, fmt.Errorf("steg: spectrum: %w", err)
 		}

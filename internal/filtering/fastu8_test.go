@@ -23,10 +23,10 @@ func noiseU8Image(rng *rand.Rand, w, h, c int) *imgcore.U8Image {
 	return u
 }
 
-// minU8Widened runs MinimumU8 and widens its output through FromU8 so it
+// minU8Widened runs MinimumU8Ctx and widens its output through FromU8 so it
 // compares against the float64 Minimum as a float64 plane.
 func minU8Widened(u *imgcore.U8Image, size int) (*imgcore.Image, error) {
-	out, err := MinimumU8(u, size)
+	out, err := MinimumU8Ctx(context.Background(), u, size)
 	if err != nil {
 		return nil, err
 	}
@@ -34,7 +34,7 @@ func minU8Widened(u *imgcore.U8Image, size int) (*imgcore.Image, error) {
 }
 
 // TestU8FiltersBitEqualFloat is the central exactness pin of the uint8
-// minimum: on 8-bit inputs MinimumU8 must be BIT-IDENTICAL to the float64
+// minimum: on 8-bit inputs MinimumU8Ctx must be BIT-IDENTICAL to the float64
 // fast kernel across odd and even windows, both channel counts, and
 // non-square geometries.
 func TestU8FiltersBitEqualFloat(t *testing.T) {
@@ -134,13 +134,13 @@ func TestU8FiltersSerialParallelEquivalence(t *testing.T) {
 func TestU8FiltersValidation(t *testing.T) {
 	u := noiseU8Image(rand.New(rand.NewSource(76)), 4, 4, 1)
 	for _, size := range []int{0, 1, -3} {
-		if _, err := MinimumU8(u, size); err == nil {
-			t.Errorf("MinimumU8(size=%d) = nil error", size)
+		if _, err := MinimumU8Ctx(context.Background(), u, size); err == nil {
+			t.Errorf("MinimumU8Ctx(size=%d) = nil error", size)
 		}
 	}
 	empty := &imgcore.U8Image{}
-	if _, err := MinimumU8(empty, 2); err == nil {
-		t.Error("MinimumU8(empty) = nil error")
+	if _, err := MinimumU8Ctx(context.Background(), empty, 2); err == nil {
+		t.Error("MinimumU8Ctx(empty) = nil error")
 	}
 }
 
@@ -148,11 +148,11 @@ func TestU8FiltersValidation(t *testing.T) {
 func TestU8FiltersDoNotMutateInput(t *testing.T) {
 	u := noiseU8Image(rand.New(rand.NewSource(77)), 9, 7, 3)
 	snapshot := append([]uint8(nil), u.Pix...)
-	if _, err := MinimumU8(u, 3); err != nil {
+	if _, err := MinimumU8Ctx(context.Background(), u, 3); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(u.Pix, snapshot) {
-		t.Fatal("MinimumU8 mutated its input")
+		t.Fatal("MinimumU8Ctx mutated its input")
 	}
 }
 
@@ -184,6 +184,6 @@ func BenchmarkMinFilterU8256(b *testing.B) {
 // direct baseline for BenchmarkMinFilterU8256.
 func BenchmarkMinFilterFloat256(b *testing.B) {
 	benchmarkFilter256(b, func(img *imgcore.Image, size int) (*imgcore.Image, error) {
-		return minMaxFilter(context.Background(), img, size, false, parallel.Workers(1))
+		return minFilter(context.Background(), img, size, parallel.Workers(1))
 	}, 5)
 }

@@ -1,17 +1,20 @@
 // Package filtering implements the spatial filters used by Decamouflage's
-// filtering-detection method and by the prevention baselines: rank filters
-// (minimum, maximum, median — the paper's Figure 4), box and Gaussian
-// smoothing. All filters use replicate border handling, matching OpenCV's
-// default BORDER_REPLICATE semantics for small kernels. The separable
-// Gaussian in blur.go (GaussianKernel, BlurPlane) is the repository's only
-// one: SSIM's window in internal/metrics and the CSP spectrum low-pass in
-// internal/steg run on it too.
+// filtering-detection method and by the prevention baselines: the minimum
+// filter of the paper's Method 2 (one van Herk–Gil–Werman erosion kernel
+// in fast.go, instantiated over float64 and 8-bit planes), the maximum and
+// median filters it is compared against in Figure 4 (the naive window scan
+// rankFilter), and Gaussian smoothing. All filters use replicate border
+// handling, matching OpenCV's default BORDER_REPLICATE semantics for small
+// kernels. The separable Gaussian in blur.go (GaussianKernel, BlurPlane) is
+// the repository's only one: SSIM's window in internal/metrics and the CSP
+// spectrum low-pass in internal/steg run on it too.
 package filtering
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"decamouflage/internal/imgcore"
@@ -28,49 +31,29 @@ var ErrBadWindow = errors.New("filtering: window size must be a positive odd-or-
 // van Herk–Gil–Werman sweep in fast.go — O(1) comparisons per sample —
 // whose output is bit-identical to the naive window scan for finite inputs.
 func Minimum(img *imgcore.Image, size int) (*imgcore.Image, error) {
-	return minMaxFilter(context.Background(), img, size, false)
+	return minFilter(context.Background(), img, size)
 }
 
 // MinimumCtx is Minimum honouring ctx cancellation in its parallel sweeps,
 // for callers (the detection pipeline) that thread a request context
 // through every stage. Output is bit-identical to Minimum's.
 func MinimumCtx(ctx context.Context, img *imgcore.Image, size int) (*imgcore.Image, error) {
-	return minMaxFilter(ctx, img, size, false)
+	return minFilter(ctx, img, size)
 }
 
-// Maximum applies a size×size maximum filter (grayscale dilation). Like
-// Minimum, it runs the separable van Herk–Gil–Werman sweep.
+// Maximum applies a size×size maximum filter (grayscale dilation) with
+// the naive window scan of rankFilter. The paper shows it only as a foil
+// to the minimum filter (Figures 4/5).
 func Maximum(img *imgcore.Image, size int) (*imgcore.Image, error) {
-	return minMaxFilter(context.Background(), img, size, true)
+	return rankFilter(context.Background(), img, size, pickMax)
 }
 
-// Median applies a size×size median filter via the per-row sliding sorted
-// window in fast.go, bit-identical to the naive collect-and-select for
-// finite inputs.
+// Median applies a size×size median filter with the naive
+// collect-and-select window scan of rankFilter: the middle sample for odd
+// counts, the mean of the two middles for even. Like Maximum, it is a foil
+// in the paper's Figures 4/5.
 func Median(img *imgcore.Image, size int) (*imgcore.Image, error) {
-	return medianFilter(context.Background(), img, size)
-}
-
-// Rank applies a size×size rank filter selecting the k-th smallest sample
-// (k is zero-based) in each window.
-func Rank(img *imgcore.Image, size, k int) (*imgcore.Image, error) {
-	if k < 0 || k >= size*size {
-		return nil, fmt.Errorf("filtering: rank %d out of range [0,%d)", k, size*size)
-	}
-	return rankFilter(context.Background(), img, size, func(buf []float64) float64 {
-		sort.Float64s(buf)
-		return buf[k]
-	})
-}
-
-func pickMin(buf []float64) float64 {
-	m := buf[0]
-	for _, v := range buf[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
+	return rankFilter(context.Background(), img, size, pickMedian)
 }
 
 func pickMax(buf []float64) float64 {
@@ -97,8 +80,8 @@ func pickMedian(buf []float64) float64 {
 const minFilterWork = 1 << 14
 
 // rankFilter runs a generic sliding-window reduction — the naive O(size²)
-// per-pixel reference the fast kernels in fast.go are pinned against, and
-// the implementation behind the generic Rank. Window anchoring follows the
+// per-pixel body behind Median and Maximum, and the reference the erosion
+// kernel in fast.go is pinned against. Window anchoring follows the
 // OpenCV convention: for even sizes the anchor is the top-left sample of
 // the window (offsets [0, size)), for odd sizes the window is centered
 // (offsets [-size/2, size/2]). Rows are processed in parallel bands; pick
@@ -109,8 +92,8 @@ func rankFilter(ctx context.Context, img *imgcore.Image, size int, pick func([]f
 	if err := img.Validate(); err != nil {
 		return nil, err
 	}
-	if size < 2 {
-		return nil, fmt.Errorf("%w: got %d", ErrBadWindow, size)
+	if err := checkWindow(size); err != nil {
+		return nil, err
 	}
 	lo, hi := windowOffsets(size)
 
@@ -143,25 +126,15 @@ func rankFilter(ctx context.Context, img *imgcore.Image, size int, pick func([]f
 	return out, nil
 }
 
-// Box applies a size×size mean filter via the separable running-sum sweep
-// in fast.go. Its summation order differs from the naive window scan, so
-// outputs match the naive reference to tolerance rather than bit-exactly.
-func Box(img *imgcore.Image, size int) (*imgcore.Image, error) {
-	return boxFilter(context.Background(), img, size)
-}
-
-// box is the fast Box with parallel options threaded through for the
-// serial-vs-parallel equivalence tests.
-func box(ctx context.Context, img *imgcore.Image, size int, popts ...parallel.Option) (*imgcore.Image, error) {
-	return boxFilter(ctx, img, size, popts...)
-}
-
 // Gaussian applies Gaussian smoothing with the given radius and sigma to
 // each channel independently: every channel plane goes through BlurPlane
 // with the GaussianKernel window.
 func Gaussian(img *imgcore.Image, radius int, sigma float64) (*imgcore.Image, error) {
 	if err := img.Validate(); err != nil {
 		return nil, err
+	}
+	if math.IsNaN(sigma) || math.IsInf(sigma, 0) {
+		return nil, fmt.Errorf("filtering: gaussian sigma %v is not finite", sigma)
 	}
 	if radius < 1 || sigma <= 0 {
 		return nil, fmt.Errorf("filtering: invalid gaussian radius %d sigma %v", radius, sigma)

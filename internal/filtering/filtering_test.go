@@ -1,8 +1,10 @@
 package filtering
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -90,42 +92,35 @@ func TestMedianEvenWindow(t *testing.T) {
 	}
 }
 
+// TestRankFilter pins the generic window reduction: selecting the k-th
+// smallest sample of the sorted window must reproduce the erosion kernel
+// at k = 0 and Maximum at k = size²-1.
 func TestRankFilter(t *testing.T) {
 	img := imgcore.MustNew(3, 3, 1)
 	for i := range img.Pix {
 		img.Pix[i] = float64(i)
 	}
-	minOut, err := Rank(img, 3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantMin, err := Minimum(img, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range minOut.Pix {
-		if !testutil.BitEqual(minOut.Pix[i], wantMin.Pix[i]) {
-			t.Fatalf("Rank(0) != Minimum at %d", i)
+	kth := func(k int) func([]float64) float64 {
+		return func(buf []float64) float64 {
+			sort.Float64s(buf)
+			return buf[k]
 		}
 	}
-	maxOut, err := Rank(img, 3, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantMax, err := Maximum(img, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range maxOut.Pix {
-		if !testutil.BitEqual(maxOut.Pix[i], wantMax.Pix[i]) {
-			t.Fatalf("Rank(8) != Maximum at %d", i)
+	for _, tc := range []struct {
+		k    int
+		want func(*imgcore.Image, int) (*imgcore.Image, error)
+	}{{0, Minimum}, {8, Maximum}} {
+		got, err := rankFilter(context.Background(), img, 3, kth(tc.k))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, err := Rank(img, 3, 9); err == nil {
-		t.Error("Rank out-of-range k = nil error")
-	}
-	if _, err := Rank(img, 3, -1); err == nil {
-		t.Error("Rank negative k = nil error")
+		want, err := tc.want(img, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i := testutil.FirstDiff(got.Pix, want.Pix); i != -1 {
+			t.Fatalf("rank %d differs at %d: %v vs %v", tc.k, i, got.Pix[i], want.Pix[i])
+		}
 	}
 }
 
@@ -138,9 +133,6 @@ func TestFilterValidation(t *testing.T) {
 	}
 	if _, err := Minimum(&imgcore.Image{}, 2); err == nil {
 		t.Error("Minimum(empty) = nil error")
-	}
-	if _, err := Box(img, 1); err == nil {
-		t.Error("Box(size=1) = nil error")
 	}
 }
 
@@ -196,7 +188,7 @@ func TestRankFiltersPreserveConstants(t *testing.T) {
 	img := imgcore.MustNew(6, 6, 3)
 	img.Fill(77)
 	for name, fn := range map[string]func(*imgcore.Image, int) (*imgcore.Image, error){
-		"min": Minimum, "max": Maximum, "median": Median, "box": Box,
+		"min": Minimum, "max": Maximum, "median": Median,
 	} {
 		out, err := fn(img, 2)
 		if err != nil {
@@ -323,23 +315,13 @@ func TestGaussianValidation(t *testing.T) {
 	if _, err := Gaussian(img, 0, 1); err == nil {
 		t.Error("Gaussian(radius=0) = nil error")
 	}
-	if _, err := Gaussian(img, 2, 0); err == nil {
-		t.Error("Gaussian(sigma=0) = nil error")
+	for _, sigma := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := Gaussian(img, 2, sigma); err == nil {
+			t.Errorf("Gaussian(sigma=%v) = nil error", sigma)
+		}
 	}
 	if _, err := Gaussian(&imgcore.Image{}, 2, 1); err == nil {
 		t.Error("Gaussian(empty) = nil error")
-	}
-}
-
-func TestBoxFilterAverages(t *testing.T) {
-	img := imgcore.MustNew(2, 2, 1)
-	copy(img.Pix, []float64{0, 4, 8, 12})
-	out, err := Box(img, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !testutil.BitEqual(out.At(0, 0, 0), 6) {
-		t.Errorf("box(0,0) = %v, want 6", out.At(0, 0, 0))
 	}
 }
 

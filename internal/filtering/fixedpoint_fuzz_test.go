@@ -1,6 +1,7 @@
 package filtering
 
 import (
+	"context"
 	"testing"
 
 	"decamouflage/internal/imgcore"
@@ -40,7 +41,7 @@ func FuzzFixedPointKernels(f *testing.F) {
 		}
 		size := 2 + int(win8%12)
 
-		minU8, gerr := MinimumU8(u, size)
+		minU8, gerr := MinimumU8Ctx(context.Background(), u, size)
 		minF, werr := Minimum(img, size)
 		if (gerr == nil) != (werr == nil) {
 			t.Fatalf("error disagreement: u8=%v float=%v", gerr, werr)

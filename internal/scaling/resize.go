@@ -62,17 +62,6 @@ func (s *Scaler) Horizontal() *Coeff { return s.horiz }
 // (the L in scale(X) = L·X·Rᵀ).
 func (s *Scaler) Vertical() *Coeff { return s.vert }
 
-// Derive returns a scaler with the same destination geometry and options
-// prepared for a different source geometry, sharing coefficient matrices
-// through CoeffFor. When the source geometry already matches, the receiver
-// itself is returned (scalers are immutable after construction).
-func (s *Scaler) Derive(srcW, srcH int) (*Scaler, error) {
-	if srcW == s.srcW && srcH == s.srcH {
-		return s, nil
-	}
-	return NewScaler(srcW, srcH, s.dstW, s.dstH, s.opts)
-}
-
 // Resize resamples img to the scaler's destination geometry. Inputs whose
 // size differs from the prepared source geometry are handled through the
 // shared coefficient cache, so even the fallback path pays the build cost
