@@ -252,13 +252,15 @@ func TestGoldenFindings(t *testing.T) {
 				"internal/flow/conc.go:70 chandisc",  // SelectCloseSend: close on one clause, then send
 				"internal/flow/conc.go:94 lockorder", // ExitArm: os.Exit ends its path
 				"internal/flow/pool.go:36 poollife",  // BreakLeak: live at break
+				"internal/flow/pool.go:50 poollife",  // LabeledBreak: live at break outer
 				"internal/flow/pool.go:69 poollife",  // SwitchNoDefault: no case may match
 				"internal/flow/pool.go:79 poollife",  // TypeSwitchDouble: second release on default
 				"internal/flow/pool.go:91 poollife",  // SelectDefault: default arm leaks
+				"internal/flow/pool.go:133 poollife", // LabeledContinue: live at continue outer
 				// ContinueClean, ContinueUnlock, SelectAll, PanicArm and
 				// PanicClose are clean (PanicClose's close sits on the path
-				// that panics); LabeledBreak, Goto and GotoLock pin that
-				// labeled break and goto end the path.
+				// that panics); Goto and GotoLock pin that goto ends the
+				// path.
 			},
 		},
 		{

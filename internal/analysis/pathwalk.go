@@ -35,20 +35,25 @@ type pathDomain[S any] interface {
 
 // pathWalker interprets statements path by path for one domain. Every
 // statement method reports whether all paths through it ended (return,
-// panic, os.Exit, or a jump). Unlabeled break, continue and fallthrough
-// carry their state to the innermost target; labeled jumps and goto end
-// the path. A loop is one iteration: the state after it joins the state
-// before it, the end of the body, every continue and every break.
+// panic, os.Exit, or a jump). break, continue and fallthrough carry their
+// state to their target: the innermost one, or the loop, switch or select
+// their label names. goto ends the path. A loop is one iteration: the
+// state after it joins the state before it, the end of the body, every
+// continue and every break.
 type pathWalker[S any] struct {
 	d       pathDomain[S]
 	info    *types.Info
 	targets []*jumpTarget[S]
+	// label names the loop, switch or select being entered: set by its
+	// LabeledStmt, taken by the push of its jump target.
+	label string
 }
 
 // jumpTarget collects the states jumping to the end of one breakable
 // statement, or (continue) to its back edge, or (fallthrough) into the
 // next case clause.
 type jumpTarget[S any] struct {
+	label  string
 	loop   bool
 	breaks []S
 	conts  []S
@@ -82,7 +87,13 @@ func (w *pathWalker[S]) stmt(s ast.Stmt, st S) bool {
 		d.scopeExit(s, st, term)
 		return term
 	case *ast.LabeledStmt:
-		return w.stmt(s.Stmt, st)
+		switch s.Stmt.(type) {
+		case *ast.ForStmt, *ast.RangeStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
+			w.label = s.Label.Name
+		}
+		term := w.stmt(s.Stmt, st)
+		w.label = ""
+		return term
 	case *ast.ReturnStmt:
 		d.step(s, st)
 		return true
@@ -145,7 +156,8 @@ func (w *pathWalker[S]) merge(s ast.Stmt, st S, live []S) bool {
 }
 
 func (w *pathWalker[S]) push(loop bool) *jumpTarget[S] {
-	t := &jumpTarget[S]{loop: loop}
+	t := &jumpTarget[S]{label: w.label, loop: loop}
+	w.label = ""
 	w.targets = append(w.targets, t)
 	return t
 }
@@ -210,15 +222,18 @@ func (w *pathWalker[S]) clauses(s ast.Stmt, body *ast.BlockStmt, st S) bool {
 	return w.merge(s, st, append(live, t.breaks...))
 }
 
-// jump sends the state of an unlabeled break, continue or fallthrough to
-// its innermost target. Labeled jumps and goto end the path.
+// jump sends the state of a break, continue or fallthrough to its target:
+// the innermost one, or for a labeled jump the one carrying its label.
+// goto ends the path.
 func (w *pathWalker[S]) jump(s *ast.BranchStmt, st S) {
-	if s.Label != nil {
+	if s.Tok == token.GOTO {
 		return
 	}
 	for i := len(w.targets) - 1; i >= 0; i-- {
 		t := w.targets[i]
 		switch {
+		case s.Label != nil && s.Label.Name != t.label:
+			continue
 		case s.Tok == token.BREAK:
 			t.breaks = append(t.breaks, w.d.clone(st))
 		case s.Tok == token.FALLTHROUGH:

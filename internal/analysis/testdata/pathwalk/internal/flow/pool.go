@@ -41,9 +41,9 @@ func BreakLeak(xs []int) {
 	}
 }
 
-// LabeledBreak leaks on its labeled-break path. A labeled break ends the
-// path instead of flowing to its label, so this leak goes unreported: the
-// golden pins that blind spot.
+// LabeledBreak leaks on its labeled-break path: break outer flows to its
+// label, so the borrow still live there leaves the outer loop, not just
+// the inner one.
 func LabeledBreak(rows [][]int) {
 outer:
 	for _, row := range rows {
@@ -121,6 +121,21 @@ func PanicArm(k int) {
 	if k < 0 {
 		panic("negative")
 	} else {
+		put(bp)
+	}
+}
+
+// LabeledContinue leaks on its labeled-continue path: continue outer
+// carries the live borrow to the outer loop's next iteration.
+func LabeledContinue(rows [][]int) {
+outer:
+	for _, row := range rows {
+		bp := get()
+		for _, x := range row {
+			if x < 0 {
+				continue outer
+			}
+		}
 		put(bp)
 	}
 }

@@ -260,18 +260,17 @@ func (d *Detector) Detect(img *imgcore.Image) (Verdict, error) {
 	return d.DetectCtx(context.Background(), img)
 }
 
-// DetectCtx scores img and classifies it through a one-member table on
-// the standalone pipeline, recording the method's score latency and
-// verdict tally, and — under a traced context — a span named after the
-// method carrying the score and decision, with the pipeline's stage spans
-// nested beneath it.
+// DetectCtx scores img and classifies it through a one-member table,
+// recording the method's score latency and verdict tally, and — under a
+// traced context — a span named after the method carrying the score and
+// decision, with the pipeline's stage spans nested beneath it.
 //
 //declint:nan-ok NaN/Inf handling is the scorer's contract; a NaN score classifies as benign (Classify is false on NaN)
 func (d *Detector) DetectCtx(ctx context.Context, img *imgcore.Image) (Verdict, error) {
 	if err := img.Validate(); err != nil {
 		return Verdict{}, err
 	}
-	in := standalone.intermediates(img)
+	in := intermediates(img)
 	defer in.release()
 	return d.detectIn(ctx, in)
 }

@@ -29,11 +29,6 @@ type EnsembleVerdict struct {
 type Ensemble struct {
 	detectors []*Detector
 
-	// pipe is the stage-DAG engine the ensemble scores through: per-image
-	// memoized substrates, pooled buffers, per-stage metrics (see
-	// pipeline.go).
-	pipe *Pipeline
-
 	// Whole-ensemble latency and majority-vote tallies, resolved at
 	// construction (detect.ensemble.*), plus the batch equivalents.
 	detectH     *obs.Histogram
@@ -57,7 +52,6 @@ func NewEnsemble(detectors ...*Detector) (*Ensemble, error) {
 	}
 	return &Ensemble{
 		detectors:   append([]*Detector(nil), detectors...),
-		pipe:        NewPipeline(),
 		detectH:     obs.H("detect.ensemble.seconds"),
 		images:      obs.C("detect.ensemble.images"),
 		attackC:     obs.C("detect.ensemble.attack"),
@@ -110,7 +104,7 @@ func (e *Ensemble) detect(ctx context.Context, img *imgcore.Image, popts ...para
 		ctx, tr = obs.WithTrace(ctx, "ensemble.detect")
 	}
 	sctx, st := obs.StartStage(ctx, "ensemble.detect", e.detectH)
-	in := e.pipe.intermediates(img)
+	in := intermediates(img)
 	// parallel.Do waits for in-flight tasks even on error/cancellation, so
 	// no task can still be reading the pooled substrates when they return
 	// to their pools.

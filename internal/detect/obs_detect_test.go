@@ -43,6 +43,8 @@ func obsTestEnsemble(t testing.TB) *Ensemble {
 // TestEnsembleDetectTrace pins the span timeline a traced ensemble call
 // produces: ensemble.detect at the root, one child per method carrying
 // score and decision attrs, and the scorers' stage spans nested below.
+// The input is RGB with 8-bit samples, so the gray stage runs and the
+// min-filter takes its uint8 lane, which has no span of its own.
 func TestEnsembleDetectTrace(t *testing.T) {
 	testutil.VerifyNoLeaks(t) // the traced pipeline's fan-outs must all join
 	ctx, tr := obs.WithTrace(context.Background(), "classify")
@@ -50,7 +52,11 @@ func TestEnsembleDetectTrace(t *testing.T) {
 		t.Skip("observability compiled out (noobs)")
 	}
 	e := obsTestEnsemble(t)
-	if _, err := e.Detect(ctx, obsTestImage(t, 32, 32)); err != nil {
+	img := imgcore.MustNew(32, 32, 3)
+	for i := range img.Pix {
+		img.Pix[i] = float64((i * 37) % 256)
+	}
+	if _, err := e.Detect(ctx, img); err != nil {
 		t.Fatal(err)
 	}
 	tr.End()
@@ -64,11 +70,15 @@ func TestEnsembleDetectTrace(t *testing.T) {
 		"ensemble.detect",
 		"scaling/MSE", "filtering/SSIM", "steganalysis/CSP",
 		"downscale", "upscale", "minfilter", "csp",
+		"pipeline.gray", "pipeline.spectrum", "pipeline.metric",
 		"score=", "attack=", "votes=",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("trace missing %q:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, "pipeline.u8") {
+		t.Fatalf("trace has a pipeline.u8 span:\n%s", out)
 	}
 
 	kids := tr.Root().Children()

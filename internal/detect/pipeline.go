@@ -17,18 +17,14 @@
 // being allocated per stage.
 //
 // An ensemble opens one table per image for all of its members; a
-// standalone Scorer.Score or Detector.Detect opens a one-member table on
-// the package's standalone pipeline. Calibration, evaluation and serving
-// therefore run the same stage code, and a threshold calibrated on
-// standalone scores is applied to bit-identical ensemble scores (pinned,
-// together with the kernel-composed reference in pipeline_diff_test.go,
-// by the differential suite).
-//
-// Inputs whose samples are all 8-bit integers — every decoded PNG and
-// every quantized attack output — additionally get a memoized U8Image
-// view, and the gray and min-filter stages route through uint8 kernels
-// that are provably bit-identical on such inputs (LUT luminance, integer
-// vHGW erosion).
+// standalone Scorer.Score or Detector.Detect opens a one-member table.
+// Calibration, evaluation and serving therefore run the same stage code,
+// and a threshold calibrated on standalone scores is applied to
+// bit-identical ensemble scores (pinned, together with the
+// kernel-composed reference in pipeline_diff_test.go, by the
+// differential suite). Every stage runs on the float64 tensor; the one
+// stage that gains from 8-bit samples, the min-filter, gets them inside
+// filtering.MinimumInto.
 package detect
 
 import (
@@ -75,7 +71,6 @@ const (
 	stageCSP
 	stageSSIMRef
 	stageMSE
-	stageU8
 )
 
 // stageKey is the identity of one stage instance for one image: the stage
@@ -103,48 +98,35 @@ type memoEntry struct {
 	err  error
 }
 
-// Pipeline holds the cross-image state of the stage engine: the memo
-// hit/miss counters and the per-stage latency histograms. An Ensemble
-// owns one Pipeline for its lifetime; it is safe for concurrent use.
-type Pipeline struct {
-	memo *obs.MemoStats
+// The stage engine's cross-image instruments: the memo hit/miss counters
+// and the per-stage latency histograms. Every ensemble and every
+// standalone score records into the same obs registry entries.
+var (
+	memoStats = obs.NewMemoStats("detect.pipeline.memo")
 
-	grayH, downH, upH, minH, specH, cspH, metricH, u8H *obs.Histogram
-}
+	grayH   = obs.H("detect.pipeline.gray.seconds")
+	downH   = obs.H("detect.pipeline.downscale.seconds")
+	upH     = obs.H("detect.pipeline.upscale.seconds")
+	minH    = obs.H("detect.pipeline.minfilter.seconds")
+	specH   = obs.H("detect.pipeline.spectrum.seconds")
+	cspH    = obs.H("detect.pipeline.csp.seconds")
+	metricH = obs.H("detect.pipeline.metric.seconds")
+)
 
-// NewPipeline builds a stage engine.
-func NewPipeline() *Pipeline {
-	return &Pipeline{
-		memo:    obs.NewMemoStats("detect.pipeline.memo"),
-		grayH:   obs.H("detect.pipeline.gray.seconds"),
-		downH:   obs.H("detect.pipeline.downscale.seconds"),
-		upH:     obs.H("detect.pipeline.upscale.seconds"),
-		minH:    obs.H("detect.pipeline.minfilter.seconds"),
-		specH:   obs.H("detect.pipeline.spectrum.seconds"),
-		cspH:    obs.H("detect.pipeline.csp.seconds"),
-		metricH: obs.H("detect.pipeline.metric.seconds"),
-		u8H:     obs.H("detect.pipeline.u8.seconds"),
-	}
-}
-
-// standalone is the pipeline behind every standalone Score and
-// Detector.Detect call.
-var standalone = NewPipeline()
-
-// scoreAlone scores one image through a one-member table on the
-// standalone pipeline: validate, open the table, score, release.
+// scoreAlone scores one image through a one-member table: validate, open
+// the table, score, release.
 func scoreAlone(ctx context.Context, s pipelineScorer, img *imgcore.Image) (float64, error) {
 	if err := img.Validate(); err != nil {
 		return 0, err
 	}
-	in := standalone.intermediates(img)
+	in := intermediates(img)
 	defer in.release()
 	return s.ScorePipeline(ctx, in)
 }
 
 // intermediates opens a fresh per-image memo table over img.
-func (p *Pipeline) intermediates(img *imgcore.Image) *Intermediates {
-	return &Intermediates{pipe: p, img: img, entries: make(map[stageKey]*memoEntry)}
+func intermediates(img *imgcore.Image) *Intermediates {
+	return &Intermediates{img: img, entries: make(map[stageKey]*memoEntry)}
 }
 
 // Intermediates is the per-image memo table of the stage DAG. Scorers
@@ -153,13 +135,12 @@ func (p *Pipeline) intermediates(img *imgcore.Image) *Intermediates {
 // pooled buffers behind the memoized values, so the table and everything
 // it handed out must not be used afterwards.
 type Intermediates struct {
-	pipe *Pipeline
-	img  *imgcore.Image
+	img *imgcore.Image
 
 	mu      sync.Mutex
 	entries map[stageKey]*memoEntry
 
-	// hits/misses mirror the pipe.memo obs counters but always count, so
+	// hits/misses mirror the memoStats obs counters but always count, so
 	// tests can pin exactly-once computation under -tags noobs too.
 	// borrows counts pooled buffers handed to this request (one per
 	// registered release), the pool-custody figure the flight recorder
@@ -169,9 +150,6 @@ type Intermediates struct {
 	relMu    sync.Mutex
 	released []func()
 }
-
-// Image returns the image the table memoizes over.
-func (in *Intermediates) Image() *imgcore.Image { return in.img }
 
 // memo returns the stage value for key, computing it at most once.
 func (in *Intermediates) memo(key stageKey, compute func() (any, error)) (any, error) {
@@ -189,10 +167,10 @@ func (in *Intermediates) memo(key stageKey, compute func() (any, error)) (any, e
 	})
 	if first {
 		in.misses.Add(1)
-		in.pipe.memo.Miss()
+		memoStats.Miss()
 	} else {
 		in.hits.Add(1)
-		in.pipe.memo.Hit()
+		memoStats.Hit()
 	}
 	return e.val, e.err
 }
@@ -222,7 +200,8 @@ func (in *Intermediates) release() {
 
 // pixPool recycles the pixel planes of pooled stage outputs. Buffers are
 // not zeroed on reuse: every stage fully overwrites its output (GrayInto
-// writes every sample; ResizeInto's passes assign every sample).
+// writes every sample; ResizeInto's passes and MinimumInto's vertical
+// sweep or widening assign every sample).
 var pixPool = sync.Pool{New: func() any { return new([]float64) }}
 
 // pooledImage draws an image of the given geometry from the pixel pool.
@@ -241,51 +220,6 @@ func pooledImage(w, h, c int) (img *imgcore.Image, put func()) {
 	return &imgcore.Image{W: w, H: h, C: c, Pix: *bp}, poolTraceWrap(func() { pixPool.Put(bp) })
 }
 
-// grayLUT holds the 256 possible products of each BT.601 weight with an
-// 8-bit intensity: grayLUT[c][v] = weight_c · float64(v), the exact
-// multiplication imgcore.GrayInto performs on integral samples.
-var grayLUT = func() (lut [3][256]float64) {
-	for v := 0; v < 256; v++ {
-		lut[0][v] = 0.299 * float64(v)
-		lut[1][v] = 0.587 * float64(v)
-		lut[2][v] = 0.114 * float64(v)
-	}
-	return
-}()
-
-// grayIntoU8 is imgcore.GrayInto over the 8-bit view: three table lookups
-// replace three multiplies per pixel. Each lookup IS the float64 product
-// GrayInto would compute (the LUT stores weight·float64(v) for every v), and
-// the additions keep GrayInto's left-to-right order, so the output is
-// bit-identical to GrayInto on the widened samples.
-//
-//declint:hot
-func grayIntoU8(dst []float64, pix []uint8) {
-	for i := range dst {
-		dst[i] = grayLUT[0][pix[i*3]] + grayLUT[1][pix[i*3+1]] + grayLUT[2][pix[i*3+2]]
-	}
-}
-
-// u8View returns the lossless 8-bit view of the image, computed once per
-// image, or nil when any sample is fractional or out of [0, 255]. Every
-// real detection input (decoded PNGs, quantized attack outputs) has the
-// view; synthetic float imagery falls back to the float64 stages.
-func (in *Intermediates) u8View(ctx context.Context) (*imgcore.U8Image, error) {
-	v, err := in.memo(stageKey{kind: stageU8}, func() (any, error) {
-		_, st := obs.StartStage(ctx, "pipeline.u8", in.pipe.u8H)
-		u, ok := in.img.ToU8()
-		st.End()
-		if !ok {
-			return (*imgcore.U8Image)(nil), nil
-		}
-		return u, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*imgcore.U8Image), nil
-}
-
 // gray returns the single-channel luminance view of the image: the image
 // itself when it is already single-channel, otherwise a pooled BT.601
 // conversion computed once per image.
@@ -297,18 +231,10 @@ func (in *Intermediates) gray(ctx context.Context) (*imgcore.Image, error) {
 		if in.img.C != 3 {
 			return nil, fmt.Errorf("detect: cannot gray %d-channel image", in.img.C)
 		}
-		u, err := in.u8View(ctx)
-		if err != nil {
-			return nil, err
-		}
-		_, st := obs.StartStage(ctx, "pipeline.gray", in.pipe.grayH)
+		_, st := obs.StartStage(ctx, "pipeline.gray", grayH)
 		g, put := pooledImage(in.img.W, in.img.H, 1)
 		in.deferRelease(put)
-		if u != nil {
-			grayIntoU8(g.Pix, u.Pix)
-		} else {
-			imgcore.GrayInto(g.Pix, in.img.Pix)
-		}
+		imgcore.GrayInto(g.Pix, in.img.Pix)
 		st.End()
 		return g, nil
 	})
@@ -332,7 +258,7 @@ func (in *Intermediates) roundTrip(ctx context.Context, key stageKey) (*imgcore.
 		if err != nil {
 			return nil, fmt.Errorf("detect: scaling upscale: %w", err)
 		}
-		_, st := obs.StartStage(ctx, "pipeline.downscale", in.pipe.downH)
+		_, st := obs.StartStage(ctx, "pipeline.downscale", downH)
 		down, putDown := pooledImage(key.dstW, key.dstH, img.C)
 		err = downScaler.ResizeInto(ctx, img, down)
 		st.End()
@@ -340,7 +266,7 @@ func (in *Intermediates) roundTrip(ctx context.Context, key stageKey) (*imgcore.
 			putDown()
 			return nil, fmt.Errorf("detect: scaling downscale: %w", err)
 		}
-		_, st = obs.StartStage(ctx, "pipeline.upscale", in.pipe.upH)
+		_, st = obs.StartStage(ctx, "pipeline.upscale", upH)
 		up, putUp := pooledImage(img.W, img.H, img.C)
 		err = upScaler.ResizeInto(ctx, down, up)
 		st.End()
@@ -359,37 +285,18 @@ func (in *Intermediates) roundTrip(ctx context.Context, key stageKey) (*imgcore.
 }
 
 // minFiltered returns the Method-2 erosion of the image for one window
-// size, computed once per window. Images with an 8-bit view run the
-// uint8 vHGW kernel (integer comparisons order exactly like their
-// float64 images, so the widened result is bit-identical to MinimumCtx).
+// size, computed once per window into a pooled buffer.
 func (in *Intermediates) minFiltered(ctx context.Context, window int) (*imgcore.Image, error) {
 	v, err := in.memo(stageKey{kind: stageMinFilter, window: window}, func() (any, error) {
-		u, err := in.u8View(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if u != nil {
-			_, st := obs.StartStage(ctx, "pipeline.minfilter", in.pipe.minH)
-			fu, err := filtering.MinimumU8Ctx(ctx, u, window)
-			if err != nil {
-				st.End()
-				return nil, fmt.Errorf("detect: minimum filter: %w", err)
-			}
-			f, put := pooledImage(in.img.W, in.img.H, in.img.C)
-			in.deferRelease(put)
-			err = imgcore.FromU8Into(fu, f)
-			st.End()
-			if err != nil {
-				return nil, fmt.Errorf("detect: minimum filter: %w", err)
-			}
-			return f, nil
-		}
-		_, st := obs.StartStage(ctx, "pipeline.minfilter", in.pipe.minH)
-		f, err := filtering.MinimumCtx(ctx, in.img, window)
+		_, st := obs.StartStage(ctx, "pipeline.minfilter", minH)
+		f, put := pooledImage(in.img.W, in.img.H, in.img.C)
+		err := filtering.MinimumInto(ctx, in.img, f, window)
 		st.End()
 		if err != nil {
+			put()
 			return nil, fmt.Errorf("detect: minimum filter: %w", err)
 		}
+		in.deferRelease(put)
 		return f, nil
 	})
 	if err != nil {
@@ -410,7 +317,7 @@ func (in *Intermediates) spectrum(ctx context.Context) ([]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("steg: spectrum: %w", err)
 		}
-		_, st := obs.StartStage(ctx, "pipeline.spectrum", in.pipe.specH)
+		_, st := obs.StartStage(ctx, "pipeline.spectrum", specH)
 		spec := make([]float64, g.W*g.H)
 		err = plan.CenteredSpectrumInto(ctx, g.Pix, spec)
 		st.End()
@@ -434,7 +341,7 @@ func (in *Intermediates) csp(ctx context.Context, opts steg.Options) (int, error
 		if err != nil {
 			return nil, err
 		}
-		_, st := obs.StartStage(ctx, "pipeline.csp", in.pipe.cspH)
+		_, st := obs.StartStage(ctx, "pipeline.csp", cspH)
 		a, err := steg.AnalyzeSpectrum(spec, in.img.W, in.img.H, key.gopts)
 		st.End()
 		if err != nil {
@@ -457,7 +364,7 @@ func (in *Intermediates) ssimRef(ctx context.Context) (*metrics.SSIMRef, error) 
 		if err != nil {
 			return nil, err
 		}
-		_, st := obs.StartStage(ctx, "pipeline.metric", in.pipe.metricH)
+		_, st := obs.StartStage(ctx, "pipeline.metric", metricH)
 		ref, err := metrics.NewSSIMRef(ctx, g, metrics.DefaultSSIM())
 		st.End()
 		if err != nil {
@@ -477,7 +384,7 @@ func (in *Intermediates) ssimRef(ctx context.Context) (*metrics.SSIMRef, error) 
 func (in *Intermediates) mseAgainst(ctx context.Context, sub stageKey, other *imgcore.Image) (float64, error) {
 	key := stageKey{kind: stageMSE, of: sub.kind, dstW: sub.dstW, dstH: sub.dstH, sopts: sub.sopts, window: sub.window}
 	v, err := in.memo(key, func() (any, error) {
-		_, st := obs.StartStage(ctx, "pipeline.metric", in.pipe.metricH)
+		_, st := obs.StartStage(ctx, "pipeline.metric", metricH)
 		m, err := metrics.MSE(in.img, other)
 		st.End()
 		if err != nil {
@@ -509,7 +416,7 @@ func (in *Intermediates) scoreAgainst(ctx context.Context, m Metric, sub stageKe
 		if err != nil {
 			return 0, err
 		}
-		_, st := obs.StartStage(ctx, "pipeline.metric", in.pipe.metricH)
+		_, st := obs.StartStage(ctx, "pipeline.metric", metricH)
 		v, err := ref.ScoreCtx(ctx, other)
 		st.End()
 		return v, err

@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 	"testing"
 
@@ -25,9 +26,9 @@ import (
 )
 
 // legacyScore is the reference implementation of each built-in method,
-// composed directly from the public kernels with no memo table, no
-// pooling and no u8 routing: the pre-pipeline per-scorer bodies. Plain
-// scorers are called as-is.
+// composed directly from the public kernels with no memo table and no
+// pooling: the pre-pipeline per-scorer bodies. Plain scorers are called
+// as-is.
 func legacyScore(s Scorer, img *imgcore.Image) (float64, error) {
 	switch s := s.(type) {
 	case *ScalingScorer:
@@ -252,8 +253,58 @@ func TestPipelineMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestStandaloneScoreConcurrent pins the shared standalone pipeline under
-// concurrent use: every member scoring several images at once from
+// TestPipelineNonIntegralInputFallsBack pins the float64 lane: an image
+// with fractional samples has no 8-bit view, so its min-filter erodes
+// over float64, and the pipeline must still match the reference
+// bit-for-bit.
+func TestPipelineNonIntegralInputFallsBack(t *testing.T) {
+	e := matrixEnsemble(t, 24, 18, 8, 6)
+	img := corpusImage(t, 43, 0, 24, 18)
+	for i := range img.Pix {
+		img.Pix[i] = math.Min(255, img.Pix[i]+0.25)
+	}
+	ctx := context.Background()
+	pipe, err := e.Detect(ctx, img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := legacyDetect(ctx, e, img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireEqualVerdicts(t, pipe, legacy)
+}
+
+// TestQuantizedEnsembleDeterministic pins that an ensemble over quantized
+// (8-bit integral) input, whose min-filter erodes over uint8, is
+// deterministic: a repeat detect — running on recycled, un-zeroed pool
+// buffers — agrees bit-for-bit with the first, and both match the
+// reference.
+func TestQuantizedEnsembleDeterministic(t *testing.T) {
+	e := matrixEnsemble(t, 32, 24, 8, 6)
+	img := corpusImage(t, 45, 0, 32, 24)
+	if _, ok := img.ToU8(); !ok {
+		t.Fatal("corpus image has no 8-bit view")
+	}
+	ctx := context.Background()
+	a, err := e.Detect(ctx, img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := e.Detect(ctx, img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireEqualVerdicts(t, a, b)
+	ref, err := legacyDetect(ctx, e, img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireEqualVerdicts(t, a, ref)
+}
+
+// TestStandaloneScoreConcurrent pins standalone scoring, whose one-member
+// tables share the package's stage instruments, under concurrent use: every member scoring several images at once from
 // several workers reproduces its serial scores bit for bit.
 func TestStandaloneScoreConcurrent(t *testing.T) {
 	ds := matrixEnsemble(t, 24, 18, 8, 6).Detectors()
@@ -321,7 +372,7 @@ func TestPipelineMemoizesSubstrates(t *testing.T) {
 	obsHits0 := obs.C("detect.pipeline.memo.hits").Value()
 	obsMiss0 := obs.C("detect.pipeline.memo.misses").Value()
 
-	in := e.pipe.intermediates(img)
+	in := intermediates(img)
 	defer in.release()
 	ctx := context.Background()
 	for _, d := range e.Detectors() {
@@ -330,18 +381,16 @@ func TestPipelineMemoizesSubstrates(t *testing.T) {
 		}
 	}
 
-	// Unique stages for the 7-member matrix on an RGB (8-bit) image: u8
-	// view, gray, round trip, min-filter, spectrum, CSP, SSIM reference,
-	// and one MSE per substrate (round trip, min-filter) = 9 misses.
-	// Every other request is a hit: round trip ×2, MSE(round trip) ×1,
-	// min-filter ×2, MSE(min-filter) ×1, SSIM reference ×1, gray ×1, and
-	// the u8 view re-requested by whichever of gray/min-filter ran second
-	// ×1 = 9 hits.
-	if got := in.misses.Load(); got != 9 {
-		t.Errorf("memo misses = %d, want 9 (one per unique substrate)", got)
+	// Unique stages for the 7-member matrix on an RGB image: gray, round
+	// trip, min-filter, spectrum, CSP, SSIM reference, and one MSE per
+	// substrate (round trip, min-filter) = 8 misses. Every other request
+	// is a hit: round trip ×2, MSE(round trip) ×1, min-filter ×2,
+	// MSE(min-filter) ×1, SSIM reference ×1 and gray ×1 = 8 hits.
+	if got := in.misses.Load(); got != 8 {
+		t.Errorf("memo misses = %d, want 8 (one per unique substrate)", got)
 	}
-	if got := in.hits.Load(); got != 9 {
-		t.Errorf("memo hits = %d, want 9", got)
+	if got := in.hits.Load(); got != 8 {
+		t.Errorf("memo hits = %d, want 8", got)
 	}
 	if obs.Enabled() {
 		if got := obs.C("detect.pipeline.memo.misses").Value() - obsMiss0; got != in.misses.Load() {

@@ -1,13 +1,15 @@
 // The erosion kernel: the van Herk–Gil–Werman (vHGW) two-pass
 // monotone-wedge minimum, run separably (rows then columns) — O(1)
 // comparisons per sample independent of window size. It is the one body
-// behind Minimum/MinimumCtx over float64 planes and MinimumU8Ctx over
-// 8-bit planes (fastu8.go): each is an instantiation of the generic erode
-// below. Because the kernel only compares, its output is bit-identical to
-// the naive window scan in filtering.go for finite inputs, and integer
-// comparisons order exactly like comparisons on their float64 images, so
-// the 8-bit instantiation is bit-identical to the float64 one after
-// FromU8.
+// behind the minimum filter. minimumInto, the body of Minimum, MinimumCtx
+// and MinimumInto, is the one place that picks its lane: the uint8
+// instantiation of the generic erode below for inputs whose samples are
+// all 8-bit integers, the float64 one otherwise; MinimumU8Ctx (fastu8.go)
+// runs the uint8 instantiation on an 8-bit image directly. Because the
+// kernel only compares, its output is bit-identical to the naive window
+// scan in filtering.go for finite inputs, and integer comparisons order
+// exactly like comparisons on their float64 images, so the two lanes
+// agree bit for bit after FromU8.
 //
 // The sweep preserves the naive path's replicate-clamp border semantics
 // and OpenCV anchoring exactly: even sizes anchor top-left (offsets
@@ -116,8 +118,9 @@ func slidingMin[T sample](out, padded, wedge []T, w int) {
 // into dst: a horizontal vHGW sweep into tmp, then a vertical vHGW sweep
 // of tmp into dst. Per-axis clamping makes the rectangular window exactly
 // separable: minimum over {(clampX(x+dx), clampY(y+dy))} = vertical
-// minimum of per-row horizontal minima. dst and tmp must not alias src or
-// each other; size must be at least 2.
+// minimum of per-row horizontal minima. tmp must not alias src or dst;
+// dst may be src, because the horizontal sweep has read all of src before
+// the vertical sweep writes dst. size must be at least 2.
 func erode[T sample](ctx context.Context, dst, tmp, src []T, w, h, c, size int, popts ...parallel.Option) error {
 	lo, _ := windowOffsets(size)
 
@@ -168,19 +171,30 @@ func erode[T sample](ctx context.Context, dst, tmp, src []T, w, h, c, size int, 
 	}, vOpts...)
 }
 
-// minFilter is the float64 instantiation of erode behind Minimum and
-// MinimumCtx.
-func minFilter(ctx context.Context, img *imgcore.Image, size int, popts ...parallel.Option) (*imgcore.Image, error) {
-	if err := img.Validate(); err != nil {
-		return nil, err
+// minimumInto is MinimumInto with parallel options threaded through, and
+// the one place that picks the lane: a src whose samples are all 8-bit
+// integers is narrowed once, eroded in place over that private uint8 view
+// (one byte per sample instead of eight) and widened into dst; any other
+// src is eroded over float64.
+func minimumInto(ctx context.Context, src, dst *imgcore.Image, size int, popts ...parallel.Option) error {
+	if err := src.Validate(); err != nil {
+		return err
+	}
+	if err := dst.Validate(); err != nil {
+		return err
+	}
+	if dst.W != src.W || dst.H != src.H || dst.C != src.C {
+		return fmt.Errorf("%w: dst %dx%dx%d, want %dx%dx%d",
+			imgcore.ErrShapeMismatch, dst.W, dst.H, dst.C, src.W, src.H, src.C)
 	}
 	if err := checkWindow(size); err != nil {
-		return nil, err
+		return err
 	}
-	tmp := img.Clone()
-	out := img.Clone()
-	if err := erode(ctx, out.Pix, tmp.Pix, img.Pix, img.W, img.H, img.C, size, popts...); err != nil {
-		return nil, err
+	if u, ok := src.ToU8(); ok {
+		if err := erode(ctx, u.Pix, make([]uint8, len(u.Pix)), u.Pix, u.W, u.H, u.C, size, popts...); err != nil {
+			return err
+		}
+		return imgcore.FromU8Into(u, dst)
 	}
-	return out, nil
+	return erode(ctx, dst.Pix, make([]float64, len(src.Pix)), src.Pix, src.W, src.H, src.C, size, popts...)
 }

@@ -22,15 +22,42 @@ func pickMin(buf []float64) float64 {
 	return m
 }
 
-// checkMinAgainstNaive fails t unless the erosion kernel and the naive
-// window scan agree bit for bit on img at the given window.
+// erodeFloat runs the float64 instantiation of erode on img whatever its
+// samples: the lane minimumInto takes for inputs without an 8-bit view,
+// and the oracle the uint8 lane is pinned against.
+func erodeFloat(img *imgcore.Image, size int, popts ...parallel.Option) (*imgcore.Image, error) {
+	if err := img.Validate(); err != nil {
+		return nil, err
+	}
+	if err := checkWindow(size); err != nil {
+		return nil, err
+	}
+	out := &imgcore.Image{W: img.W, H: img.H, C: img.C, Pix: make([]float64, len(img.Pix))}
+	if err := erode(context.Background(), out.Pix, make([]float64, len(img.Pix)), img.Pix, img.W, img.H, img.C, size, popts...); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// minimumWith is MinimumCtx with parallel options: minimumInto into a
+// fresh output.
+func minimumWith(img *imgcore.Image, size int, popts ...parallel.Option) (*imgcore.Image, error) {
+	out := &imgcore.Image{W: img.W, H: img.H, C: img.C, Pix: make([]float64, len(img.Pix))}
+	if err := minimumInto(context.Background(), img, out, size, popts...); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// checkMinAgainstNaive fails t unless the float64 erosion kernel and the
+// naive window scan agree bit for bit on img at the given window.
 func checkMinAgainstNaive(t *testing.T, img *imgcore.Image, window int) {
 	t.Helper()
 	want, err := rankFilter(context.Background(), img, window, pickMin)
 	if err != nil {
 		t.Fatalf("naive %dx%dx%d w=%d: %v", img.W, img.H, img.C, window, err)
 	}
-	got, err := minFilter(context.Background(), img, window)
+	got, err := erodeFloat(img, window)
 	if err != nil {
 		t.Fatalf("fast %dx%dx%d w=%d: %v", img.W, img.H, img.C, window, err)
 	}
@@ -93,12 +120,12 @@ func TestFastFiltersSerialParallelEquivalence(t *testing.T) {
 		for _, c := range []int{1, 3} {
 			img := noiseImage(rng, wh[0], wh[1], c)
 			for _, window := range []int{2, 5} {
-				want, err := minFilter(context.Background(), img, window, parallel.Workers(1), parallel.Grain(1))
+				want, err := erodeFloat(img, window, parallel.Workers(1), parallel.Grain(1))
 				if err != nil {
 					t.Fatalf("serial: %v", err)
 				}
 				for _, workers := range []int{2, 4, 7} {
-					got, err := minFilter(context.Background(), img, window, parallel.Workers(workers), parallel.Grain(1))
+					got, err := erodeFloat(img, window, parallel.Workers(workers), parallel.Grain(1))
 					if err != nil {
 						t.Fatalf("workers=%d: %v", workers, err)
 					}
@@ -108,6 +135,78 @@ func TestFastFiltersSerialParallelEquivalence(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestMinimumIntoBitEqualNaive pins the one minimum-filter entry point on
+// both of its lanes: integral 0–255 inputs (the uint8 erosion) and
+// fractional or out-of-range inputs (the float64 erosion) must match the
+// naive window scan bit for bit, at one worker and at several.
+func TestMinimumIntoBitEqualNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	integral := func(w, h, c int) *imgcore.Image {
+		img, err := imgcore.FromU8(noiseU8Image(rng, w, h, c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return img
+	}
+	outOfRange := func(w, h, c int) *imgcore.Image {
+		img := integral(w, h, c)
+		img.Pix[len(img.Pix)/2] = 256
+		return img
+	}
+	cases := []struct {
+		name string
+		make func(w, h, c int) *imgcore.Image
+		u8   bool
+	}{
+		{"integral", integral, true},
+		{"fractional", func(w, h, c int) *imgcore.Image { return noiseImage(rng, w, h, c) }, false},
+		{"out-of-range", outOfRange, false},
+	}
+	for _, tc := range cases {
+		for _, wh := range [][2]int{{1, 9}, {7, 5}, {31, 29}, {64, 48}} {
+			for _, c := range []int{1, 3} {
+				img := tc.make(wh[0], wh[1], c)
+				if _, ok := img.ToU8(); ok != tc.u8 {
+					t.Fatalf("%s: ToU8 ok = %v, want %v", tc.name, ok, tc.u8)
+				}
+				for _, window := range []int{2, 3, 4, 5} {
+					want, err := rankFilter(context.Background(), img, window, pickMin)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, workers := range []int{1, 4} {
+						got, err := minimumWith(img, window, parallel.Workers(workers), parallel.Grain(1))
+						if err != nil {
+							t.Fatalf("%s %dx%dx%d w=%d workers=%d: %v", tc.name, wh[0], wh[1], c, window, workers, err)
+						}
+						if i := testutil.FirstDiff(got.Pix, want.Pix); i != -1 {
+							t.Fatalf("%s %dx%dx%d w=%d workers=%d: sample %d: %v vs naive %v",
+								tc.name, wh[0], wh[1], c, window, workers, i, got.Pix[i], want.Pix[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMinimumIntoRejectsBadDst pins the shape check: a dst that does not
+// have src's geometry, or is not a valid image, is an error.
+func TestMinimumIntoRejectsBadDst(t *testing.T) {
+	src := noiseImage(rand.New(rand.NewSource(68)), 6, 4, 3)
+	for name, dst := range map[string]*imgcore.Image{
+		"width":    imgcore.MustNew(5, 4, 3),
+		"height":   imgcore.MustNew(6, 5, 3),
+		"channels": imgcore.MustNew(6, 4, 1),
+		"empty":    {},
+		"nil":      nil,
+	} {
+		if err := MinimumInto(context.Background(), src, dst, 2); err == nil {
+			t.Errorf("%s: MinimumInto = nil error", name)
 		}
 	}
 }

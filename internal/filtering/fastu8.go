@@ -1,8 +1,8 @@
 // Minimum filter over the 8-bit image view: the uint8 instantiation of
-// the erosion kernel in fast.go, for the common case where every input
-// intensity is an 8-bit integer — one byte per sample instead of eight.
-// Comparisons on integers order identically to comparisons on their
-// float64 images, so MinimumU8Ctx is bit-exact against Minimum after
+// the erosion kernel in fast.go, for callers that already hold an
+// imgcore.U8Image — one byte per sample instead of eight. Comparisons on
+// integers order identically to comparisons on their float64 images, so
+// MinimumU8Ctx is bit-exact against the float64 instantiation after
 // FromU8 (pinned by the u8 equivalence suite and the fixed-point fuzzer).
 package filtering
 
@@ -20,7 +20,7 @@ func MinimumU8Ctx(ctx context.Context, u *imgcore.U8Image, size int) (*imgcore.U
 	return minFilterU8(ctx, u, size)
 }
 
-// minFilterU8 is the uint8 instantiation of erode.
+// minFilterU8 is MinimumU8Ctx with parallel options threaded through.
 func minFilterU8(ctx context.Context, u *imgcore.U8Image, size int, popts ...parallel.Option) (*imgcore.U8Image, error) {
 	if err := u.Validate(); err != nil {
 		return nil, err
@@ -28,9 +28,8 @@ func minFilterU8(ctx context.Context, u *imgcore.U8Image, size int, popts ...par
 	if err := checkWindow(size); err != nil {
 		return nil, err
 	}
-	tmp := u.Clone()
-	out := u.Clone()
-	if err := erode(ctx, out.Pix, tmp.Pix, u.Pix, u.W, u.H, u.C, size, popts...); err != nil {
+	out := &imgcore.U8Image{W: u.W, H: u.H, C: u.C, Pix: make([]uint8, len(u.Pix))}
+	if err := erode(ctx, out.Pix, make([]uint8, len(u.Pix)), u.Pix, u.W, u.H, u.C, size, popts...); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -24,7 +24,7 @@ func noiseU8Image(rng *rand.Rand, w, h, c int) *imgcore.U8Image {
 }
 
 // minU8Widened runs MinimumU8Ctx and widens its output through FromU8 so it
-// compares against the float64 Minimum as a float64 plane.
+// compares against the float64 erosion as a float64 plane.
 func minU8Widened(u *imgcore.U8Image, size int) (*imgcore.Image, error) {
 	out, err := MinimumU8Ctx(context.Background(), u, size)
 	if err != nil {
@@ -35,7 +35,7 @@ func minU8Widened(u *imgcore.U8Image, size int) (*imgcore.Image, error) {
 
 // TestU8FiltersBitEqualFloat is the central exactness pin of the uint8
 // minimum: on 8-bit inputs MinimumU8Ctx must be BIT-IDENTICAL to the float64
-// fast kernel across odd and even windows, both channel counts, and
+// instantiation of the erosion kernel across odd and even windows, both channel counts, and
 // non-square geometries.
 func TestU8FiltersBitEqualFloat(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
@@ -48,7 +48,7 @@ func TestU8FiltersBitEqualFloat(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, window := range []int{2, 3, 4, 5, 7} {
-				want, err := Minimum(wide, window)
+				want, err := erodeFloat(wide, window)
 				if err != nil {
 					t.Fatalf("float %dx%dx%d w=%d: %v", wh[0], wh[1], c, window, err)
 				}
@@ -91,7 +91,7 @@ func TestU8FiltersDegenerateGeometry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Minimum(wide, tc.window)
+		want, err := erodeFloat(wide, tc.window)
 		if err != nil {
 			t.Fatalf("float %dx%dx%d w=%d: %v", tc.w, tc.h, tc.c, tc.window, err)
 		}
@@ -184,6 +184,6 @@ func BenchmarkMinFilterU8256(b *testing.B) {
 // direct baseline for BenchmarkMinFilterU8256.
 func BenchmarkMinFilterFloat256(b *testing.B) {
 	benchmarkFilter256(b, func(img *imgcore.Image, size int) (*imgcore.Image, error) {
-		return minFilter(context.Background(), img, size, parallel.Workers(1))
+		return erodeFloat(img, size, parallel.Workers(1))
 	}, 5)
 }

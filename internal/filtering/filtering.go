@@ -1,9 +1,10 @@
 // Package filtering implements the spatial filters used by Decamouflage's
 // filtering-detection method and by the prevention baselines: the minimum
 // filter of the paper's Method 2 (one van Herk–Gil–Werman erosion kernel
-// in fast.go, instantiated over float64 and 8-bit planes), the maximum and
-// median filters it is compared against in Figure 4 (the naive window scan
-// rankFilter), and Gaussian smoothing. All filters use replicate border
+// in fast.go, run over 8-bit planes when the samples allow and over
+// float64 otherwise), the maximum and median filters it is compared
+// against in Figure 4 (the naive window scan rankFilter), and Gaussian
+// smoothing. All filters use replicate border
 // handling, matching OpenCV's default BORDER_REPLICATE semantics for small
 // kernels. The separable Gaussian in blur.go (GaussianKernel, BlurPlane) is
 // the repository's only one: SSIM's window in internal/metrics and the CSP
@@ -31,14 +32,30 @@ var ErrBadWindow = errors.New("filtering: window size must be a positive odd-or-
 // van Herk–Gil–Werman sweep in fast.go — O(1) comparisons per sample —
 // whose output is bit-identical to the naive window scan for finite inputs.
 func Minimum(img *imgcore.Image, size int) (*imgcore.Image, error) {
-	return minFilter(context.Background(), img, size)
+	return MinimumCtx(context.Background(), img, size)
 }
 
-// MinimumCtx is Minimum honouring ctx cancellation in its parallel sweeps,
-// for callers (the detection pipeline) that thread a request context
-// through every stage. Output is bit-identical to Minimum's.
+// MinimumCtx is Minimum honouring ctx cancellation in its parallel sweeps.
+// Output is bit-identical to Minimum's.
 func MinimumCtx(ctx context.Context, img *imgcore.Image, size int) (*imgcore.Image, error) {
-	return minFilter(ctx, img, size)
+	if err := img.Validate(); err != nil {
+		return nil, err
+	}
+	out := &imgcore.Image{W: img.W, H: img.H, C: img.C, Pix: make([]float64, len(img.Pix))}
+	if err := MinimumInto(ctx, img, out, size); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// MinimumInto writes the size×size minimum of src into dst, which must
+// already have src's geometry. It is the allocation-lean variant of
+// MinimumCtx for callers that recycle output buffers (the detection
+// pipeline), and the one body behind Minimum and MinimumCtx: inputs whose
+// samples are all 8-bit integers erode over uint8, others over float64,
+// with bit-identical results (see fast.go).
+func MinimumInto(ctx context.Context, src, dst *imgcore.Image, size int) error {
+	return minimumInto(ctx, src, dst, size)
 }
 
 // Maximum applies a size×size maximum filter (grayscale dilation) with

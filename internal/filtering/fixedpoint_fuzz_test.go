@@ -42,7 +42,7 @@ func FuzzFixedPointKernels(f *testing.F) {
 		size := 2 + int(win8%12)
 
 		minU8, gerr := MinimumU8Ctx(context.Background(), u, size)
-		minF, werr := Minimum(img, size)
+		minF, werr := erodeFloat(img, size)
 		if (gerr == nil) != (werr == nil) {
 			t.Fatalf("error disagreement: u8=%v float=%v", gerr, werr)
 		}

@@ -116,7 +116,7 @@ func benchmarkMinimum(b *testing.B, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := minFilter(context.Background(), img, 5, parallel.Workers(workers)); err != nil {
+		if _, err := minimumWith(img, 5, parallel.Workers(workers)); err != nil {
 			b.Fatal(err)
 		}
 	}

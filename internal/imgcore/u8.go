@@ -1,8 +1,8 @@
 // U8Image: the planar 8-bit view of the float64 Image. Every sample the
 // detection pipeline actually sees is an 8-bit intensity — decoded PNGs,
 // quantized attack outputs, the corpus generators — stored 2–8× wider than
-// the data it carries. The fixed-point fast paths (uint8 rank filters,
-// int32 resize accumulators) run over this view; ToU8/FromU8 are the
+// the data it carries. The minimum filter's uint8 lane
+// (filtering.MinimumInto) runs over this view; ToU8/FromU8 are the
 // lossless bridges between the two representations.
 //
 // The conversion contract is exact: ToU8 succeeds only when every sample
