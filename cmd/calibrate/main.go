@@ -102,10 +102,6 @@ func run(args []string) error {
 		return err
 	}
 
-	scoreAll := func(s detect.Scorer, imgs []*imgcore.Image) ([]float64, error) {
-		return detect.Scores(s, imgs)
-	}
-
 	cal := detect.NewCalibration(*mode)
 	switch *mode {
 	case "blackbox":
@@ -117,7 +113,7 @@ func run(args []string) error {
 			{"scaling/MSE", ss, detect.MSE},
 			{"filtering/SSIM", fsc, detect.SSIM},
 		} {
-			scores, err := scoreAll(pair.scorer, benign)
+			scores, err := detect.Scores(pair.scorer, benign)
 			if err != nil {
 				return err
 			}
@@ -176,7 +172,6 @@ func run(args []string) error {
 
 	if *systemOut != "" {
 		sys := &detect.SystemConfig{
-			SrcW: srcW, SrcH: srcH,
 			DstW: dstW, DstH: dstH,
 			Algorithm:  algorithm.String(),
 			Thresholds: cal.Thresholds,

@@ -1,11 +1,16 @@
 // Command decamouflage classifies images as benign or image-scaling
 // attacks.
 //
-// The steganalysis method (CSP) runs with no calibration; the scaling and
-// filtering methods join the ensemble when a calibration file (produced by
-// cmd/calibrate) is supplied. Alternatively -system loads a full
-// SystemConfig (cmd/calibrate -system), which also carries persisted
-// observability settings; individual obs flags override the config.
+// The steganalysis method (CSP) runs with no calibration, under the
+// paper's fixed CSP >= 2 rule. A calibration file (produced by
+// cmd/calibrate) adds every method it holds a threshold for, and its
+// steganalysis/CSP threshold, when present, replaces the fixed rule.
+// Alternatively -system loads a full SystemConfig (cmd/calibrate
+// -system-out), which also carries persisted observability settings;
+// individual obs flags override the config. Either way detect.BuildSystem
+// builds one ensemble for the run, so -calibration and the equivalent
+// -system config classify identically, and -v lists the methods in
+// canonical order: scaling, filtering, steganalysis.
 //
 // Usage:
 //
@@ -30,7 +35,6 @@ import (
 	"decamouflage/internal/detect"
 	"decamouflage/internal/imgcore"
 	"decamouflage/internal/obs"
-	"decamouflage/internal/scaling"
 	"decamouflage/internal/steg"
 )
 
@@ -53,10 +57,8 @@ type result struct {
 	// spectrum shows measurable replicas.
 	TargetEstimate string `json:"target_estimate,omitempty"`
 
-	// verdict and thresholds feed the -v report; they stay out of the
-	// JSON output.
-	verdict    *detect.EnsembleVerdict
-	thresholds map[string]detect.Threshold
+	// verdict feeds the -v report; it stays out of the JSON output.
+	verdict *detect.EnsembleVerdict
 }
 
 func run(args []string, out io.Writer) (err error) {
@@ -108,14 +110,6 @@ func run(args []string, out io.Writer) (err error) {
 	if len(paths) == 0 {
 		return fmt.Errorf("no images given (pass files or -dir)")
 	}
-	dstW, dstH, err := cliutil.ParseSize(*dst)
-	if err != nil {
-		return err
-	}
-	algorithm, err := scaling.ParseAlgorithm(*alg)
-	if err != nil {
-		return err
-	}
 
 	var sysCfg *detect.SystemConfig
 	if *sysPath != "" {
@@ -128,12 +122,22 @@ func run(args []string, out io.Writer) (err error) {
 			return err
 		}
 	}
-
-	var cal *detect.Calibration
-	if *calPath != "" && sysCfg == nil {
-		cal, err = cliutil.LoadCalibration(*calPath)
+	// Without -system the flags and the calibration describe the config.
+	cfg, detail := sysCfg, ""
+	if cfg == nil {
+		dstW, dstH, err := cliutil.ParseSize(*dst)
 		if err != nil {
 			return err
+		}
+		cfg = &detect.SystemConfig{DstW: dstW, DstH: dstH, Algorithm: *alg}
+		if *calPath != "" {
+			cal, err := cliutil.LoadCalibration(*calPath)
+			if err != nil {
+				return err
+			}
+			cfg.Thresholds = cal.Thresholds
+		} else {
+			detail = ", steganalysis only"
 		}
 	}
 
@@ -165,17 +169,13 @@ func run(args []string, out io.Writer) (err error) {
 		fmt.Fprintln(os.Stderr, "decamouflage: debug server on http://"+addr)
 	}
 
-	// With -system the ensemble is fixed; otherwise it is rebuilt per
-	// image because the scaling coefficients depend on the input geometry.
-	var sysEns *detect.Ensemble
-	var sysThs map[string]detect.Threshold
-	if sysCfg != nil {
-		sysEns, err = detect.BuildSystem(sysCfg)
-		if err != nil {
-			return err
-		}
-		sysThs = systemThresholds(sysCfg)
+	// One ensemble serves every image: the scaling method sizes its round
+	// trip to each input, so nothing depends on the input geometry.
+	ens, err := detect.BuildSystem(cfg)
+	if err != nil {
+		return err
 	}
+	detectors := ens.Detectors()
 
 	ctx := context.Background()
 	attacks := 0
@@ -184,19 +184,12 @@ func run(args []string, out io.Writer) (err error) {
 		if err != nil {
 			return err
 		}
-		ens, ths, detail := sysEns, sysThs, ""
-		if ens == nil {
-			ens, ths, detail, err = buildEnsemble(img, dstW, dstH, algorithm, cal)
-			if err != nil {
-				return fmt.Errorf("%s: %w", p, err)
-			}
-		}
 		ictx := ctx
 		var tr *obs.Trace
 		if *verbose || *traceFlag {
 			ictx, tr = obs.WithTrace(ctx, "classify "+filepath.Base(p))
 		}
-		res, err := classify(ictx, img, ens, ths, detail)
+		res, err := classify(ictx, img, ens, detail)
 		tr.End()
 		if err != nil {
 			return fmt.Errorf("%s: %w", p, err)
@@ -224,7 +217,7 @@ func run(args []string, out io.Writer) (err error) {
 				label, p, res.Votes, res.Methods, res.CSP, extra)
 		}
 		if *verbose {
-			if err := printVerbose(out, res); err != nil {
+			if err := printVerbose(out, detectors, res.verdict); err != nil {
 				return err
 			}
 		}
@@ -286,83 +279,16 @@ func obsSettings(cfg *detect.SystemConfig, flags obs.Settings) obs.Settings {
 	return s
 }
 
-// systemThresholds returns the config's decision boundaries keyed by
-// method, filling in the paper's fixed CSP rule when unconfigured.
-func systemThresholds(cfg *detect.SystemConfig) map[string]detect.Threshold {
-	ths := make(map[string]detect.Threshold, len(cfg.Thresholds)+1)
-	for name, th := range cfg.Thresholds {
-		ths[name] = th
-	}
-	if _, ok := ths["steganalysis/CSP"]; !ok {
-		ths["steganalysis/CSP"] = detect.DefaultCSPThreshold()
-	}
-	return ths
-}
-
-// buildEnsemble assembles the richest detector set the flag-level
-// configuration allows for one image's geometry.
-func buildEnsemble(img *imgcore.Image, dstW, dstH int, alg scaling.Algorithm, cal *detect.Calibration) (*detect.Ensemble, map[string]detect.Threshold, string, error) {
-	var detectors []*detect.Detector
-	ths := make(map[string]detect.Threshold)
-	detail := ""
-
-	stegTh := detect.DefaultCSPThreshold()
-	stegDet, err := detect.NewDetector(detect.NewStegScorer(steg.Options{}), stegTh)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	detectors = append(detectors, stegDet)
-	ths["steganalysis/CSP"] = stegTh
-
-	if cal != nil {
-		scaler, err := scaling.NewScaler(img.W, img.H, dstW, dstH, scaling.Options{Algorithm: alg})
-		if err != nil {
-			return nil, nil, "", err
-		}
-		if th, ok := cal.Get("scaling/MSE"); ok {
-			sc, err := detect.NewScalingScorer(scaler, detect.MSE)
-			if err != nil {
-				return nil, nil, "", err
-			}
-			d, err := detect.NewDetector(sc, th)
-			if err != nil {
-				return nil, nil, "", err
-			}
-			detectors = append(detectors, d)
-			ths["scaling/MSE"] = th
-		}
-		if th, ok := cal.Get("filtering/SSIM"); ok {
-			fc, err := detect.NewFilteringScorer(2, detect.SSIM)
-			if err != nil {
-				return nil, nil, "", err
-			}
-			d, err := detect.NewDetector(fc, th)
-			if err != nil {
-				return nil, nil, "", err
-			}
-			detectors = append(detectors, d)
-			ths["filtering/SSIM"] = th
-		}
-	} else {
-		detail = ", steganalysis only"
-	}
-	ens, err := detect.NewEnsemble(detectors...)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	return ens, ths, detail, nil
-}
-
 // classify majority-votes the ensemble over one image and, for flagged
 // images, estimates the attacker's target geometry.
-func classify(ctx context.Context, img *imgcore.Image, ens *detect.Ensemble, ths map[string]detect.Threshold, detail string) (*result, error) {
+func classify(ctx context.Context, img *imgcore.Image, ens *detect.Ensemble, detail string) (*result, error) {
 	v, err := ens.Detect(ctx, img)
 	if err != nil {
 		return nil, err
 	}
 	res := &result{
 		Attack: v.Attack, Votes: v.Votes, Methods: len(v.Verdicts),
-		Detail: detail, verdict: v, thresholds: ths,
+		Detail: detail, verdict: v,
 	}
 	for _, verdict := range v.Verdicts {
 		if verdict.Method == "steganalysis/CSP" {
@@ -377,19 +303,18 @@ func classify(ctx context.Context, img *imgcore.Image, ens *detect.Ensemble, ths
 	return res, nil
 }
 
-// printVerbose writes the per-method breakdown: score, calibrated
-// threshold, and each method's decision.
-func printVerbose(out io.Writer, res *result) error {
-	for _, vd := range res.verdict.Verdicts {
-		line := fmt.Sprintf("  %-20s score %-14.6g", vd.Method, vd.Score)
-		if th, ok := res.thresholds[vd.Method]; ok {
-			line += fmt.Sprintf(" threshold %s %-12.6g", dirSymbol(th.Direction), th.Value)
-		}
+// printVerbose writes the per-method breakdown: score, the threshold the
+// detector applied, and each method's decision. Verdicts come in detector
+// order.
+func printVerbose(out io.Writer, detectors []*detect.Detector, v *detect.EnsembleVerdict) error {
+	for i, vd := range v.Verdicts {
+		th := detectors[i].Threshold()
 		cls := "benign"
 		if vd.Attack {
 			cls = "attack"
 		}
-		if _, err := fmt.Fprintln(out, line+" -> "+cls); err != nil {
+		if _, err := fmt.Fprintf(out, "  %-20s score %-14.6g threshold %s %-12.6g -> %s\n",
+			vd.Method, vd.Score, dirSymbol(th.Direction), th.Value, cls); err != nil {
 			return err
 		}
 	}

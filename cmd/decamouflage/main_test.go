@@ -348,3 +348,113 @@ func TestRunFlightRecorder(t *testing.T) {
 		t.Errorf("trace dump missing retained traces:\n%s", tr)
 	}
 }
+
+// methodLines keeps the verdict summaries and the -v per-method lines of
+// a run's output, dropping the timing-dependent stage timeline.
+func methodLines(out string) []string {
+	var keep []string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "BENIGN") || strings.HasPrefix(line, "ATTACK") || strings.Contains(line, " threshold ") {
+			keep = append(keep, line)
+		}
+	}
+	return keep
+}
+
+// TestCalibrationAndSystemServeAlike pins that -calibration and the
+// equivalent -system config build the same ensemble: every calibrated
+// threshold, the steganalysis one included, is honoured by both, and -v
+// lists the methods in canonical order. The images come in two
+// geometries, so the scaling method serves inputs of any size from one
+// ensemble.
+func TestCalibrationAndSystemServeAlike(t *testing.T) {
+	benign, atk, calPath, dir := writeFixtures(t)
+	g, err := dataset.NewGenerator(dataset.Config{Corpus: dataset.CaltechLike, W: 64, H: 48, C: 3, Seed: 63})
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := filepath.Join(dir, "small.png")
+	if err := g.Image(0).SavePNG(small); err != nil {
+		t.Fatal(err)
+	}
+	cal, err := cliutil.LoadCalibration(calPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cal.Set("steganalysis/CSP", detect.Threshold{Value: 100, Direction: detect.Above})
+	cal.Set("scaling/PSNR", detect.Threshold{Value: 20, Direction: detect.Below})
+	if err := cliutil.SaveCalibration(calPath, cal); err != nil {
+		t.Fatal(err)
+	}
+	data, err := detect.MarshalSystemConfig(&detect.SystemConfig{
+		DstW: 24, DstH: 24, Algorithm: "bilinear", Thresholds: cal.Thresholds,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sysPath := filepath.Join(dir, "sys.json")
+	if err := os.WriteFile(sysPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	images := []string{benign, atk, small}
+	var calOut, sysOut strings.Builder
+	if err := run(append([]string{"-dst", "24x24", "-calibration", calPath, "-v"}, images...), &calOut); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(append([]string{"-system", sysPath, "-v"}, images...), &sysOut); err != nil {
+		t.Fatal(err)
+	}
+	calLines, sysLines := methodLines(calOut.String()), methodLines(sysOut.String())
+	if strings.Join(calLines, "\n") != strings.Join(sysLines, "\n") {
+		t.Fatalf("-calibration and -system disagree:\n%s\n--- vs ---\n%s", strings.Join(calLines, "\n"), strings.Join(sysLines, "\n"))
+	}
+	// Three summaries of four methods each, in canonical order, with the
+	// calibrated CSP rule in force.
+	if len(calLines) != 3*5 {
+		t.Fatalf("got %d summary and method lines, want 15:\n%s", len(calLines), strings.Join(calLines, "\n"))
+	}
+	order := []string{"scaling/MSE", "scaling/PSNR", "filtering/SSIM", "steganalysis/CSP"}
+	for img := 0; img < 3; img++ {
+		if !strings.Contains(calLines[img*5], "/4,") {
+			t.Errorf("summary is not over 4 methods: %s", calLines[img*5])
+		}
+		for i, name := range order {
+			if line := calLines[img*5+1+i]; !strings.HasPrefix(strings.TrimSpace(line), name+" ") {
+				t.Errorf("method line %d of image %d = %q, want %s", i, img, line, name)
+			}
+		}
+		if line := calLines[img*5+4]; !strings.Contains(line, "threshold >= 100") || !strings.HasSuffix(line, "-> benign") {
+			t.Errorf("calibrated CSP rule not applied: %q", line)
+		}
+	}
+}
+
+// TestRunLegacySystemConfig pins that a system config written before the
+// source geometry left the format, still carrying src_w/src_h, loads and
+// serves.
+func TestRunLegacySystemConfig(t *testing.T) {
+	benign, _, _, dir := writeFixtures(t)
+	sysPath := filepath.Join(dir, "legacy.json")
+	legacy := `{
+  "src_w": 96,
+  "src_h": 96,
+  "dst_w": 24,
+  "dst_h": 24,
+  "algorithm": "bilinear",
+  "thresholds": {
+    "filtering/SSIM": {"value": 0.5, "direction": 2},
+    "scaling/MSE": {"value": 500, "direction": 1},
+    "steganalysis/CSP": {"value": 2, "direction": 1}
+  }
+}`
+	if err := os.WriteFile(sysPath, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := run([]string{"-system", sysPath, "-json", benign}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), `"methods":3`) {
+		t.Errorf("legacy config did not serve the 3-method ensemble: %s", out.String())
+	}
+}

@@ -147,12 +147,23 @@ func NewSteganalysisDetector(opts ...StegOptions) (*Detector, error) {
 // NewEnsemble assembles the canonical three-method Decamouflage system:
 // scaling/MSE + filtering/SSIM + steganalysis/CSP under majority voting.
 // The scaling and filtering thresholds come from CalibrateWhiteBox or
-// CalibrateBlackBox.
+// CalibrateBlackBox. It builds the SystemConfig for s's model geometry
+// and algorithm through BuildSystem, so it yields the ensemble a gateway
+// serving that config runs.
 func NewEnsemble(s *Scaler, scalingTh, filteringTh Threshold) (*Ensemble, error) {
-	return detect.NewDefaultEnsemble(detect.DefaultConfig{
-		Scaler:             s,
-		ScalingThreshold:   scalingTh,
-		FilteringThreshold: filteringTh,
+	if s == nil {
+		return nil, detect.ErrNilScaler
+	}
+	// A SystemConfig names only the algorithm; refuse a scaler whose
+	// other options the ensemble would silently drop.
+	opts := s.Options()
+	if opts.Antialias || (opts.Coord != 0 && opts.Coord != scaling.HalfPixel) {
+		return nil, fmt.Errorf("decamouflage: NewEnsemble serves plain %v scaling, not %+v", opts.Algorithm, opts)
+	}
+	dstW, dstH := s.DstSize()
+	return detect.BuildSystem(&detect.SystemConfig{
+		DstW: dstW, DstH: dstH, Algorithm: opts.Algorithm.String(),
+		Thresholds: map[string]Threshold{"scaling/MSE": scalingTh, "filtering/SSIM": filteringTh},
 	})
 }
 

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"decamouflage"
 	"decamouflage/internal/dataset"
+	"decamouflage/internal/scaling"
 )
 
 func genPair(t *testing.T, i int) (src, tgt *decamouflage.Image) {
@@ -127,6 +129,39 @@ func TestPublicCalibrationAndEnsemble(t *testing.T) {
 	}
 	if _, err := decamouflage.Detect(context.Background(), nil, src); err == nil {
 		t.Error("nil ensemble accepted")
+	}
+}
+
+// TestPublicNewEnsembleCanonical pins NewEnsemble's members and their
+// order, and that it refuses a scaler whose options a SystemConfig
+// cannot carry rather than dropping them.
+func TestPublicNewEnsembleCanonical(t *testing.T) {
+	sTh := decamouflage.Threshold{Value: 500, Direction: decamouflage.Above}
+	fTh := decamouflage.Threshold{Value: 0.5, Direction: decamouflage.Below}
+	scaler, err := decamouflage.NewScaler(96, 96, 24, 24, decamouflage.Bilinear)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ens, err := decamouflage.NewEnsemble(scaler, sTh, fTh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, d := range ens.Detectors() {
+		names = append(names, d.Name())
+	}
+	if got := strings.Join(names, ","); got != "scaling/MSE,filtering/SSIM,steganalysis/CSP" {
+		t.Errorf("members = %s", got)
+	}
+	if _, err := decamouflage.NewEnsemble(nil, sTh, fTh); err == nil {
+		t.Error("nil scaler accepted")
+	}
+	aa, err := scaling.NewScaler(96, 96, 24, 24, scaling.Options{Algorithm: scaling.Bilinear, Antialias: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decamouflage.NewEnsemble(aa, sTh, fTh); err == nil {
+		t.Error("antialiased scaler accepted")
 	}
 }
 

@@ -101,84 +101,6 @@ func CalibrateWhiteBox(benign, attack []float64) (*WhiteBoxResult, error) {
 	return res, nil
 }
 
-// CalibrateWhiteBoxIterative is the paper's described "gradient descent"
-// search in its literal iterative form: starting from the midpoint of the
-// class means, it repeatedly probes the neighboring candidate thresholds
-// (midpoints between adjacent sorted scores) and moves to whichever
-// neighbor improves training accuracy, stopping at a local optimum. For
-// 1-D threshold classifiers on unimodal class distributions this finds the
-// same boundary as the exhaustive scan (verified by tests); the exhaustive
-// CalibrateWhiteBox remains the default because it is globally optimal for
-// any score distribution at the same asymptotic cost.
-func CalibrateWhiteBoxIterative(benign, attack []float64) (*WhiteBoxResult, error) {
-	if len(benign) == 0 || len(attack) == 0 {
-		return nil, fmt.Errorf("detect: white-box calibration needs both benign and attack scores")
-	}
-	dir := Above
-	if stats.Mean(attack) < stats.Mean(benign) {
-		dir = Below
-	}
-	all := make([]float64, 0, len(benign)+len(attack))
-	all = append(all, benign...)
-	all = append(all, attack...)
-	sort.Float64s(all)
-	candidates := []float64{all[0] - 1}
-	for i := 1; i < len(all); i++ {
-		//declint:ignore floateq candidate thresholds split only strictly distinct sorted scores
-		if all[i] != all[i-1] {
-			candidates = append(candidates, (all[i]+all[i-1])/2)
-		}
-	}
-	candidates = append(candidates, all[len(all)-1]+1)
-
-	accuracyAt := func(c float64) float64 {
-		th := Threshold{Value: c, Direction: dir}
-		correct := 0
-		for _, s := range benign {
-			if !th.Classify(s) {
-				correct++
-			}
-		}
-		for _, s := range attack {
-			if th.Classify(s) {
-				correct++
-			}
-		}
-		return float64(correct) / float64(len(benign)+len(attack))
-	}
-
-	// Start at the candidate nearest the midpoint of the class means.
-	start := (stats.Mean(benign) + stats.Mean(attack)) / 2
-	pos := sort.SearchFloat64s(candidates, start)
-	if pos >= len(candidates) {
-		pos = len(candidates) - 1
-	}
-	res := &WhiteBoxResult{}
-	cur := accuracyAt(candidates[pos])
-	res.Curve = append(res.Curve, CurvePoint{Threshold: candidates[pos], Accuracy: cur})
-	for {
-		bestPos, bestAcc := pos, cur
-		if pos > 0 {
-			if a := accuracyAt(candidates[pos-1]); a > bestAcc {
-				bestPos, bestAcc = pos-1, a
-			}
-		}
-		if pos < len(candidates)-1 {
-			if a := accuracyAt(candidates[pos+1]); a > bestAcc {
-				bestPos, bestAcc = pos+1, a
-			}
-		}
-		if bestPos == pos {
-			break
-		}
-		pos, cur = bestPos, bestAcc
-		res.Curve = append(res.Curve, CurvePoint{Threshold: candidates[pos], Accuracy: cur})
-	}
-	res.Threshold = Threshold{Value: candidates[pos], Direction: dir}
-	res.TrainAccuracy = cur
-	return res, nil
-}
-
 // CalibrateBlackBox selects a threshold from benign scores alone using the
 // paper's percentile rule: with percentile p (e.g. 1, 2 or 3), the boundary
 // admits all but the most extreme p% of benign scores in the attack
@@ -240,10 +162,8 @@ func UnmarshalCalibration(data []byte) (*Calibration, error) {
 	if c.Thresholds == nil {
 		c.Thresholds = make(map[string]Threshold)
 	}
-	for name, t := range c.Thresholds {
-		if err := t.Validate(); err != nil {
-			return nil, fmt.Errorf("detect: calibration %q: %w", name, err)
-		}
+	if err := validateThresholds(c.Thresholds); err != nil {
+		return nil, fmt.Errorf("detect: calibration %w", err)
 	}
 	return &c, nil
 }

@@ -2,12 +2,15 @@ package detect
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"decamouflage/internal/imgcore"
+	"decamouflage/internal/stats"
 	"decamouflage/internal/steg"
 	"decamouflage/internal/testutil"
 )
@@ -230,6 +233,84 @@ func TestUnmarshalCalibrationRejectsBadData(t *testing.T) {
 	}
 }
 
+// calibrateWhiteBoxIterative is the reference the exhaustive
+// CalibrateWhiteBox is checked against: the paper's described "gradient
+// descent" search in its literal iterative form. Starting from the
+// midpoint of the class means, it repeatedly probes the neighboring
+// candidate thresholds (midpoints between adjacent sorted scores) and
+// moves to whichever neighbor improves training accuracy, stopping at a
+// local optimum. On unimodal class distributions it finds the boundary the
+// exhaustive scan finds; the scan is globally optimal for any score
+// distribution at the same asymptotic cost.
+func calibrateWhiteBoxIterative(benign, attack []float64) (*WhiteBoxResult, error) {
+	if len(benign) == 0 || len(attack) == 0 {
+		return nil, fmt.Errorf("detect: white-box calibration needs both benign and attack scores")
+	}
+	dir := Above
+	if stats.Mean(attack) < stats.Mean(benign) {
+		dir = Below
+	}
+	all := make([]float64, 0, len(benign)+len(attack))
+	all = append(all, benign...)
+	all = append(all, attack...)
+	sort.Float64s(all)
+	candidates := []float64{all[0] - 1}
+	for i := 1; i < len(all); i++ {
+		//declint:ignore floateq candidate thresholds split only strictly distinct sorted scores
+		if all[i] != all[i-1] {
+			candidates = append(candidates, (all[i]+all[i-1])/2)
+		}
+	}
+	candidates = append(candidates, all[len(all)-1]+1)
+
+	accuracyAt := func(c float64) float64 {
+		th := Threshold{Value: c, Direction: dir}
+		correct := 0
+		for _, s := range benign {
+			if !th.Classify(s) {
+				correct++
+			}
+		}
+		for _, s := range attack {
+			if th.Classify(s) {
+				correct++
+			}
+		}
+		return float64(correct) / float64(len(benign)+len(attack))
+	}
+
+	// Start at the candidate nearest the midpoint of the class means.
+	start := (stats.Mean(benign) + stats.Mean(attack)) / 2
+	pos := sort.SearchFloat64s(candidates, start)
+	if pos >= len(candidates) {
+		pos = len(candidates) - 1
+	}
+	res := &WhiteBoxResult{}
+	cur := accuracyAt(candidates[pos])
+	res.Curve = append(res.Curve, CurvePoint{Threshold: candidates[pos], Accuracy: cur})
+	for {
+		bestPos, bestAcc := pos, cur
+		if pos > 0 {
+			if a := accuracyAt(candidates[pos-1]); a > bestAcc {
+				bestPos, bestAcc = pos-1, a
+			}
+		}
+		if pos < len(candidates)-1 {
+			if a := accuracyAt(candidates[pos+1]); a > bestAcc {
+				bestPos, bestAcc = pos+1, a
+			}
+		}
+		if bestPos == pos {
+			break
+		}
+		pos, cur = bestPos, bestAcc
+		res.Curve = append(res.Curve, CurvePoint{Threshold: candidates[pos], Accuracy: cur})
+	}
+	res.Threshold = Threshold{Value: candidates[pos], Direction: dir}
+	res.TrainAccuracy = cur
+	return res, nil
+}
+
 func TestCalibrateWhiteBoxIterativeMatchesExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 30; trial++ {
@@ -249,7 +330,7 @@ func TestCalibrateWhiteBoxIterativeMatchesExhaustive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		it, err := CalibrateWhiteBoxIterative(benign, attacks)
+		it, err := calibrateWhiteBoxIterative(benign, attacks)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,7 +346,7 @@ func TestCalibrateWhiteBoxIterativeMatchesExhaustive(t *testing.T) {
 func TestCalibrateWhiteBoxIterativeInverted(t *testing.T) {
 	benign := []float64{0.9, 0.92, 0.95}
 	attacks := []float64{0.1, 0.2, 0.3}
-	it, err := CalibrateWhiteBoxIterative(benign, attacks)
+	it, err := calibrateWhiteBoxIterative(benign, attacks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,10 +359,10 @@ func TestCalibrateWhiteBoxIterativeInverted(t *testing.T) {
 }
 
 func TestCalibrateWhiteBoxIterativeErrors(t *testing.T) {
-	if _, err := CalibrateWhiteBoxIterative(nil, []float64{1}); err == nil {
+	if _, err := calibrateWhiteBoxIterative(nil, []float64{1}); err == nil {
 		t.Error("empty benign accepted")
 	}
-	if _, err := CalibrateWhiteBoxIterative([]float64{1}, nil); err == nil {
+	if _, err := calibrateWhiteBoxIterative([]float64{1}, nil); err == nil {
 		t.Error("empty attack accepted")
 	}
 }

@@ -139,19 +139,29 @@ var ErrNilScaler = errors.New("detect: scaler is required")
 // between the input and the round trip. Benign images survive the round
 // trip; attack images flip to the hidden target.
 type ScalingScorer struct {
-	scaler *scaling.Scaler
+	// trip is the round-trip stage: the model's input geometry and the
+	// scaler options. The source side is each input's own geometry.
+	trip   stageKey
 	metric Metric
 }
 
-// NewScalingScorer builds the Method-1 scorer.
+// NewScalingScorer builds the Method-1 scorer. It keeps only the scaler's
+// destination geometry and options; the round trip is sized to each input.
 func NewScalingScorer(scaler *scaling.Scaler, metric Metric) (*ScalingScorer, error) {
 	if scaler == nil {
 		return nil, ErrNilScaler
 	}
+	dstW, dstH := scaler.DstSize()
+	return newScalingScorer(dstW, dstH, scaler.Options(), metric)
+}
+
+// newScalingScorer builds the Method-1 scorer for a dstW×dstH model input.
+func newScalingScorer(dstW, dstH int, opts scaling.Options, metric Metric) (*ScalingScorer, error) {
 	if metric != MSE && metric != SSIM && metric != PSNR {
 		return nil, fmt.Errorf("detect: scaling method does not support metric %v", metric)
 	}
-	return &ScalingScorer{scaler: scaler, metric: metric}, nil
+	trip := stageKey{kind: stageRoundTrip, dstW: dstW, dstH: dstH, sopts: opts}
+	return &ScalingScorer{trip: trip, metric: metric}, nil
 }
 
 // Name implements Scorer.

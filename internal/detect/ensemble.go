@@ -8,8 +8,6 @@ import (
 	"decamouflage/internal/imgcore"
 	"decamouflage/internal/obs"
 	"decamouflage/internal/parallel"
-	"decamouflage/internal/scaling"
-	"decamouflage/internal/steg"
 )
 
 // EnsembleVerdict is the combined decision of several detectors.
@@ -197,69 +195,4 @@ func (e *Ensemble) DetectBatch(ctx context.Context, imgs []*imgcore.Image) ([]*E
 		return nil, err
 	}
 	return out, nil
-}
-
-// DefaultConfig describes the canonical three-method Decamouflage ensemble
-// (the paper's recommended configuration): scaling/MSE, filtering/SSIM and
-// steganalysis/CSP.
-type DefaultConfig struct {
-	// Scaler is the protected model's scaling function. Required.
-	Scaler *scaling.Scaler
-	// FilterWindow is the minimum-filter size (default 2, the paper's).
-	FilterWindow int
-	// StegOptions tunes the CSP computation (zero value = calibrated
-	// defaults).
-	StegOptions steg.Options
-	// ScalingThreshold is the Method-1 boundary (from calibration).
-	ScalingThreshold Threshold
-	// FilteringThreshold is the Method-2 boundary (from calibration).
-	FilteringThreshold Threshold
-	// CSPThreshold is the Method-3 boundary; zero value uses the paper's
-	// fixed CSP >= 2 rule.
-	CSPThreshold Threshold
-	// ScalingMetric and FilteringMetric pick the score metrics; defaults
-	// follow the paper's recommendations (MSE for scaling, SSIM for
-	// filtering).
-	ScalingMetric   Metric
-	FilteringMetric Metric
-}
-
-// NewDefaultEnsemble assembles the canonical three-method system.
-func NewDefaultEnsemble(cfg DefaultConfig) (*Ensemble, error) {
-	if cfg.Scaler == nil {
-		return nil, ErrNilScaler
-	}
-	if cfg.FilterWindow == 0 {
-		cfg.FilterWindow = 2
-	}
-	if cfg.ScalingMetric == 0 {
-		cfg.ScalingMetric = MSE
-	}
-	if cfg.FilteringMetric == 0 {
-		cfg.FilteringMetric = SSIM
-	}
-	if cfg.CSPThreshold == (Threshold{}) {
-		cfg.CSPThreshold = DefaultCSPThreshold()
-	}
-	ss, err := NewScalingScorer(cfg.Scaler, cfg.ScalingMetric)
-	if err != nil {
-		return nil, err
-	}
-	sd, err := NewDetector(ss, cfg.ScalingThreshold)
-	if err != nil {
-		return nil, fmt.Errorf("detect: scaling detector: %w", err)
-	}
-	fs, err := NewFilteringScorer(cfg.FilterWindow, cfg.FilteringMetric)
-	if err != nil {
-		return nil, err
-	}
-	fd, err := NewDetector(fs, cfg.FilteringThreshold)
-	if err != nil {
-		return nil, fmt.Errorf("detect: filtering detector: %w", err)
-	}
-	gd, err := NewDetector(NewStegScorer(cfg.StegOptions), cfg.CSPThreshold)
-	if err != nil {
-		return nil, fmt.Errorf("detect: steganalysis detector: %w", err)
-	}
-	return NewEnsemble(sd, fd, gd)
 }

@@ -8,7 +8,6 @@ import (
 	"decamouflage/internal/attack"
 	"decamouflage/internal/dataset"
 	"decamouflage/internal/imgcore"
-	"decamouflage/internal/steg"
 )
 
 func TestNewEnsembleValidation(t *testing.T) {
@@ -123,17 +122,18 @@ func TestEnsembleDetectorsAccessorIsCopy(t *testing.T) {
 	}
 }
 
-func TestNewDefaultEnsembleValidation(t *testing.T) {
-	if _, err := NewDefaultEnsemble(DefaultConfig{}); err == nil {
-		t.Error("missing scaler accepted")
+func TestBuildSystemDefaultEnsemble(t *testing.T) {
+	if _, err := BuildSystem(&SystemConfig{}); err == nil {
+		t.Error("missing model geometry accepted")
 	}
-	s := mustScaler(t, 64, 64, 16, 16)
-	cfg := DefaultConfig{
-		Scaler:             s,
-		ScalingThreshold:   Threshold{Value: 500, Direction: Above},
-		FilteringThreshold: Threshold{Value: 0.5, Direction: Below},
+	cfg := &SystemConfig{
+		DstW: 16, DstH: 16, Algorithm: "bilinear",
+		Thresholds: map[string]Threshold{
+			"scaling/MSE":    {Value: 500, Direction: Above},
+			"filtering/SSIM": {Value: 0.5, Direction: Below},
+		},
 	}
-	e, err := NewDefaultEnsemble(cfg)
+	e, err := BuildSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,8 @@ func TestNewDefaultEnsembleValidation(t *testing.T) {
 		}
 	}
 	// Invalid thresholds propagate.
-	if _, err := NewDefaultEnsemble(DefaultConfig{Scaler: s}); err == nil {
+	cfg.Thresholds = map[string]Threshold{"scaling/MSE": {}, "filtering/SSIM": {}}
+	if _, err := BuildSystem(cfg); err == nil {
 		t.Error("zero thresholds accepted")
 	}
 }
@@ -293,11 +294,12 @@ func TestEndToEndEnsemble(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewDefaultEnsemble(DefaultConfig{
-		Scaler:             scaler,
-		ScalingThreshold:   swb.Threshold,
-		FilteringThreshold: fwb.Threshold,
-		StegOptions:        steg.Options{},
+	e, err := BuildSystem(&SystemConfig{
+		DstW: 32, DstH: 32, Algorithm: "bilinear",
+		Thresholds: map[string]Threshold{
+			"scaling/MSE":    swb.Threshold,
+			"filtering/SSIM": fwb.Threshold,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 
 	"decamouflage/internal/imgcore"
 	"decamouflage/internal/obs"
-	"decamouflage/internal/scaling"
 )
 
 // benchDetect measures one full three-method ensemble detection. The
@@ -78,14 +77,12 @@ func BenchmarkDetectRecorder(b *testing.B) {
 	// time-proportional tax no production setup pays.
 	w := obs.StartWatchdog(obs.WatchdogConfig{})
 	b.Cleanup(w.Stop)
-	scaler, err := scaling.NewScaler(128, 128, 32, 32, scaling.Options{Algorithm: scaling.Bilinear})
-	if err != nil {
-		b.Fatal(err)
-	}
-	e, err := NewDefaultEnsemble(DefaultConfig{
-		Scaler:             scaler,
-		ScalingThreshold:   Threshold{Value: 100, Direction: Above},
-		FilteringThreshold: Threshold{Value: 0.5, Direction: Below},
+	e, err := BuildSystem(&SystemConfig{
+		DstW: 32, DstH: 32, Algorithm: "bilinear",
+		Thresholds: map[string]Threshold{
+			"scaling/MSE":    {Value: 100, Direction: Above},
+			"filtering/SSIM": {Value: 0.5, Direction: Below},
+		},
 	})
 	if err != nil {
 		b.Fatal(err)

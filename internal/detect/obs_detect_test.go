@@ -7,7 +7,6 @@ import (
 
 	"decamouflage/internal/imgcore"
 	"decamouflage/internal/obs"
-	"decamouflage/internal/scaling"
 	"decamouflage/internal/testutil"
 )
 
@@ -25,14 +24,12 @@ func obsTestImage(t testing.TB, w, h int) *imgcore.Image {
 
 func obsTestEnsemble(t testing.TB) *Ensemble {
 	t.Helper()
-	scaler, err := scaling.NewScaler(32, 32, 8, 8, scaling.Options{Algorithm: scaling.Bilinear})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := NewDefaultEnsemble(DefaultConfig{
-		Scaler:             scaler,
-		ScalingThreshold:   Threshold{Value: 100, Direction: Above},
-		FilteringThreshold: Threshold{Value: 0.5, Direction: Below},
+	e, err := BuildSystem(&SystemConfig{
+		DstW: 8, DstH: 8, Algorithm: "bilinear",
+		Thresholds: map[string]Threshold{
+			"scaling/MSE":    {Value: 100, Direction: Above},
+			"filtering/SSIM": {Value: 0.5, Direction: Below},
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -429,13 +429,11 @@ func (in *Intermediates) scoreAgainst(ctx context.Context, m Metric, sub stageKe
 // substrate shared by every scaling scorer of the same geometry, and the
 // score derives from the shared MSE/SSIM machinery.
 func (s *ScalingScorer) ScorePipeline(ctx context.Context, in *Intermediates) (float64, error) {
-	dstW, dstH := s.scaler.DstSize()
-	key := stageKey{kind: stageRoundTrip, dstW: dstW, dstH: dstH, sopts: s.scaler.Options()}
-	up, err := in.roundTrip(ctx, key)
+	up, err := in.roundTrip(ctx, s.trip)
 	if err != nil {
 		return 0, err
 	}
-	return in.scoreAgainst(ctx, s.metric, key, up)
+	return in.scoreAgainst(ctx, s.metric, s.trip, up)
 }
 
 // ScorePipeline implements pipelineScorer: the erosion is a memoized

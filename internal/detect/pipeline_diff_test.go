@@ -32,11 +32,11 @@ import (
 func legacyScore(s Scorer, img *imgcore.Image) (float64, error) {
 	switch s := s.(type) {
 	case *ScalingScorer:
-		down, err := s.scaler.Resize(img)
+		down, err := scaling.Resize(img, s.trip.dstW, s.trip.dstH, s.trip.sopts)
 		if err != nil {
 			return 0, fmt.Errorf("detect: scaling downscale: %w", err)
 		}
-		up, err := scaling.Resize(down, img.W, img.H, s.scaler.Options())
+		up, err := scaling.Resize(down, img.W, img.H, s.trip.sopts)
 		if err != nil {
 			return 0, fmt.Errorf("detect: scaling upscale: %w", err)
 		}

@@ -3,6 +3,8 @@ package detect
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
+	"strings"
 
 	"decamouflage/internal/obs"
 	"decamouflage/internal/scaling"
@@ -15,11 +17,8 @@ import (
 // after offline calibration is everything a gateway needs to reconstruct
 // the exact same ensemble at startup.
 type SystemConfig struct {
-	// SrcW/SrcH is the expected input geometry (0 = accept any; the
-	// scaling method rebuilds coefficients per size).
-	SrcW int `json:"src_w"`
-	SrcH int `json:"src_h"`
-	// DstW/DstH is the model input geometry.
+	// DstW/DstH is the model input geometry. The scaling method's round
+	// trip is sized to each input, so no source geometry is stored.
 	DstW int `json:"dst_w"`
 	DstH int `json:"dst_h"`
 	// Algorithm names the scaling kernel ("bilinear", ...).
@@ -28,10 +27,10 @@ type SystemConfig struct {
 	FilterWindow int `json:"filter_window,omitempty"`
 	// Steg carries the CSP parameters (zero values = calibrated defaults).
 	Steg steg.Options `json:"steg,omitempty"`
-	// Thresholds maps method names ("scaling/MSE", "filtering/SSIM",
-	// "steganalysis/CSP") to their decision boundaries. Missing methods
-	// are omitted from the ensemble; a missing steganalysis entry uses the
-	// paper's fixed CSP >= 2 rule.
+	// Thresholds maps built-in method names ("scaling/MSE",
+	// "filtering/SSIM", "steganalysis/CSP", ...; see Validate) to their
+	// decision boundaries. Missing methods are omitted from the ensemble;
+	// a missing steganalysis entry uses the paper's fixed CSP >= 2 rule.
 	Thresholds map[string]Threshold `json:"thresholds"`
 	// Obs carries the deployment's observability settings (metrics
 	// recording and dump destination, debug server, profiling outputs).
@@ -39,7 +38,8 @@ type SystemConfig struct {
 	Obs *obs.Settings `json:"obs,omitempty"`
 }
 
-// Validate checks the config for structural problems.
+// Validate checks the config for structural problems, including
+// threshold names that no built-in method owns.
 func (c *SystemConfig) Validate() error {
 	if c.DstW <= 0 || c.DstH <= 0 {
 		return fmt.Errorf("detect: system config needs positive dst geometry, got %dx%d", c.DstW, c.DstH)
@@ -50,10 +50,8 @@ func (c *SystemConfig) Validate() error {
 	if c.FilterWindow < 0 || c.FilterWindow == 1 {
 		return fmt.Errorf("detect: system config filter window %d invalid", c.FilterWindow)
 	}
-	for name, th := range c.Thresholds {
-		if err := th.Validate(); err != nil {
-			return fmt.Errorf("detect: system config threshold %q: %w", name, err)
-		}
+	if err := validateThresholds(c.Thresholds); err != nil {
+		return fmt.Errorf("detect: system config %w", err)
 	}
 	return nil
 }
@@ -66,7 +64,9 @@ func MarshalSystemConfig(c *SystemConfig) ([]byte, error) {
 	return json.MarshalIndent(c, "", "  ")
 }
 
-// UnmarshalSystemConfig parses and validates a persisted config.
+// UnmarshalSystemConfig parses and validates a persisted config. Fields
+// it does not know, such as the src_w/src_h of older configs, are
+// ignored.
 func UnmarshalSystemConfig(data []byte) (*SystemConfig, error) {
 	var c SystemConfig
 	if err := json.Unmarshal(data, &c); err != nil {
@@ -78,25 +78,56 @@ func UnmarshalSystemConfig(data []byte) (*SystemConfig, error) {
 	return &c, nil
 }
 
-// BuildSystem instantiates the ensemble a SystemConfig describes. The
-// source geometry falls back to 4x the destination when unspecified (the
-// scaling scorer rebuilds coefficients for other input sizes anyway).
+// BuildSystem instantiates the ensemble a SystemConfig describes. It is
+// the one path from thresholds to detectors: serving, the experiments
+// and the public NewEnsemble all build through it.
 func BuildSystem(c *SystemConfig) (*Ensemble, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
+	return assemble(c)
+}
+
+// builtin is one built-in method/metric pair.
+type builtin struct {
+	method Method
+	metric Metric
+}
+
+// name is the scorer name the pair builds ("scaling/MSE").
+func (b builtin) name() string { return b.method.String() + "/" + b.metric.String() }
+
+// builtins lists every built-in pair in the order assemble builds them,
+// which is the order of an ensemble's detectors and verdicts.
+var builtins = [...]builtin{
+	{Scaling, MSE}, {Scaling, SSIM}, {Scaling, PSNR},
+	{Filtering, MSE}, {Filtering, SSIM}, {Filtering, PSNR},
+	{Steganalysis, CSP},
+}
+
+// validateThresholds checks that every threshold is usable and named
+// after a built-in method, so a typo cannot silently drop a method.
+func validateThresholds(ths map[string]Threshold) error {
+	var names []string
+	for _, b := range builtins {
+		names = append(names, b.name())
+	}
+	for name, th := range ths {
+		if !slices.Contains(names, name) {
+			return fmt.Errorf("threshold %q: no built-in method has that name (accepted: %s)", name, strings.Join(names, ", "))
+		}
+		if err := th.Validate(); err != nil {
+			return fmt.Errorf("threshold %q: %w", name, err)
+		}
+	}
+	return nil
+}
+
+// assemble walks builtins and builds a detector for each method c has a
+// threshold for; the steganalysis method always runs, under the paper's
+// fixed CSP >= 2 rule when c has no threshold for it. c must be valid.
+func assemble(c *SystemConfig) (*Ensemble, error) {
 	alg, err := scaling.ParseAlgorithm(c.Algorithm)
-	if err != nil {
-		return nil, err
-	}
-	srcW, srcH := c.SrcW, c.SrcH
-	if srcW <= 0 {
-		srcW = c.DstW * 4
-	}
-	if srcH <= 0 {
-		srcH = c.DstH * 4
-	}
-	scaler, err := scaling.NewScaler(srcW, srcH, c.DstW, c.DstH, scaling.Options{Algorithm: alg})
 	if err != nil {
 		return nil, err
 	}
@@ -104,10 +135,24 @@ func BuildSystem(c *SystemConfig) (*Ensemble, error) {
 	if window == 0 {
 		window = 2
 	}
-
 	var detectors []*Detector
-	if th, ok := c.Thresholds["scaling/MSE"]; ok {
-		s, err := NewScalingScorer(scaler, MSE)
+	for _, b := range builtins {
+		th, ok := c.Thresholds[b.name()]
+		if !ok && b.method == Steganalysis {
+			th, ok = DefaultCSPThreshold(), true
+		}
+		if !ok {
+			continue
+		}
+		var s Scorer
+		switch b.method {
+		case Scaling:
+			s, err = newScalingScorer(c.DstW, c.DstH, scaling.Options{Algorithm: alg}, b.metric)
+		case Filtering:
+			s, err = NewFilteringScorer(window, b.metric)
+		default:
+			s = NewStegScorer(c.Steg)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -117,48 +162,6 @@ func BuildSystem(c *SystemConfig) (*Ensemble, error) {
 		}
 		detectors = append(detectors, d)
 	}
-	if th, ok := c.Thresholds["scaling/SSIM"]; ok {
-		s, err := NewScalingScorer(scaler, SSIM)
-		if err != nil {
-			return nil, err
-		}
-		d, err := NewDetector(s, th)
-		if err != nil {
-			return nil, err
-		}
-		detectors = append(detectors, d)
-	}
-	if th, ok := c.Thresholds["filtering/MSE"]; ok {
-		s, err := NewFilteringScorer(window, MSE)
-		if err != nil {
-			return nil, err
-		}
-		d, err := NewDetector(s, th)
-		if err != nil {
-			return nil, err
-		}
-		detectors = append(detectors, d)
-	}
-	if th, ok := c.Thresholds["filtering/SSIM"]; ok {
-		s, err := NewFilteringScorer(window, SSIM)
-		if err != nil {
-			return nil, err
-		}
-		d, err := NewDetector(s, th)
-		if err != nil {
-			return nil, err
-		}
-		detectors = append(detectors, d)
-	}
-	stegTh, ok := c.Thresholds["steganalysis/CSP"]
-	if !ok {
-		stegTh = DefaultCSPThreshold()
-	}
-	sd, err := NewDetector(NewStegScorer(c.Steg), stegTh)
-	if err != nil {
-		return nil, err
-	}
-	detectors = append(detectors, sd)
 	return NewEnsemble(detectors...)
 }
 

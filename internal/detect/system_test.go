@@ -2,6 +2,7 @@ package detect
 
 import (
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -43,6 +44,50 @@ func TestSystemConfigValidate(t *testing.T) {
 	bad.Thresholds["x"] = Threshold{}
 	if err := bad.Validate(); err == nil {
 		t.Error("invalid threshold accepted")
+	}
+}
+
+// TestThresholdNamesMustBeBuiltin pins that a system config and a
+// calibration accept exactly the built-in method names: a misspelled or
+// unknown name is an error that lists the accepted ones, instead of a
+// method silently left out of the ensemble.
+func TestThresholdNamesMustBeBuiltin(t *testing.T) {
+	th := Threshold{Value: 1, Direction: Above}
+	for _, tc := range []struct {
+		name string
+		ok   bool
+	}{
+		{"scaling/MSE", true},
+		{"scaling/SSIM", true},
+		{"scaling/PSNR", true},
+		{"filtering/MSE", true},
+		{"filtering/SSIM", true},
+		{"filtering/PSNR", true},
+		{"steganalysis/CSP", true},
+		{"filtering/ssim", false},
+		{"scaling/CSP", false},
+		{"steganalysis/MSE", false},
+		{"histogram/MSE", false},
+		{"scaling", false},
+		{"", false},
+	} {
+		cfg := validConfig()
+		cfg.Thresholds = map[string]Threshold{tc.name: th}
+		cal, err := json.Marshal(&Calibration{Setting: "x", Thresholds: cfg.Thresholds})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, calErr := UnmarshalCalibration(cal)
+		for what, err := range map[string]error{"Validate": cfg.Validate(), "UnmarshalCalibration": calErr} {
+			switch {
+			case tc.ok && err != nil:
+				t.Errorf("%s rejected %q: %v", what, tc.name, err)
+			case !tc.ok && err == nil:
+				t.Errorf("%s accepted %q", what, tc.name)
+			case !tc.ok && !strings.Contains(err.Error(), "scaling/MSE, scaling/SSIM, scaling/PSNR, filtering/MSE, filtering/SSIM, filtering/PSNR, steganalysis/CSP"):
+				t.Errorf("%s error for %q does not list the accepted names: %v", what, tc.name, err)
+			}
+		}
 	}
 }
 
@@ -108,7 +153,6 @@ func TestBuildSystemAllMethods(t *testing.T) {
 	cfg.Thresholds["scaling/SSIM"] = Threshold{Value: 0.4, Direction: Below}
 	cfg.Thresholds["filtering/MSE"] = Threshold{Value: 900, Direction: Above}
 	cfg.Thresholds["steganalysis/CSP"] = Threshold{Value: 3, Direction: Above}
-	cfg.SrcW, cfg.SrcH = 64, 64
 	cfg.FilterWindow = 3
 	ens, err := BuildSystem(cfg)
 	if err != nil {
@@ -116,6 +160,36 @@ func TestBuildSystemAllMethods(t *testing.T) {
 	}
 	if len(ens.Detectors()) != 5 {
 		t.Errorf("detector count = %d, want 5", len(ens.Detectors()))
+	}
+}
+
+// TestBuildSystemCanonicalOrder pins the one assembly order: every
+// configured built-in method, PSNR included, in the order scaling,
+// filtering, steganalysis and MSE, SSIM, PSNR within a method, each with
+// exactly the configured threshold.
+func TestBuildSystemCanonicalOrder(t *testing.T) {
+	want := []string{
+		"scaling/MSE", "scaling/SSIM", "scaling/PSNR",
+		"filtering/MSE", "filtering/SSIM", "filtering/PSNR",
+		"steganalysis/CSP",
+	}
+	cfg := validConfig()
+	cfg.Thresholds = map[string]Threshold{}
+	for i, name := range want {
+		cfg.Thresholds[name] = Threshold{Value: float64(i + 1), Direction: Above}
+	}
+	ens, err := BuildSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := ens.Detectors()
+	if len(ds) != len(want) {
+		t.Fatalf("detector count = %d, want %d", len(ds), len(want))
+	}
+	for i, d := range ds {
+		if d.Name() != want[i] || d.Threshold() != cfg.Thresholds[want[i]] {
+			t.Errorf("detector %d = %s %+v, want %s %+v", i, d.Name(), d.Threshold(), want[i], cfg.Thresholds[want[i]])
+		}
 	}
 }
 

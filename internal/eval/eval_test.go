@@ -236,11 +236,13 @@ func TestEvaluateDetectorAndEnsemble(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := detect.NewDefaultEnsemble(detect.DefaultConfig{
-		Scaler:             c.Scaler,
-		ScalingThreshold:   wb.Threshold,
-		FilteringThreshold: fwb.Threshold,
-		StegOptions:        steg.Options{},
+	dstW, dstH := c.Scaler.DstSize()
+	e, err := detect.BuildSystem(&detect.SystemConfig{
+		DstW: dstW, DstH: dstH, Algorithm: c.Scaler.Options().Algorithm.String(),
+		Thresholds: map[string]detect.Threshold{
+			"scaling/MSE":    wb.Threshold,
+			"filtering/SSIM": fwb.Threshold,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

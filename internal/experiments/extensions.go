@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"decamouflage"
 	"decamouflage/internal/attack"
 	"decamouflage/internal/dataset"
 	"decamouflage/internal/defense"
@@ -121,11 +122,7 @@ func (r *Runner) blackBoxEnsembleFor(ctx context.Context, train *eval.Corpus) (*
 	if err != nil {
 		return nil, err
 	}
-	return detect.NewDefaultEnsemble(detect.DefaultConfig{
-		Scaler:             train.Scaler,
-		ScalingThreshold:   sth,
-		FilteringThreshold: fth,
-	})
+	return decamouflage.NewEnsemble(train.Scaler, sth, fth)
 }
 
 // runX2 sweeps the attacker's ε budget: larger ε makes the attack easier

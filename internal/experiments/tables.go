@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"decamouflage"
 	"decamouflage/internal/attack"
 	"decamouflage/internal/detect"
 	"decamouflage/internal/eval"
@@ -235,11 +236,7 @@ func (r *Runner) buildEnsembles(ctx context.Context) (wbE, bbE *detect.Ensemble,
 	if err != nil {
 		return nil, nil, err
 	}
-	wbE, err = detect.NewDefaultEnsemble(detect.DefaultConfig{
-		Scaler:             scaler,
-		ScalingThreshold:   swb.Threshold,
-		FilteringThreshold: fwb.Threshold,
-	})
+	wbE, err = decamouflage.NewEnsemble(scaler, swb.Threshold, fwb.Threshold)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -251,11 +248,7 @@ func (r *Runner) buildEnsembles(ctx context.Context) (wbE, bbE *detect.Ensemble,
 	if err != nil {
 		return nil, nil, err
 	}
-	bbE, err = detect.NewDefaultEnsemble(detect.DefaultConfig{
-		Scaler:             scaler,
-		ScalingThreshold:   sbb,
-		FilteringThreshold: fbb,
-	})
+	bbE, err = decamouflage.NewEnsemble(scaler, sbb, fbb)
 	if err != nil {
 		return nil, nil, err
 	}
