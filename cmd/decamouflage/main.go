@@ -7,7 +7,8 @@
 // steganalysis/CSP threshold, when present, replaces the fixed rule.
 // Alternatively -system loads a full SystemConfig (cmd/calibrate
 // -system-out), which also carries persisted observability settings;
-// individual obs flags override the config. Either way detect.BuildSystem
+// individual obs flags override the config, while -dst, -alg and
+// -calibration are refused alongside it. Either way detect.BuildSystem
 // builds one ensemble for the run, so -calibration and the equivalent
 // -system config classify identically, and -v lists the methods in
 // canonical order: scaling, filtering, steganalysis.
@@ -67,7 +68,7 @@ func run(args []string, out io.Writer) (err error) {
 		dst      = fs.String("dst", "224x224", "model input geometry WxH (the protected scaler's output)")
 		alg      = fs.String("alg", "bilinear", "scaling algorithm used by the protected pipeline")
 		calPath  = fs.String("calibration", "", "calibration JSON from cmd/calibrate (enables scaling+filtering methods)")
-		sysPath  = fs.String("system", "", "system config JSON from cmd/calibrate -system (replaces -dst/-alg/-calibration)")
+		sysPath  = fs.String("system", "", "system config JSON from cmd/calibrate -system (instead of -dst/-alg/-calibration)")
 		dir      = fs.String("dir", "", "scan every PNG/JPEG in a directory")
 		asJSON   = fs.Bool("json", false, "emit JSON lines")
 		strictly = fs.Bool("strict", false, "exit nonzero when any attack is detected")
@@ -90,6 +91,20 @@ func run(args []string, out io.Writer) (err error) {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *sysPath != "" {
+		// The config names the geometry, the kernel and the thresholds, so
+		// a run never has two sources for them.
+		var clash []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "calibration", "dst", "alg":
+				clash = append(clash, "-"+f.Name)
+			}
+		})
+		if len(clash) > 0 {
+			return fmt.Errorf("usage: -system replaces %s; give one or the other", strings.Join(clash, ", "))
+		}
 	}
 	paths := fs.Args()
 	if *dir != "" {

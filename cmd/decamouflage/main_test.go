@@ -276,6 +276,42 @@ func TestRunSystemConfig(t *testing.T) {
 	}
 }
 
+// TestRunSystemRejectsConfigFlags pins that -system refuses an explicitly
+// set -calibration, -dst or -alg, naming each, instead of silently serving
+// the config and ignoring the flag.
+func TestRunSystemRejectsConfigFlags(t *testing.T) {
+	benign, _, calPath, dir := writeFixtures(t)
+	data, err := detect.MarshalSystemConfig(&detect.SystemConfig{DstW: 24, DstH: 24, Algorithm: "bilinear"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sysPath := filepath.Join(dir, "sys.json")
+	if err := os.WriteFile(sysPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		flags []string
+		want  string
+	}{
+		{[]string{"-calibration", calPath}, "-calibration"},
+		{[]string{"-dst", "24x24"}, "-dst"},
+		{[]string{"-alg", "bilinear"}, "-alg"},
+		{[]string{"-dst", "32x32", "-alg", "bicubic", "-calibration", calPath}, "-alg, -calibration, -dst"},
+	} {
+		args := append([]string{"-system", sysPath}, tc.flags...)
+		var out strings.Builder
+		err := run(append(args, benign), &out)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%v) = %v, want a usage error naming %s", tc.flags, err, tc.want)
+		}
+	}
+	// Flags that do not describe the ensemble still combine with -system.
+	var out strings.Builder
+	if err := run([]string{"-system", sysPath, "-json", benign}, &out); err != nil {
+		t.Errorf("-system with -json: %v", err)
+	}
+}
+
 func TestRunProfileFlags(t *testing.T) {
 	requireObs(t)
 	benign, _, _, dir := writeFixtures(t)

@@ -128,8 +128,8 @@ func buildEnsemble() (*decamouflage.Ensemble, *decamouflage.Scaler, error) {
 }
 
 // main wires the detector behind an HTTP endpoint and exercises it once.
-//
-//declint:spawns one http.Serve loop for the demo listener; process exit (end of main) reaps it
+// Its one http.Serve goroutine for the demo listener is reaped by process
+// exit at the end of main.
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("online-service: ")

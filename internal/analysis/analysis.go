@@ -50,30 +50,22 @@
 //
 // poollife and the concurrency layer both interpret bodies path by path
 // through one statement walker (pathwalk.go), each supplying only its
-// abstract state and transfer functions. The concurrency-protocol layer
-// (concurrency_effects.go) extends the effects pass with that path-sensitive
-// interpretation of each body — mutex
-// acquire/release with defer pairing and RWMutex modes, the held-lock set
-// at every call site, channel operations with their select/ctx guards, go
-// statements with their termination signals — and four more graph checks
-// consume those facts:
+// abstract state and transfer functions. The concurrency layer
+// (concurrency_effects.go) extends the effects pass with that
+// path-sensitive interpretation of each body — mutex acquire/release with
+// defer pairing and RWMutex modes, the held-lock set at every call site,
+// channel operations with their select/ctx guards, and which calls run on
+// a new goroutine — and one more graph check consumes those facts:
 //
 //	lockorder    whole-module lock-order graph: cycles, double-lock along a
 //	             call chain, blocking calls or channel ops under a held
 //	             mutex, unlock-without-lock and lock-leak paths; nested
 //	             cross-function acquires must be declared with
 //	             //declint:locks-after <outer>
-//	golife       every go statement needs a provable termination signal
-//	             (WaitGroup join, ctx.Done, or a stop channel the module
-//	             closes) plus a join, and a //declint:spawns <reason>
-//	             directive on the spawning function; numeric fan-out belongs
-//	             in internal/parallel, so raw goroutines stay rare
-//	chandisc     channel discipline: sends in ctx-receiving functions must
-//	             be select+ctx.Done guarded, no time.After in loops, no
-//	             send-after-close, no magic buffer capacities
-//	deadline     exported ctx-less entry points of the serving packages
-//	             must not reach unbounded blocking (net, os/exec, raw
-//	             channel receives)
+//
+// Goroutine lifetimes are guarded by tests, not by a check: the tree's
+// few go statements each have a test that fails when Stop, Close or the
+// fork-join wait stops joining (see docs/concurrency.md).
 //
 // Intentional violations are annotated in place:
 //
@@ -159,9 +151,6 @@ type Config struct {
 	// event carries a trace ID and stage attribution. ObsPkg itself is
 	// exempt (the watchdog records health events with no request span).
 	RecorderTypes []string
-	// DeadlinePkgs are the serving packages whose exported ctx-less entry
-	// points the deadline check audits for reachable unbounded blocking.
-	DeadlinePkgs []string
 	// IncludeSuppressed keeps ignored findings in Run's result with
 	// Finding.Suppressed set instead of dropping them.
 	IncludeSuppressed bool
@@ -190,7 +179,6 @@ func DefaultConfig() Config {
 		MemoTypes:       []string{"internal/detect.Intermediates"},
 		CachePkg:        "internal/cache",
 		RecorderTypes:   []string{"internal/obs.Recorder"},
-		DeadlinePkgs:    []string{"internal/obs", "internal/detect", "internal/server"},
 	}
 }
 
@@ -219,9 +207,6 @@ var registry = []check{
 	{name: "memopure", doc: "memoized stage closures that are not pure functions of their key", runModule: checkMemoPure},
 	{name: "obscover", doc: "pipeline stages, caches or event emitters missing obs instrumentation", runModule: checkObsCover},
 	{name: "lockorder", doc: "lock-order cycles, double-locks, and blocking calls under a held mutex", runModule: checkLockOrder},
-	{name: "golife", doc: "goroutines without a provable termination signal and join", runModule: checkGoLife},
-	{name: "chandisc", doc: "unguarded ctx-path sends, timer leaks, send-after-close, magic buffers", runModule: checkChanDisc},
-	{name: "deadline", doc: "ctx-less exported entry points reaching unbounded blocking operations", runModule: checkDeadline},
 }
 
 // Checks lists the registered check names and one-line descriptions.

@@ -45,19 +45,6 @@ func TestGoldenFindings(t *testing.T) {
 		want    []string
 	}{
 		{
-			fixture: "norawgo",
-			want: []string{
-				"internal/parallel/parallel.go:12 golife", // Do: wg-joined, but no spawns directive
-				"internal/report/suppressed.go:8 golife",  // Serve: opaque callee, no directive...
-				"internal/report/suppressed.go:8 golife",  // ...and no provable termination
-				"internal/report/suppressed.go:13 golife", // ServeTrailing: same pair
-				"internal/report/suppressed.go:13 golife",
-				"internal/scaling/pool.go:13 golife", // Sum: joined fan-out, no spawns directive
-				// golife covers raw goroutines everywhere, the substrate
-				// included; pool_test.go is a test file.
-			},
-		},
-		{
 			fixture: "determinism",
 			want: []string{
 				"internal/scaling/bad.go:12 detprop", // time.Now
@@ -163,7 +150,6 @@ func TestGoldenFindings(t *testing.T) {
 				"internal/bufpool/pool.go:111 poollife",  // fabricate: owns claim unbacked
 				"internal/bufpool/pool.go:116 poollife",  // vanish: transfers claim unbacked
 				"internal/bufpool/pool.go:120 poollife",  // overclaim: result index out of range
-				"internal/parallel/spawn.go:13 golife",   // Spawn: goroutine, no spawns directive
 				"internal/parallel/spawn.go:13 poollife", // Spawn: goroutine capture
 				// Clean, NilGuarded, and ErrPath release on every path: silent.
 			},
@@ -214,42 +200,11 @@ func TestGoldenFindings(t *testing.T) {
 			},
 		},
 		{
-			fixture: "golife",
-			want: []string{
-				"internal/parallel/life.go:12 golife", // Leaky: no termination signal
-				"internal/parallel/life.go:29 golife", // StartPump: stop closed, never joined
-				"internal/parallel/life.go:47 golife", // Fire: no spawns directive
-				"internal/parallel/life.go:55 golife", // Calm: unbacked spawns claim
-				// StartTicker/Stop is the clean stop+done join shape: silent.
-			},
-		},
-		{
-			fixture: "chandisc",
-			want: []string{
-				"internal/pipe/pipe.go:21 chandisc", // Push: ctx-path send, no Done guard
-				"internal/pipe/pipe.go:44 chandisc", // Poll: time.After in a loop
-				"internal/pipe/pipe.go:54 chandisc", // Flush: send after close
-				"internal/pipe/pipe.go:60 chandisc", // Feed: magic capacity 64
-				"internal/pipe/pipe.go:79 chandisc", // FlushAfterSwitch: send after close past an all-break switch
-				// PushGuarded selects on ctx.Done; FeedSized names its capacity.
-			},
-		},
-		{
-			fixture: "deadline",
-			want: []string{
-				"internal/obs/serve.go:13 deadline", // Wait: raw channel receive
-				"internal/obs/serve.go:18 deadline", // Settle: direct time.Sleep
-				"internal/obs/serve.go:23 deadline", // Converge: Sleep via helper chain
-				// WaitCtx threads ctx; the unexported helpers are not roots.
-			},
-		},
-		{
 			fixture: "pathwalk",
 			want: []string{
 				"internal/flow/conc.go:37 lockorder", // BreakUnlock: lock held on the break path only
 				"internal/flow/conc.go:46 lockorder", // SwitchDoubleLock: relock in a case
 				"internal/flow/conc.go:59 lockorder", // TypeSwitchUnlock: lock held on one arm only
-				"internal/flow/conc.go:70 chandisc",  // SelectCloseSend: close on one clause, then send
 				"internal/flow/conc.go:94 lockorder", // ExitArm: os.Exit ends its path
 				"internal/flow/pool.go:36 poollife",  // BreakLeak: live at break
 				"internal/flow/pool.go:50 poollife",  // LabeledBreak: live at break outer
@@ -257,10 +212,9 @@ func TestGoldenFindings(t *testing.T) {
 				"internal/flow/pool.go:79 poollife",  // TypeSwitchDouble: second release on default
 				"internal/flow/pool.go:91 poollife",  // SelectDefault: default arm leaks
 				"internal/flow/pool.go:133 poollife", // LabeledContinue: live at continue outer
-				// ContinueClean, ContinueUnlock, SelectAll, PanicArm and
-				// PanicClose are clean (PanicClose's close sits on the path
-				// that panics); Goto and GotoLock pin that goto ends the
-				// path.
+				// ContinueClean, ContinueUnlock, SelectAll, SelectCloseSend,
+				// PanicArm and PanicClose are clean; Goto and GotoLock pin
+				// that goto ends the path.
 			},
 		},
 		{
@@ -319,7 +273,7 @@ func TestRegistry(t *testing.T) {
 		"floateq", "naninput", "errdrop", "obsonly",
 		"parsafe", "hotalloc", "detprop", "ctxflow",
 		"poollife", "memopure", "obscover",
-		"lockorder", "golife", "chandisc", "deadline",
+		"lockorder",
 	}
 	checks := Checks()
 	if len(checks) != len(want) {

@@ -1,13 +1,11 @@
 package analysis
 
 import (
-	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 )
 
-// ---- shared machinery for the concurrency-protocol checks ---------------
+// ---- shared machinery for lockorder -------------------------------------
 
 // nonLocal filters a held/identity list down to the module-visible mutex
 // IDs ("pkg.Type.field" / "pkg.var"); locals cannot participate in
@@ -30,7 +28,7 @@ func mutexMatches(id, pattern string) bool {
 
 // goAwareReach runs a BFS over the call graph starting from the given
 // function IDs, never following go-statement edges (work on a spawned
-// goroutine does not run under the caller's locks or deadline). It returns
+// goroutine does not run under the caller's locks). It returns
 // the visit order and the parent map for chain rendering.
 func goAwareReach(ix *Index, starts []string) ([]string, map[string]string) {
 	seen := map[string]bool{}
@@ -119,31 +117,6 @@ func lockBlockingCall(callee string, cfg Config) string {
 	return ""
 }
 
-// deadlineBlockingCall is the narrower set the deadline check enforces on
-// ctx-less exported entry points: operations that can block indefinitely on
-// the outside world.
-func deadlineBlockingCall(callee string) string {
-	switch callee {
-	case "iface:net.Listener.Accept", "iface:net.Conn.Read", "iface:net.Conn.Write":
-		return strings.TrimPrefix(callee, "iface:")
-	}
-	id, ok := strings.CutPrefix(callee, "fn:")
-	if !ok {
-		return ""
-	}
-	switch id {
-	case "time.Sleep", "net.Dial":
-		return id
-	}
-	if strings.HasPrefix(id, "os/exec.(Cmd).") {
-		switch id[len("os/exec.(Cmd)."):] {
-		case "Run", "Wait", "Output", "CombinedOutput":
-			return id
-		}
-	}
-	return ""
-}
-
 // blockingChanOp returns the first channel operation in fx that can block
 // unboundedly: a send or receive that is neither ctx/timer-guarded nor a
 // join on a completion channel.
@@ -209,18 +182,12 @@ func checkLockOrder(pkgs []*Package, cfg Config, ix *Index) []Finding {
 
 	for _, id := range ix.IDs() {
 		fx := ix.Funcs[id]
-		// Intra-function protocol bugs from the path walker (the
-		// send-after-close shape belongs to chandisc).
+		// Intra-function protocol bugs from the path walker.
 		for _, b := range fx.LockBugs {
-			if strings.HasPrefix(b.Kind, "send on ") {
-				continue
-			}
 			report(Finding{Check: "lockorder", Pos: b.Pos, Msg: shortMsgIDs(b.Kind)})
 		}
-		for _, e := range fx.ConcDirectiveErrs {
-			if strings.Contains(e.Kind, locksAfterMarker) {
-				report(Finding{Check: "lockorder", Pos: e.Pos, Msg: e.Kind})
-			}
+		for _, e := range fx.LocksAfterErrs {
+			report(Finding{Check: "lockorder", Pos: e.Pos, Msg: e.Kind})
 		}
 		// Intra-function nested acquires become graph edges directly; they
 		// are visible in one screenful, so they need no declaration.
@@ -420,291 +387,4 @@ func shortMsgIDs(msg string) string {
 		}
 	}
 	return strings.Join(fields, " ")
-}
-
-// ---- golife -------------------------------------------------------------
-
-// checkGoLife requires every go statement to have a provable termination
-// signal and a reachable counterpart that fires it: a fork-join WaitGroup,
-// ctx.Done(), or a stop channel somebody in the module closes — and, once
-// stopped, a join (receive on a completion channel the goroutine closes)
-// so Stop/Close returning means the goroutine is actually gone. The
-// function owning the go statement must carry //declint:spawns <reason>,
-// and the claim must be backed by a real go statement.
-func checkGoLife(pkgs []*Package, cfg Config, ix *Index) []Finding {
-	var out []Finding
-
-	// Module-wide channel facts: who closes what, who receives what, and
-	// which external receiver types get lifecycle calls.
-	closers := map[string]bool{}   // chan ID -> closed somewhere
-	receivers := map[string]bool{} // chan ID -> received somewhere
-	lifecycle := map[string]bool{} // "fn:<pkg>.(Type)." prefix with Close/Stop/Shutdown/Wait
-	for _, id := range ix.IDs() {
-		fx := ix.Funcs[id]
-		for _, op := range fx.ChanOps {
-			switch op.Op {
-			case "close":
-				closers[op.Chan] = true
-			case "recv":
-				receivers[op.Chan] = true
-			}
-		}
-		for _, cs := range fx.Calls {
-			if i := strings.LastIndex(cs.Callee, ")."); i >= 0 {
-				switch cs.Callee[i+2:] {
-				case "Close", "Stop", "Shutdown", "Wait":
-					lifecycle[cs.Callee[:i+2]] = true
-				}
-			}
-		}
-	}
-	// Per-function locals: close/recv visible inside the same function.
-	localCloses := func(fx *FuncEffects, ch string) bool {
-		for _, op := range fx.ChanOps {
-			if op.Op == "close" && op.Chan == ch {
-				return true
-			}
-		}
-		return false
-	}
-	localRecvs := func(fx *FuncEffects, ch string) bool {
-		for _, op := range fx.ChanOps {
-			if op.Op == "recv" && op.Chan == ch {
-				return true
-			}
-		}
-		return false
-	}
-
-	// verifyChanSignal checks the close/join protocol for one stop channel.
-	verify := func(fx *FuncEffects, sp SpawnSite, stopCh string, closes []string) []Finding {
-		var fs []Finding
-		isLocal := strings.HasPrefix(stopCh, "local:")
-		closed := closers[stopCh]
-		if isLocal {
-			closed = localCloses(fx, stopCh)
-		}
-		if !closed {
-			fs = append(fs, Finding{Check: "golife", Pos: sp.Pos,
-				Msg: "goroutine waits on " + shortID(stopCh) +
-					" but nothing in the module ever closes it: unreachable shutdown"})
-			return fs
-		}
-		joined := false
-		for _, done := range closes {
-			if strings.HasPrefix(done, "local:") {
-				if localRecvs(fx, done) {
-					joined = true
-				}
-			} else if receivers[done] {
-				joined = true
-			}
-		}
-		if !joined {
-			fs = append(fs, Finding{Check: "golife", Pos: sp.Pos,
-				Msg: "stop channel " + shortID(stopCh) + " is closed but the goroutine is " +
-					"never joined: close a done channel in the goroutine and receive it in Stop/Close"})
-		}
-		return fs
-	}
-
-	for _, id := range ix.IDs() {
-		fx := ix.Funcs[id]
-		for _, e := range fx.ConcDirectiveErrs {
-			if strings.Contains(e.Kind, spawnsMarker) {
-				out = append(out, Finding{Check: "golife", Pos: e.Pos, Msg: e.Kind})
-			}
-		}
-		if fx.SpawnsReason != "" && len(fx.Spawns) == 0 {
-			out = append(out, Finding{Check: "golife", Pos: fx.Pos,
-				Msg: spawnsMarker + " on " + shortID(id) + " is unbacked: the function has no go statement"})
-		}
-		if len(fx.Spawns) > 0 && fx.SpawnsReason == "" {
-			out = append(out, Finding{Check: "golife", Pos: fx.Spawns[0].Pos,
-				Msg: shortID(id) + " spawns a goroutine without a " + spawnsMarker +
-					" directive documenting the topology"})
-		}
-		for _, sp := range fx.Spawns {
-			if sp.Callee != "" {
-				gid, _ := strings.CutPrefix(sp.Callee, "fn:")
-				g := ix.Funcs[gid]
-				if g == nil {
-					// External callee: sanctioned only when the module holds
-					// the other end of its lifecycle (http.Server.Serve is
-					// fine iff something calls http.Server.Close/Shutdown).
-					if i := strings.LastIndex(sp.Callee, ")."); i >= 0 && lifecycle[sp.Callee[:i+2]] {
-						continue
-					}
-					out = append(out, Finding{Check: "golife", Pos: sp.Pos,
-						Msg: "goroutine runs external " + shortID(strings.TrimPrefix(sp.Callee, "fn:")) +
-							" with no module call to its Close/Stop/Shutdown counterpart"})
-					continue
-				}
-				// Derive the spawned function's termination signals from its
-				// own summary.
-				satisfied := false
-				var chanSignals []string
-				for _, op := range g.ChanOps {
-					if op.Op != "recv" {
-						continue
-					}
-					if op.Chan == "ctx" {
-						satisfied = true
-						break
-					}
-					if op.Chan != "" && !strings.HasPrefix(op.Chan, "time.") && !strings.HasPrefix(op.Chan, "local:") {
-						chanSignals = append(chanSignals, op.Chan)
-					}
-				}
-				if satisfied {
-					continue
-				}
-				if len(chanSignals) > 0 {
-					var gCloses []string
-					for _, op := range g.ChanOps {
-						if op.Op == "close" {
-							gCloses = append(gCloses, op.Chan)
-						}
-					}
-					out = append(out, verify(fx, sp, chanSignals[0], gCloses)...)
-					continue
-				}
-				if g.InfLoop {
-					out = append(out, Finding{Check: "golife", Pos: sp.Pos,
-						Msg: "goroutine " + shortID(gid) + " loops forever with no termination signal " +
-							"(ctx.Done, stop channel, or WaitGroup): leaks on every path"})
-				}
-				continue
-			}
-			// Closure spawn: signals were computed in place.
-			satisfied := false
-			for _, s := range sp.Signals {
-				if s == "join" || s == "ctx" || s == "bounded" {
-					satisfied = true
-					break
-				}
-			}
-			if satisfied {
-				continue
-			}
-			var stopCh string
-			for _, s := range sp.Signals {
-				if ch, ok := strings.CutPrefix(s, "chan:"); ok {
-					stopCh = ch
-					break
-				}
-			}
-			if stopCh == "" {
-				out = append(out, Finding{Check: "golife", Pos: sp.Pos,
-					Msg: "goroutine leaks on every path: no termination signal " +
-						"(ctx.Done, stop channel, or WaitGroup join)"})
-				continue
-			}
-			out = append(out, verify(fx, sp, stopCh, sp.Closes)...)
-		}
-	}
-	return out
-}
-
-// ---- chandisc -----------------------------------------------------------
-
-// checkChanDisc enforces channel discipline: sends in context-receiving
-// functions must be select+ctx.Done()-guarded (a naked send in a cancelable
-// call path outlives the caller), no time.After inside loops (one leaked
-// timer per iteration), no send after a close on the same path, and
-// buffered capacities must be named constants — a bare literal is an
-// undocumented backpressure policy.
-func checkChanDisc(pkgs []*Package, cfg Config, ix *Index) []Finding {
-	var out []Finding
-	for _, id := range ix.IDs() {
-		fx := ix.Funcs[id]
-		for _, op := range fx.ChanOps {
-			if op.Op != "send" || !fx.HasCtx || op.CtxGuarded {
-				continue
-			}
-			out = append(out, Finding{Check: "chandisc", Pos: op.Pos,
-				Msg: shortID(id) + " receives a ctx but sends" + chanName(op.Chan) +
-					" without a ctx.Done() select guard; the send can outlive cancellation"})
-		}
-		for _, s := range fx.TimerLoops {
-			out = append(out, Finding{Check: "chandisc", Pos: s.Pos,
-				Msg: "time.After inside a loop leaks one timer per iteration; " +
-					"hoist a time.Timer/Ticker out of the loop"})
-		}
-		for _, b := range fx.LockBugs {
-			if strings.HasPrefix(b.Kind, "send on ") {
-				out = append(out, Finding{Check: "chandisc", Pos: b.Pos,
-					Msg: shortMsgIDs(b.Kind) + ": guaranteed panic if reached"})
-			}
-		}
-		for _, s := range fx.MagicBuffers {
-			out = append(out, Finding{Check: "chandisc", Pos: s.Pos,
-				Msg: s.Kind + " is a magic literal; name the capacity as a constant " +
-					"or derive it from config"})
-		}
-	}
-	return out
-}
-
-func chanName(ch string) string {
-	if ch == "" || strings.HasPrefix(ch, "local:") {
-		return ""
-	}
-	return " on " + shortID(ch)
-}
-
-// ---- deadline -----------------------------------------------------------
-
-// checkDeadline requires exported ctx-less entry points of the serving
-// packages (Config.DeadlinePkgs) to be deadline-safe: no blocking stdlib
-// call (net, os/exec, time.Sleep) and no raw channel receive reachable
-// without a ctx/timeout guard. Go-statement edges are skipped — blocking on
-// a spawned goroutine is golife's concern, not the caller's latency — and
-// join-guarded receives (close(stop) then <-done) are the sanctioned
-// shutdown idiom.
-func checkDeadline(pkgs []*Package, cfg Config, ix *Index) []Finding {
-	var out []Finding
-	for _, id := range ix.IDs() {
-		fx := ix.Funcs[id]
-		if !fx.Exported || fx.HasCtx || !pathMatchesAny(fx.PkgPath, cfg.DeadlinePkgs) {
-			continue
-		}
-		order, parent := goAwareReach(ix, []string{id})
-		for _, gid := range order {
-			g := ix.Funcs[gid]
-			if g == nil {
-				continue
-			}
-			var msg string
-			var site Site
-			if op := blockingChanOp(g); op != nil && op.Op == "recv" && !op.Select {
-				msg = "raw channel receive"
-				site = Site{Pos: op.Pos}
-			} else {
-				for _, cs := range g.Calls {
-					if cs.Go {
-						continue
-					}
-					if label := deadlineBlockingCall(cs.Callee); label != "" {
-						msg = "blocking " + label
-						site = Site{Pos: cs.Pos}
-						break
-					}
-				}
-			}
-			if msg == "" {
-				continue
-			}
-			via := ""
-			if gid != id {
-				via = " (via " + renderChain(parent, id, gid) + ")"
-			}
-			out = append(out, Finding{Check: "deadline", Pos: fx.Pos,
-				Msg: "exported " + shortID(id) + " takes no ctx but reaches " + msg +
-					" at " + filepath.Base(site.Pos.Filename) + ":" + strconv.Itoa(site.Pos.Line) +
-					via + "; thread a context or deadline through it"})
-			break
-		}
-	}
-	return out
 }

@@ -14,10 +14,9 @@ import (
 // This file is the effects-pass half of the concurrency-protocol layer: a
 // path domain for pathWalker that records, over each function body, mutex
 // acquire/release protocol (including defer pairing and RWMutex modes),
-// channel operations with their guard context, go statements with their
-// termination signals, and the held-lock set at every call site. The four
-// checks in concurrency_checks.go consume only these facts plus the call
-// graph.
+// channel operations with their guard context, and the held-lock set and
+// go-statement membership of every call site. lockorder in
+// concurrency_checks.go consumes only these facts plus the call graph.
 
 // syncMethod resolves a call to a sync primitive method and returns its
 // qualified name ("Mutex.Lock", "RWMutex.RLock", "WaitGroup.Wait", ...)
@@ -101,10 +100,7 @@ func structPrefixOf(id string) string {
 	return id[:i+1]
 }
 
-// ctxDoneExpr reports whether e is ctx.Done() — the one wait that counts as
-// a goroutine termination signal (golife). Timers fire forever (tickers) or
-// once per loop turn, so they bound a single wait but never terminate a
-// loop.
+// ctxDoneExpr reports whether e is ctx.Done().
 func ctxDoneExpr(info *types.Info, e ast.Expr) bool {
 	x, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {
@@ -121,8 +117,7 @@ func ctxDoneExpr(info *types.Info, e ast.Expr) bool {
 }
 
 // timerExpr reports whether e is time.After(...) or a time.Ticker/Timer C
-// field — a time-bounded wait (good enough for chandisc/deadline guards,
-// not for golife termination).
+// field — a time-bounded wait.
 func timerExpr(info *types.Info, e ast.Expr) bool {
 	switch x := ast.Unparen(e).(type) {
 	case *ast.CallExpr:
@@ -153,8 +148,8 @@ func ctxWaitExpr(info *types.Info, e ast.Expr) bool {
 // concState is the abstract state of one execution path: held locks in
 // order, pending deferred releases, and the channels closed so far.
 // Joins intersect held and defers (a lock held on only one arm is not held
-// after the join) and union closed (a send after a close on any path is a
-// hazard).
+// after the join) and union closed (a close on any path makes a later
+// receive on a sibling channel a join).
 type concState struct {
 	held   []string
 	defers []string
@@ -185,9 +180,6 @@ type concWalker struct {
 	// held mutexes and go-statement membership, keyed by rendered position.
 	heldAt map[string][]string
 	goAt   map[string]bool
-	// wgWaited: the spawner body (outside go closures) calls WaitGroup.Wait,
-	// completing the fork-join shape for "join" spawn signals.
-	wgWaited bool
 }
 
 func (w *concWalker) clone(s *concState) *concState {
@@ -288,9 +280,6 @@ func (w *concWalker) step(s ast.Stmt, st *concState) {
 		}
 		w.exitCheck(st, s)
 	case *ast.ForStmt:
-		if s.Cond == nil {
-			w.fx.InfLoop = true
-		}
 		w.expr(s.Cond, st)
 	case *ast.RangeStmt:
 		w.expr(s.X, st)
@@ -369,9 +358,6 @@ func (w *concWalker) chanOp(op string, ch ast.Expr, at ast.Node, st *concState, 
 			}
 		}
 	}
-	if op == "send" && id != "" && st.closed[id] {
-		w.bug("send on "+id+" after a close on the same path", at)
-	}
 	if op == "close" && id != "" {
 		st.closed[id] = true
 	}
@@ -386,87 +372,14 @@ func (w *concWalker) recvOp(ue *ast.UnaryExpr, st *concState, inSelect, guarded 
 	w.chanOp("recv", ue.X, ue, st, inSelect, guarded)
 }
 
+// goStmt marks the spawned call so lockorder does not follow it under the
+// caller's locks; its arguments are evaluated on the caller's path. A
+// go-closure's body belongs to its goroutine and is not walked here.
 func (w *concWalker) goStmt(g *ast.GoStmt, st *concState) {
-	call := g.Call
-	w.goAt[posKey(w.pkg.pos(call))] = true
-	sp := SpawnSite{Pos: w.pkg.pos(g)}
-	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
-		sp.Signals, sp.Closes = w.analyzeSpawnLit(lit)
-	} else if targets := resolveCallTargets(w.pkg.Info, call.Fun, nil); len(targets) > 0 {
-		sp.Callee = targets[0]
-	}
-	for _, a := range call.Args {
+	w.goAt[posKey(w.pkg.pos(g.Call))] = true
+	for _, a := range g.Call.Args {
 		w.expr(a, st)
 	}
-	w.fx.Spawns = append(w.fx.Spawns, sp)
-}
-
-// analyzeSpawnLit inspects a go-closure body for termination signals and
-// completion broadcasts, without touching the enclosing path state: the
-// goroutine runs concurrently, so its locks and channel ops are its own.
-func (w *concWalker) analyzeSpawnLit(lit *ast.FuncLit) (signals, closes []string) {
-	info := w.pkg.Info
-	doneCalled := false
-	infLoop := false
-	add := func(s string) {
-		for _, have := range signals {
-			if have == s {
-				return
-			}
-		}
-		signals = append(signals, s)
-	}
-	recv := func(ch ast.Expr) {
-		if ctxDoneExpr(info, ch) {
-			add("ctx")
-			return
-		}
-		if timerExpr(info, ch) {
-			return // time-bounded wait, not a termination signal
-		}
-		if id := concObjectID(info, ch); id != "" {
-			add("chan:" + id)
-		}
-	}
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if m, _ := syncMethod(info, n); m == "WaitGroup.Done" {
-				doneCalled = true
-			}
-			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {
-				if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "close" && len(n.Args) == 1 {
-					if cid := concObjectID(info, n.Args[0]); cid != "" {
-						closes = append(closes, cid)
-					}
-				}
-			}
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				recv(n.X)
-			}
-		case *ast.RangeStmt:
-			if n.X != nil {
-				if tv, ok := info.Types[n.X]; ok {
-					if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-						recv(n.X)
-					}
-				}
-			}
-		case *ast.ForStmt:
-			if n.Cond == nil {
-				infLoop = true
-			}
-		}
-		return true
-	})
-	if doneCalled && w.wgWaited {
-		add("join")
-	}
-	if len(signals) == 0 && !infLoop {
-		add("bounded")
-	}
-	return signals, closes
 }
 
 func (w *concWalker) deferStmt(d *ast.DeferStmt, st *concState) {
@@ -479,18 +392,6 @@ func (w *concWalker) deferStmt(d *ast.DeferStmt, st *concState) {
 			}
 		}
 		return
-	}
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := w.pkg.Info.Uses[id].(*types.Builtin); ok && b.Name() == "close" && len(call.Args) == 1 {
-			// Deferred close fires at exit: record the op (golife matches
-			// completion broadcasts by it) without poisoning this path's
-			// send-after-close state.
-			if cid := concObjectID(w.pkg.Info, call.Args[0]); cid != "" {
-				w.fx.ChanOps = append(w.fx.ChanOps,
-					ChanOp{Op: "close", Chan: cid, Pos: w.pkg.pos(call)})
-			}
-			return
-		}
 	}
 	for _, a := range call.Args {
 		w.expr(a, st)
@@ -533,20 +434,11 @@ func (w *concWalker) call(call *ast.CallExpr, st *concState) {
 	}
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if b, ok := info.Uses[id].(*types.Builtin); ok {
-			switch b.Name() {
-			case "close":
-				if len(call.Args) == 1 {
-					w.chanOp("close", call.Args[0], call, st, false, false)
-				}
-			case "make":
-				w.checkMagicBuffer(call)
+			if b.Name() == "close" && len(call.Args) == 1 {
+				w.chanOp("close", call.Args[0], call, st, false, false)
 			}
 			return
 		}
-	}
-	if w.pw.inLoop() && selectsPkgFunc(info, ast.Unparen(call.Fun), "time", "After") {
-		w.fx.TimerLoops = append(w.fx.TimerLoops,
-			Site{Kind: "time.After in a loop", Pos: w.pkg.pos(call)})
 	}
 	if held := st.heldIDs(); len(held) > 0 {
 		w.heldAt[posKey(w.pkg.pos(call))] = held
@@ -558,15 +450,6 @@ func (w *concWalker) call(call *ast.CallExpr, st *concState) {
 // sites, nested-acquire edges, and protocol bugs.
 func (w *concWalker) syncOp(method string, recv ast.Expr, call *ast.CallExpr, st *concState) {
 	id := concObjectID(w.pkg.Info, recv)
-	if method == "WaitGroup.Wait" || method == "WaitGroup.Done" || method == "WaitGroup.Add" {
-		if method == "WaitGroup.Wait" {
-			w.wgWaited = true
-			if held := st.heldIDs(); len(held) > 0 {
-				w.heldAt[posKey(w.pkg.pos(call))] = held
-			}
-		}
-		return
-	}
 	if id == "" {
 		return
 	}
@@ -598,29 +481,6 @@ func (w *concWalker) syncOp(method string, recv ast.Expr, call *ast.CallExpr, st
 	}
 }
 
-// checkMagicBuffer flags make(chan T, N) with a bare integer literal N>1:
-// buffer capacities are backpressure policy and must be named constants or
-// config-derived values. 0 (unbuffered) and 1 (the single-handoff /
-// completion idiom) are structural, not policy, and stay exempt.
-func (w *concWalker) checkMagicBuffer(call *ast.CallExpr) {
-	if len(call.Args) < 2 {
-		return
-	}
-	tv, ok := w.pkg.Info.Types[call.Args[0]]
-	if !ok {
-		return
-	}
-	if _, isChan := tv.Type.Underlying().(*types.Chan); !isChan {
-		return
-	}
-	lit, ok := ast.Unparen(call.Args[1]).(*ast.BasicLit)
-	if !ok || lit.Kind != token.INT || lit.Value == "0" || lit.Value == "1" {
-		return
-	}
-	w.fx.MagicBuffers = append(w.fx.MagicBuffers,
-		Site{Kind: "channel buffer capacity " + lit.Value, Pos: w.pkg.pos(call)})
-}
-
 // analyzeConcurrency walks fd's body and every in-place closure with the
 // path walker, then annotates the already-recorded CallSites with held-lock
 // sets and go-statement membership.
@@ -633,10 +493,7 @@ func analyzeConcurrency(pkg *Package, fd *ast.FuncDecl, fx *FuncEffects) {
 		goAt:   map[string]bool{},
 	}
 	w.pw = &pathWalker[*concState]{d: w, info: pkg.Info}
-	// Pre-pass: which closures are go-closure bodies, and does the spawner
-	// itself (outside go-closures) join a WaitGroup? The wgWaited bit must
-	// be known before spawn-lit analysis, which can precede the Wait in
-	// source order.
+	// Pre-pass: which closures are go-closure bodies?
 	var lits []*ast.FuncLit
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -646,10 +503,6 @@ func analyzeConcurrency(pkg *Package, fd *ast.FuncDecl, fx *FuncEffects) {
 			}
 		case *ast.FuncLit:
 			lits = append(lits, n)
-		case *ast.CallExpr:
-			if m, _ := syncMethod(pkg.Info, n); m == "WaitGroup.Wait" {
-				w.wgWaited = true
-			}
 		}
 		return true
 	})
@@ -664,7 +517,7 @@ func analyzeConcurrency(pkg *Package, fd *ast.FuncDecl, fx *FuncEffects) {
 	// In-place closures: interpret with fresh state so their acquire sites
 	// and channel ops register under this function's ID (a closure that
 	// locks is how FlattenSpans-style recursive walkers are written), while
-	// go-closures stay with their SpawnSite.
+	// go-closures belong to their goroutine.
 	for _, lit := range lits {
 		if !w.goLits[lit] {
 			walk(lit.Body)

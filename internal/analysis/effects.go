@@ -26,20 +26,13 @@ const (
 	transfersMarker = "//declint:transfers"
 )
 
-// Concurrency-protocol directives. spawnsMarker on a function declares that
-// its go statements are sanctioned topology (golife still verifies each
-// goroutine's termination signal); locksAfterMarker on a function declares
-// that the mutexes it acquires are ordered after the named mutex in the
-// module lock order, sanctioning that nested-acquire edge. Both claims are
-// verified: a spawns directive on a function with no go statement and a
-// locks-after naming an edge the lock graph never establishes are findings.
+// locksAfterMarker on a function declares that the mutexes it acquires are
+// ordered after the named mutex in the module lock order, sanctioning that
+// nested-acquire edge. The claim is verified: a locks-after naming an edge
+// the lock graph never establishes is a lockorder finding.
 //
-//	//declint:spawns <reason>
 //	//declint:locks-after <pkg.Type.field> [explanation]
-const (
-	spawnsMarker     = "//declint:spawns"
-	locksAfterMarker = "//declint:locks-after"
-)
+const locksAfterMarker = "//declint:locks-after"
 
 // Site is one effect occurrence: an allocation, a forbidden-source read, or
 // a context root, classified by kind.
@@ -56,8 +49,8 @@ type CallSite struct {
 	Callee string
 	Pos    token.Position
 	// Go marks a call that is the operand of a go statement: the callee
-	// runs on a new goroutine, so blocking there does not block the caller
-	// (deadline skips these edges; golife owns them instead).
+	// runs on a new goroutine, so it holds none of the caller's locks and
+	// blocking there does not block the caller.
 	Go bool
 	// Held lists the non-local mutex IDs held at the call site, sorted —
 	// the raw material of lockorder's cross-function edge and
@@ -97,20 +90,6 @@ type ChanOp struct {
 	CtxGuarded  bool
 	JoinGuarded bool
 	Held        []string
-}
-
-// SpawnSite is one go statement. For `go func(){...}()` the closure body is
-// analyzed in place: Signals lists the termination signals found ("join"
-// for wg.Done paired with a same-function wg.Wait, "ctx" for a
-// ctx.Done()/timer receive, "chan:<id>" for a receive on an identified
-// stop channel, "bounded" for a straight-line body), and Closes lists the
-// channels the goroutine closes (its completion broadcast). For `go f()`
-// Callee carries the call key and the checker consults f's own summary.
-type SpawnSite struct {
-	Pos     token.Position
-	Callee  string
-	Signals []string
-	Closes  []string
 }
 
 // FuncEffects is the intraprocedural summary of one function: what it
@@ -162,29 +141,20 @@ type FuncEffects struct {
 	CtxPos   token.Position
 	CtxRoots []Site
 
-	// Concurrency facts for lockorder/golife/chandisc/deadline, produced by
-	// the path-sensitive walker in concurrency_effects.go. Locks are the
-	// acquire sites; LockBugs are intra-function protocol violations found
-	// by the walker itself (double-lock on a path, unlock-without-lock,
-	// lock leaked past a return, send-after-close); LockEdges are nested
-	// acquires; Spawns are go statements; TimerLoops are time.After calls
-	// inside loops; MagicBuffers are make(chan, N) with a bare integer
-	// literal capacity. SpawnsReason / LocksAfter mirror the
-	// //declint:spawns and //declint:locks-after doc directives, with
-	// malformed ones recorded in ConcDirectiveErrs.
-	Locks             []LockOp
-	LockEdges         []LockEdge
-	LockBugs          []Site
-	ChanOps           []ChanOp
-	Spawns            []SpawnSite
-	SpawnsReason      string
-	LocksAfter        []string
-	TimerLoops        []Site
-	MagicBuffers      []Site
-	ConcDirectiveErrs []Site
-	// InfLoop marks a `for {}`-shaped loop in the body: a function spawned
-	// as a goroutine with such a loop and no termination signal leaks.
-	InfLoop bool
+	// Concurrency facts for lockorder, produced by the path-sensitive
+	// walker in concurrency_effects.go. Locks are the acquire sites;
+	// LockBugs are intra-function protocol violations found by the walker
+	// itself (double-lock on a path, unlock-without-lock, lock leaked past
+	// a return); LockEdges are nested acquires; ChanOps are channel
+	// operations with their guards and held locks. LocksAfter mirrors the
+	// //declint:locks-after doc directives, with malformed ones recorded in
+	// LocksAfterErrs.
+	Locks          []LockOp
+	LockEdges      []LockEdge
+	LockBugs       []Site
+	ChanOps        []ChanOp
+	LocksAfter     []string
+	LocksAfterErrs []Site
 }
 
 // funcIDOf renders the stable identity of a function or method:
@@ -770,35 +740,25 @@ func parseOwnershipDirectives(pkg *Package, fd *ast.FuncDecl, fx *FuncEffects, s
 	}
 }
 
-// parseConcurrencyDirectives fills the //declint:spawns and
-// //declint:locks-after facts of fx from fd's doc comment. Both demand an
-// argument (a reason, a mutex name); malformed directives land in
-// ConcDirectiveErrs so a typo cannot silently sanction a topology.
-func parseConcurrencyDirectives(pkg *Package, fd *ast.FuncDecl, fx *FuncEffects) {
+// parseLocksAfter fills the //declint:locks-after facts of fx from fd's
+// doc comment. The directive demands a mutex name; a malformed one lands in
+// LocksAfterErrs so a typo cannot silently sanction a lock order.
+func parseLocksAfter(pkg *Package, fd *ast.FuncDecl, fx *FuncEffects) {
 	if fd.Doc == nil {
 		return
 	}
-	bad := func(c *ast.Comment, msg string) {
-		fx.ConcDirectiveErrs = append(fx.ConcDirectiveErrs, Site{Kind: msg, Pos: pkg.pos(c)})
-	}
 	for _, c := range fd.Doc.List {
 		text := strings.TrimSpace(c.Text)
-		switch {
-		case directiveLine(text, spawnsMarker):
-			reason := strings.TrimSpace(text[len(spawnsMarker):])
-			if reason == "" {
-				bad(c, "malformed "+spawnsMarker+": a reason is mandatory")
-				continue
-			}
-			fx.SpawnsReason = reason
-		case directiveLine(text, locksAfterMarker):
-			fields := strings.Fields(text[len(locksAfterMarker):])
-			if len(fields) == 0 {
-				bad(c, "malformed "+locksAfterMarker+": name the outer mutex, e.g. obs.TailSampler.mu")
-				continue
-			}
-			fx.LocksAfter = append(fx.LocksAfter, fields[0])
+		if !directiveLine(text, locksAfterMarker) {
+			continue
 		}
+		fields := strings.Fields(text[len(locksAfterMarker):])
+		if len(fields) == 0 {
+			fx.LocksAfterErrs = append(fx.LocksAfterErrs, Site{Pos: pkg.pos(c),
+				Kind: "malformed " + locksAfterMarker + ": name the outer mutex, e.g. obs.TailSampler.mu"})
+			continue
+		}
+		fx.LocksAfter = append(fx.LocksAfter, fields[0])
 	}
 }
 
@@ -819,7 +779,7 @@ func computeFuncEffects(pkg *Package, fd *ast.FuncDecl, idSuffix string) *FuncEf
 	if sig, ok := obj.Type().(*types.Signature); ok {
 		parseOwnershipDirectives(pkg, fd, fx, sig)
 	}
-	parseConcurrencyDirectives(pkg, fd, fx)
+	parseLocksAfter(pkg, fd, fx)
 	ctxObjs := map[types.Object]bool{}
 	if fd.Type.Params != nil {
 		for _, field := range fd.Type.Params.List {

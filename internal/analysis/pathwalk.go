@@ -60,16 +60,6 @@ type jumpTarget[S any] struct {
 	falls  []S
 }
 
-// inLoop reports whether the statement being walked sits in a loop body.
-func (w *pathWalker[S]) inLoop() bool {
-	for _, t := range w.targets {
-		if t.loop {
-			return true
-		}
-	}
-	return false
-}
-
 func (w *pathWalker[S]) stmts(list []ast.Stmt, st S) bool {
 	for _, s := range list {
 		if w.stmt(s, st) {

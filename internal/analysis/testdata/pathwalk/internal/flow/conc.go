@@ -60,7 +60,7 @@ func (b *Box) TypeSwitchUnlock(v any) {
 }
 
 // SelectCloseSend closes on one clause of a select with a default, then
-// sends.
+// sends: no lock is held, so lockorder is silent.
 func SelectCloseSend(ch chan int, done chan struct{}) {
 	select {
 	case <-done:
@@ -97,7 +97,7 @@ func (b *Box) ExitArm(k int) {
 }
 
 // PanicClose closes the channel only on the arm that panics, then sends:
-// panic ends its path.
+// panic ends its path, and no lock is held.
 func PanicClose(ch chan int, k int) {
 	if k < 0 {
 		close(ch)

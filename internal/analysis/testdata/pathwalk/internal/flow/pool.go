@@ -1,7 +1,7 @@
 // Package flow is a fixture for the path-sensitive statement walker: one
 // function per control-flow shape, seeded with pooled-buffer hazards (this
-// file, poollife) and lock/channel hazards (conc.go, lockorder and
-// chandisc), so both domains are pinned on the same statement forms.
+// file, poollife) and lock hazards (conc.go, lockorder), so both domains
+// are pinned on the same statement forms.
 package flow
 
 import "sync"

@@ -1,6 +1,6 @@
-// Fixture: goroutine capture. This package plays the substrate role; golife
-// flags the undirected go statement, and poollife flags the borrow whose
-// lifetime crosses into the goroutine.
+// Fixture: goroutine capture. This package plays the substrate role;
+// poollife flags the borrow whose lifetime crosses into the goroutine it
+// cannot follow.
 package parallel
 
 import "sync"

@@ -39,7 +39,8 @@ type SystemConfig struct {
 }
 
 // Validate checks the config for structural problems, including
-// threshold names that no built-in method owns.
+// threshold names that no built-in method owns and CSP options that would
+// fail every image.
 func (c *SystemConfig) Validate() error {
 	if c.DstW <= 0 || c.DstH <= 0 {
 		return fmt.Errorf("detect: system config needs positive dst geometry, got %dx%d", c.DstW, c.DstH)
@@ -49,6 +50,9 @@ func (c *SystemConfig) Validate() error {
 	}
 	if c.FilterWindow < 0 || c.FilterWindow == 1 {
 		return fmt.Errorf("detect: system config filter window %d invalid", c.FilterWindow)
+	}
+	if err := c.Steg.Validate(); err != nil {
+		return fmt.Errorf("detect: system config: %w", err)
 	}
 	if err := validateThresholds(c.Thresholds); err != nil {
 		return fmt.Errorf("detect: system config %w", err)

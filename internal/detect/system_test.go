@@ -47,6 +47,43 @@ func TestSystemConfigValidate(t *testing.T) {
 	}
 }
 
+// TestSystemConfigRejectsBadSteg pins that CSP options which would fail
+// every image fail at load instead: in UnmarshalSystemConfig and in
+// BuildSystem. Zero fields are the calibrated defaults and stay valid.
+func TestSystemConfigRejectsBadSteg(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		steg string
+		ok   bool
+	}{
+		{"absent", ``, true},
+		{"zero", `,"steg":{}`, true},
+		{"explicit", `,"steg":{"BinarizeThreshold":0.5,"SmoothSigma":2,"MinArea":3}`, true},
+		{"smoothing disabled", `,"steg":{"SmoothSigma":-1}`, true},
+		{"threshold 5", `,"steg":{"BinarizeThreshold":5}`, false},
+		{"threshold 1", `,"steg":{"BinarizeThreshold":1}`, false},
+		{"negative threshold", `,"steg":{"BinarizeThreshold":-0.2}`, false},
+		{"negative min area", `,"steg":{"MinArea":-1}`, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data := `{"dst_w":16,"dst_h":16,"algorithm":"bilinear","thresholds":{}` + tc.steg + `}`
+			cfg, err := UnmarshalSystemConfig([]byte(data))
+			if tc.ok != (err == nil) {
+				t.Fatalf("UnmarshalSystemConfig: err = %v, want ok = %v", err, tc.ok)
+			}
+			if cfg == nil {
+				cfg = &SystemConfig{}
+				if err := json.Unmarshal([]byte(data), cfg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := BuildSystem(cfg); tc.ok != (err == nil) {
+				t.Fatalf("BuildSystem: err = %v, want ok = %v", err, tc.ok)
+			}
+		})
+	}
+}
+
 // TestThresholdNamesMustBeBuiltin pins that a system config and a
 // calibration accept exactly the built-in method names: a misspelled or
 // unknown name is an error that lists the accepted ones, instead of a

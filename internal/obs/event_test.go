@@ -375,7 +375,7 @@ func TestTailGlobalInstall(t *testing.T) {
 }
 
 func TestWatchdogSample(t *testing.T) {
-	testutil.VerifyNoLeaks(t) // pins that Stop joins the sampling goroutine
+	testutil.VerifyNoLeaks(t) // pins that every watchdog's loop exits
 	withRecording(t)
 	rec := NewRecorder(16)
 	SetRecorder(rec)
@@ -422,6 +422,24 @@ func TestWatchdogSample(t *testing.T) {
 
 	var nilW *Watchdog
 	nilW.Stop() // must not panic
+
+	// Stop joins the sampling loop: across repeated start/stop cycles,
+	// some stopping an idle loop and some a loop that has been ticking,
+	// w.done is already closed when Stop returns. VerifyNoLeaks alone
+	// cannot see a Stop that forgets the join, because the loop still
+	// exits soon after.
+	for i := 0; i < 20; i++ {
+		c := StartWatchdog(WatchdogConfig{Interval: 10 * time.Millisecond})
+		if i%4 == 0 {
+			time.Sleep(15 * time.Millisecond)
+		}
+		c.Stop()
+		select {
+		case <-c.done:
+		default:
+			t.Fatalf("cycle %d: Stop returned before the sampling loop exited", i)
+		}
+	}
 }
 
 func TestServeDebugEventsEndpoints(t *testing.T) {

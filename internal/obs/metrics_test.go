@@ -159,19 +159,22 @@ func TestRegistryGetOrCreate(t *testing.T) {
 
 func TestCacheStats(t *testing.T) {
 	withRecording(t)
+	// The counters live in the default registry and outlast one run of
+	// the test (-count=N), so the checks read deltas.
 	s := NewCacheStats("test.cachestats")
+	hits, misses, evictions := s.Hits.Value(), s.Misses.Value(), s.Evictions.Value()
 	s.Hit()
 	s.Hit()
 	s.Miss()
 	s.Evict(3)
 	s.Resize(7)
-	if got := s.Hits.Value(); got != 2 {
+	if got := s.Hits.Value() - hits; got != 2 {
 		t.Fatalf("hits = %d, want 2", got)
 	}
-	if got := s.Misses.Value(); got != 1 {
+	if got := s.Misses.Value() - misses; got != 1 {
 		t.Fatalf("misses = %d, want 1", got)
 	}
-	if got := s.Evictions.Value(); got != 3 {
+	if got := s.Evictions.Value() - evictions; got != 3 {
 		t.Fatalf("evictions = %d, want 3", got)
 	}
 	if got := s.Size.Value(); got != 7 {

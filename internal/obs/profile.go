@@ -89,9 +89,8 @@ func (d *DebugServer) Close() error {
 //	/debug/pprof/...  net/http/pprof profiles
 //
 // The handlers live on a private mux so importing obs never mutates
-// http.DefaultServeMux.
-//
-//declint:spawns one http.Serve loop per debug server; terminated and joined by DebugServer.Close
+// http.DefaultServeMux. It starts one http.Serve goroutine per debug
+// server; DebugServer.Close ends it by closing the listener.
 func ServeDebug(addr string) (*DebugServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -46,9 +46,9 @@ type Watchdog struct {
 	active    string // joined sorted set of currently-crossed thresholds
 }
 
-// StartWatchdog launches the watchdog goroutine. Returns nil under noobs.
-//
-//declint:spawns one sampling loop per watchdog; select on w.stop, joined by Stop via w.done
+// StartWatchdog launches the watchdog goroutine: one sampling loop per
+// watchdog, which selects on w.stop and is joined by Stop via w.done.
+// Returns nil under noobs.
 func StartWatchdog(cfg WatchdogConfig) *Watchdog {
 	if compiledOut {
 		return nil

@@ -114,7 +114,8 @@ func GrainForWidth(rowCost, minWork int) int {
 // returns ctx.Err(); if every chunk ran to completion, For returns nil
 // regardless of late cancellation.
 //
-//declint:spawns fork-join worker pool of Workers goroutines; every path joins via wg.Wait before return
+// For is a fork-join pool of Workers goroutines: every path joins them
+// via wg.Wait before it returns.
 func For(ctx context.Context, n int, fn func(lo, hi int) error, opts ...Option) error {
 	cfg := config{grain: 1}
 	for _, o := range opts {

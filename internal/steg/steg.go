@@ -68,24 +68,36 @@ func (o Options) withDefaults(w, h int) Options {
 	return o
 }
 
-// validate checks resolved options against a w×h spectrum. A smoothing
-// sigma must be finite, and its window radius int(3σ)+1 may not exceed the
-// spectrum's longer side: the window is built tap by tap, so an unchecked
-// σ from a config file could demand an arbitrarily large one.
-func (o Options) validate(w, h int) error {
-	if o.BinarizeThreshold <= 0 || o.BinarizeThreshold >= 1 {
+// Validate checks the options that do not depend on the spectrum size: a
+// binarize threshold in (0,1), a finite smoothing sigma and a MinArea that
+// is not negative. Zero fields stand for their defaults and pass. Config
+// loaders call it so that a bad value fails at load, not on every image.
+func (o Options) Validate() error {
+	o = o.withDefaults(1, 1)
+	if !(o.BinarizeThreshold > 0 && o.BinarizeThreshold < 1) {
 		return fmt.Errorf("steg: binarize threshold %v outside (0,1)", o.BinarizeThreshold)
 	}
 	if math.IsNaN(o.SmoothSigma) || math.IsInf(o.SmoothSigma, 0) {
 		return fmt.Errorf("steg: smoothing sigma %v is not finite", o.SmoothSigma)
 	}
+	if o.MinArea < 0 {
+		return fmt.Errorf("steg: negative min area %d", o.MinArea)
+	}
+	return nil
+}
+
+// validate checks resolved options against a w×h spectrum: Validate, plus
+// a smoothing window radius int(3σ)+1 that does not exceed the spectrum's
+// longer side. The window is built tap by tap, so an unchecked σ from a
+// config file could demand an arbitrarily large one.
+func (o Options) validate(w, h int) error {
+	if err := o.Validate(); err != nil {
+		return err
+	}
 	// int(3σ)+1 > L ⇔ 3σ >= L for an integer L, compared in float64 so
 	// that a σ whose radius overflows int is rejected too.
 	if o.SmoothSigma > 0 && o.SmoothSigma*3 >= float64(max(w, h)) {
 		return fmt.Errorf("steg: smoothing sigma %v needs a window radius above the %dx%d spectrum's longer side", o.SmoothSigma, w, h)
-	}
-	if o.MinArea < 1 {
-		return fmt.Errorf("steg: min area %d < 1", o.MinArea)
 	}
 	return nil
 }

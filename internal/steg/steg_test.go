@@ -22,6 +22,7 @@ func TestOptionsValidation(t *testing.T) {
 	}{
 		{"threshold > 1", img, Options{BinarizeThreshold: 1.5}, false},
 		{"negative threshold", img, Options{BinarizeThreshold: -0.1}, false},
+		{"NaN threshold", img, Options{BinarizeThreshold: math.NaN()}, false},
 		{"negative min area", img, Options{BinarizeThreshold: 0.5, MinArea: -2}, false},
 		{"empty image", &imgcore.Image{}, Options{}, false},
 		{"NaN sigma", img, Options{SmoothSigma: math.NaN()}, false},

@@ -1,10 +1,10 @@
 // Goroutine-leak detection for test suites, stdlib only. VerifyNoLeaks
 // snapshots the live goroutine set when called and diffs it against the
 // set at test cleanup: anything the test started and failed to join is a
-// leak. The concurrency invariants declint's golife check proves statically
-// (every spawn has a termination signal and a join) get their dynamic
-// counterpart here — the two must agree, and a suite that passes golife
-// but trips VerifyNoLeaks has found a hole in one of them.
+// leak. It is one of the guards of the goroutine topology listed in
+// docs/concurrency.md: a goroutine that outlives its test fails it. A Stop
+// that signals its loop but forgets to join it slips through, because the
+// loop still exits within the settle window; such joins need a direct test.
 package testutil
 
 import (
