@@ -93,76 +93,31 @@ func run(args []string) error {
 		return err
 	}
 
-	ss, err := detect.NewScalingScorer(scaler, detect.MSE)
-	if err != nil {
-		return err
-	}
-	fsc, err := detect.NewFilteringScorer(2, detect.SSIM)
-	if err != nil {
-		return err
-	}
-
-	cal := detect.NewCalibration(*mode)
+	corpus := &eval.Corpus{Benign: benign, Scaler: scaler}
+	var (
+		methods []eval.MethodThreshold
+		note    func(eval.MethodThreshold) string
+	)
 	switch *mode {
 	case "blackbox":
-		for _, pair := range []struct {
-			name   string
-			scorer detect.Scorer
-			metric detect.Metric
-		}{
-			{"scaling/MSE", ss, detect.MSE},
-			{"filtering/SSIM", fsc, detect.SSIM},
-		} {
-			scores, err := detect.Scores(pair.scorer, benign)
-			if err != nil {
-				return err
-			}
-			th, err := detect.CalibrateBlackBox(scores, *percentile, pair.metric.AttackDirection())
-			if err != nil {
-				return err
-			}
-			cal.Set(pair.name, th)
-			fmt.Printf("%-16s threshold %.4f (%v, %.0f%% percentile)\n", pair.name, th.Value, th.Direction, *percentile)
-		}
+		methods, err = eval.CalibrateBlackBox(ctx, corpus, *percentile)
+		note = func(eval.MethodThreshold) string { return fmt.Sprintf("%.0f%% percentile", *percentile) }
 	case "whitebox":
-		// Craft attacks from the benign images.
-		tg, err := dataset.NewGenerator(dataset.Config{Corpus: dataset.NeurIPSLike, W: dstW, H: dstH, C: 3, Seed: *seed + 1})
-		if err != nil {
+		if corpus.Attacks, err = craftAttacks(ctx, benign, scaler, *seed+1, *eps); err != nil {
 			return err
 		}
-		attacks := make([]*imgcore.Image, len(benign))
-		for i, b := range benign {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			res, err := attack.Craft(b, tg.Image(i), attack.Config{Scaler: scaler, Eps: *eps})
-			if err != nil {
-				return fmt.Errorf("crafting attack %d: %w", i, err)
-			}
-			attacks[i] = res.Attack
-		}
-		corpus := &eval.Corpus{Benign: benign, Attacks: attacks, Scaler: scaler}
-		for _, pair := range []struct {
-			name   string
-			scorer detect.Scorer
-		}{
-			{"scaling/MSE", ss},
-			{"filtering/SSIM", fsc},
-		} {
-			b, a, err := eval.ScorePair(ctx, pair.scorer, corpus)
-			if err != nil {
-				return err
-			}
-			wb, err := detect.CalibrateWhiteBox(b, a)
-			if err != nil {
-				return err
-			}
-			cal.Set(pair.name, wb.Threshold)
-			fmt.Printf("%-16s threshold %.4f (%v, train acc %.1f%%)\n",
-				pair.name, wb.Threshold.Value, wb.Threshold.Direction, wb.TrainAccuracy*100)
-		}
+		methods, err = eval.CalibrateWhiteBox(ctx, corpus)
+		note = func(m eval.MethodThreshold) string { return fmt.Sprintf("train acc %.1f%%", m.TrainAccuracy*100) }
 	default:
 		return fmt.Errorf("unknown mode %q (whitebox|blackbox)", *mode)
+	}
+	if err != nil {
+		return err
+	}
+	cal := detect.NewCalibration(*mode)
+	for _, m := range methods {
+		cal.Set(m.Name, m.Threshold)
+		fmt.Printf("%-16s threshold %.4f (%v, %s)\n", m.Name, m.Threshold.Value, m.Threshold.Direction, note(m))
 	}
 	cal.Set("steganalysis/CSP", detect.DefaultCSPThreshold())
 	if err := cliutil.SaveCalibration(*out, cal); err != nil {
@@ -186,4 +141,26 @@ func run(args []string) error {
 		fmt.Printf("system config written to %s\n", *systemOut)
 	}
 	return nil
+}
+
+// craftAttacks crafts one attack per benign image, serially, with targets
+// from a NeurIPS-like generator at the scaler's output size.
+func craftAttacks(ctx context.Context, benign []*imgcore.Image, scaler *scaling.Scaler, seed int64, eps float64) ([]*imgcore.Image, error) {
+	dstW, dstH := scaler.DstSize()
+	tg, err := dataset.NewGenerator(dataset.Config{Corpus: dataset.NeurIPSLike, W: dstW, H: dstH, C: 3, Seed: seed})
+	if err != nil {
+		return nil, err
+	}
+	attacks := make([]*imgcore.Image, len(benign))
+	for i, b := range benign {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		res, err := attack.Craft(b, tg.Image(i), attack.Config{Scaler: scaler, Eps: eps})
+		if err != nil {
+			return nil, fmt.Errorf("crafting attack %d: %w", i, err)
+		}
+		attacks[i] = res.Attack
+	}
+	return attacks, nil
 }

@@ -193,8 +193,9 @@ func TestGoldenFindings(t *testing.T) {
 				"internal/store/store.go:28 lockorder", // BA: closes the muA/muB cycle
 				"internal/store/store.go:51 lockorder", // Grow -> Size reacquires mu
 				"internal/store/store.go:58 lockorder", // Nap: time.Sleep under mu
-				"internal/store/store.go:63 lockorder", // Drop: unlock without a lock
-				"internal/store/store.go:76 lockorder", // Twice: double lock after an all-break select
+				"internal/store/store.go:65 lockorder", // Drain: WaitGroup.Wait under mu
+				"internal/store/store.go:70 lockorder", // Drop: unlock without a lock
+				"internal/store/store.go:83 lockorder", // Twice: double lock after an all-break select
 				// AB alone is clean; UnderA's cross-function edge is declared
 				// with locks-after on lockB.
 			},

@@ -79,8 +79,8 @@ func renderChain(parent map[string]string, start, end string) string {
 }
 
 // lockBlockingCall classifies a call-edge key as a blocking operation for
-// lock-hold purposes: parallel fan-out, sleeps, process waits, network and
-// stream I/O. Returns a human label or "".
+// lock-hold purposes: parallel fan-out, WaitGroup waits, sleeps, process
+// waits, network and stream I/O. Returns a human label or "".
 func lockBlockingCall(callee string, cfg Config) string {
 	switch callee {
 	case "iface:io.Writer.Write", "iface:io.Reader.Read":
@@ -93,7 +93,7 @@ func lockBlockingCall(callee string, cfg Config) string {
 		return ""
 	}
 	switch id {
-	case "time.Sleep", "io.Copy", "io.CopyN", "io.ReadAll", "net.Dial", "net.Listen",
+	case "time.Sleep", "sync.(WaitGroup).Wait", "io.Copy", "io.CopyN", "io.ReadAll", "net.Dial", "net.Listen",
 		"encoding/json.(Encoder).Encode", "encoding/json.(Decoder).Decode":
 		return id
 	}

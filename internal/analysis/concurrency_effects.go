@@ -428,7 +428,9 @@ func (w *concWalker) call(call *ast.CallExpr, st *concState) {
 	for _, a := range call.Args {
 		w.expr(a, st)
 	}
-	if m, recv := syncMethod(info, call); m != "" {
+	// Mutex operations change the path state; any other sync call, such
+	// as WaitGroup.Wait, is an ordinary call site with its held locks.
+	if m, recv := syncMethod(info, call); strings.Contains(m, "Mutex.") {
 		w.syncOp(m, recv, call, st)
 		return
 	}

@@ -58,6 +58,13 @@ func (s *Store) Nap() {
 	time.Sleep(time.Millisecond)
 }
 
+// Drain waits for workers while holding the lock.
+func (s *Store) Drain(wg *sync.WaitGroup) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	wg.Wait()
+}
+
 // Drop unlocks a mutex it never locked.
 func Drop() {
 	muA.Unlock()

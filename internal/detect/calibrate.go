@@ -5,27 +5,8 @@ import (
 	"fmt"
 	"sort"
 
-	"decamouflage/internal/imgcore"
 	"decamouflage/internal/stats"
 )
-
-// Scores evaluates a scorer over a corpus, returning one score per image.
-//
-//declint:nan-ok NaN/Inf handling is each scorer's contract; Scores only fans out
-func Scores(s Scorer, imgs []*imgcore.Image) ([]float64, error) {
-	if s == nil {
-		return nil, fmt.Errorf("detect: nil scorer")
-	}
-	out := make([]float64, len(imgs))
-	for i, img := range imgs {
-		v, err := s.Score(img)
-		if err != nil {
-			return nil, fmt.Errorf("detect: scoring image %d: %w", i, err)
-		}
-		out[i] = v
-	}
-	return out, nil
-}
 
 // WhiteBoxResult is the outcome of white-box threshold selection.
 type WhiteBoxResult struct {
@@ -132,8 +113,8 @@ func CalibrateBlackBox(benign []float64, percentile float64, dir Direction) (Thr
 // threshold picked on one dataset can be persisted and applied to another —
 // the paper's "pre-determined detection threshold that is generic".
 type Calibration struct {
-	// Setting records how the thresholds were obtained ("white-box" or
-	// "black-box").
+	// Setting records how the thresholds were obtained ("whitebox" or
+	// "blackbox", cmd/calibrate's -mode values).
 	Setting string `json:"setting"`
 	// Thresholds maps scorer name (e.g. "scaling/MSE") to its boundary.
 	Thresholds map[string]Threshold `json:"thresholds"`

@@ -9,30 +9,9 @@ import (
 	"testing"
 	"testing/quick"
 
-	"decamouflage/internal/imgcore"
 	"decamouflage/internal/stats"
-	"decamouflage/internal/steg"
 	"decamouflage/internal/testutil"
 )
-
-func TestScores(t *testing.T) {
-	gs := NewStegScorer(steg.Options{})
-	imgs := []*imgcore.Image{corpusImage(t, 1, 0, 32, 32), corpusImage(t, 1, 1, 32, 32)}
-	scores, err := Scores(gs, imgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(scores) != 2 {
-		t.Fatalf("Scores len = %d", len(scores))
-	}
-	if _, err := Scores(nil, imgs); err == nil {
-		t.Error("nil scorer accepted")
-	}
-	imgs = append(imgs, &imgcore.Image{})
-	if _, err := Scores(gs, imgs); err == nil {
-		t.Error("invalid image accepted")
-	}
-}
 
 func TestCalibrateWhiteBoxSeparable(t *testing.T) {
 	benign := []float64{1, 2, 3, 4, 5}

@@ -182,10 +182,9 @@ func requireEqualVerdicts(t *testing.T, pipe, legacy *EnsembleVerdict) {
 }
 
 // requireStandaloneMatches asserts that every member's standalone paths —
-// Scorer.Score, Scores over a one-image corpus, and Detector.Detect —
-// reproduce the member's ensemble score bit for bit: thresholds
-// calibrated on standalone scores judge exactly the scores the ensemble
-// serves.
+// Scorer.Score and Detector.Detect — reproduce the member's ensemble score
+// bit for bit: thresholds calibrated on standalone scores judge exactly
+// the scores the ensemble serves.
 func requireStandaloneMatches(t *testing.T, e *Ensemble, img *imgcore.Image, served *EnsembleVerdict) {
 	t.Helper()
 	for i, d := range e.Detectors() {
@@ -194,10 +193,6 @@ func requireStandaloneMatches(t *testing.T, e *Ensemble, img *imgcore.Image, ser
 		if err != nil {
 			t.Fatalf("%s: standalone Score: %v", d.Name(), err)
 		}
-		batch, err := Scores(d.scorer, []*imgcore.Image{img})
-		if err != nil {
-			t.Fatalf("%s: Scores: %v", d.Name(), err)
-		}
 		det, err := d.Detect(img)
 		if err != nil {
 			t.Fatalf("%s: Detector.Detect: %v", d.Name(), err)
@@ -205,7 +200,7 @@ func requireStandaloneMatches(t *testing.T, e *Ensemble, img *imgcore.Image, ser
 		for _, got := range []struct {
 			path  string
 			score float64
-		}{{"Score", alone}, {"Scores", batch[0]}, {"Detector.Detect", det.Score}} {
+		}{{"Score", alone}, {"Detector.Detect", det.Score}} {
 			if !testutil.BitEqual(got.score, want) {
 				t.Fatalf("%s: %s score %v != ensemble %v (ULP %d)",
 					d.Name(), got.path, got.score, want, testutil.ULPDiff(got.score, want))

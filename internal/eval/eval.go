@@ -1,8 +1,9 @@
 // Package eval provides the experiment harness Decamouflage's evaluation is
-// built on: labelled benign/attack corpora, confusion-matrix statistics
-// (accuracy, precision, recall, FAR, FRR — the paper's five headline
-// metrics), detector/ensemble evaluation, and per-image runtime
-// measurement.
+// built on: labelled benign/attack corpora, parallel scoring, the one
+// white-box and black-box calibration of the canonical ensemble,
+// confusion-matrix statistics (accuracy, precision, recall, FAR, FRR — the
+// paper's five headline metrics), ensemble evaluation, and per-image
+// runtime measurement.
 package eval
 
 import (
@@ -226,35 +227,118 @@ func forEachParallel(ctx context.Context, n int, fn func(i int) error) error {
 	})
 }
 
-// ScorePair evaluates a scorer over the corpus's benign and attack sets in
-// parallel, returning the two score vectors.
-func ScorePair(ctx context.Context, s detect.Scorer, c *Corpus) (benign, attacks []float64, err error) {
+// Scores evaluates a scorer over imgs in parallel, returning one score per
+// image. Scores are deterministic per image, so the worker count does not
+// change them.
+func Scores(ctx context.Context, s detect.Scorer, imgs []*imgcore.Image) ([]float64, error) {
 	if s == nil {
-		return nil, nil, errors.New("eval: nil scorer")
+		return nil, errors.New("eval: nil scorer")
 	}
-	benign = make([]float64, len(c.Benign))
-	attacks = make([]float64, len(c.Attacks))
-	err = forEachParallel(ctx, len(c.Benign)+len(c.Attacks), func(i int) error {
-		if i < len(c.Benign) {
-			v, err := s.Score(c.Benign[i])
-			if err != nil {
-				return fmt.Errorf("eval: benign %d: %w", i, err)
-			}
-			benign[i] = v
-			return nil
-		}
-		j := i - len(c.Benign)
-		v, err := s.Score(c.Attacks[j])
+	out := make([]float64, len(imgs))
+	err := forEachParallel(ctx, len(imgs), func(i int) error {
+		v, err := s.Score(imgs[i])
 		if err != nil {
-			return fmt.Errorf("eval: attack %d: %w", j, err)
+			return fmt.Errorf("eval: image %d: %w", i, err)
 		}
-		attacks[j] = v
+		out[i] = v
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
+	}
+	return out, nil
+}
+
+// ScorePair evaluates a scorer over the corpus's benign and attack sets,
+// returning the two score vectors.
+func ScorePair(ctx context.Context, s detect.Scorer, c *Corpus) (benign, attacks []float64, err error) {
+	if benign, err = Scores(ctx, s, c.Benign); err != nil {
+		return nil, nil, fmt.Errorf("benign: %w", err)
+	}
+	if attacks, err = Scores(ctx, s, c.Attacks); err != nil {
+		return nil, nil, fmt.Errorf("attacks: %w", err)
 	}
 	return benign, attacks, nil
+}
+
+// MethodThreshold is one calibrated method of the canonical ensemble.
+type MethodThreshold struct {
+	// Name is the built-in method name ("scaling/MSE"), the key a
+	// Calibration or SystemConfig stores the threshold under.
+	Name      string
+	Threshold detect.Threshold
+	// TrainAccuracy is the white-box accuracy on the calibration scores;
+	// black-box calibration leaves it 0.
+	TrainAccuracy float64
+}
+
+// CalibrateWhiteBox picks the accuracy-optimal threshold of each
+// calibrated method of the canonical ensemble from c's benign and attack
+// scores (the paper's white-box setting).
+func CalibrateWhiteBox(ctx context.Context, c *Corpus) ([]MethodThreshold, error) {
+	return calibrate(c, func(s detect.Scorer, _ detect.Metric) (MethodThreshold, error) {
+		benign, attacks, err := ScorePair(ctx, s, c)
+		if err != nil {
+			return MethodThreshold{}, err
+		}
+		wb, err := detect.CalibrateWhiteBox(benign, attacks)
+		if err != nil {
+			return MethodThreshold{}, err
+		}
+		return MethodThreshold{Threshold: wb.Threshold, TrainAccuracy: wb.TrainAccuracy}, nil
+	})
+}
+
+// CalibrateBlackBox takes each calibrated method's threshold at the given
+// percentile of c's benign scores (the paper's black-box setting). It
+// scores c.Benign only; c.Attacks may be empty.
+func CalibrateBlackBox(ctx context.Context, c *Corpus, percentile float64) ([]MethodThreshold, error) {
+	return calibrate(c, func(s detect.Scorer, m detect.Metric) (MethodThreshold, error) {
+		benign, err := Scores(ctx, s, c.Benign)
+		if err != nil {
+			return MethodThreshold{}, err
+		}
+		th, err := detect.CalibrateBlackBox(benign, percentile, m.AttackDirection())
+		return MethodThreshold{Threshold: th}, err
+	})
+}
+
+// calibrate builds the canonical ensemble's calibrated scorers on
+// c.Scaler, scaling/MSE and then filtering/SSIM (window 2), and picks a
+// threshold for each in that order. Steganalysis keeps the paper's fixed
+// CSP >= 2 rule and needs no calibration.
+func calibrate(c *Corpus, pick func(detect.Scorer, detect.Metric) (MethodThreshold, error)) ([]MethodThreshold, error) {
+	ss, err := detect.NewScalingScorer(c.Scaler, detect.MSE)
+	if err != nil {
+		return nil, err
+	}
+	fs, err := detect.NewFilteringScorer(2, detect.SSIM)
+	if err != nil {
+		return nil, err
+	}
+	var out []MethodThreshold
+	for _, m := range []struct {
+		scorer detect.Scorer
+		metric detect.Metric
+	}{{ss, detect.MSE}, {fs, detect.SSIM}} {
+		mt, err := pick(m.scorer, m.metric)
+		if err != nil {
+			return nil, fmt.Errorf("eval: calibrating %s: %w", m.scorer.Name(), err)
+		}
+		mt.Name = m.scorer.Name()
+		out = append(out, mt)
+	}
+	return out, nil
+}
+
+// Thresholds keys calibrated thresholds by method name, the form a
+// SystemConfig or Calibration stores them in.
+func Thresholds(ms []MethodThreshold) map[string]detect.Threshold {
+	out := make(map[string]detect.Threshold, len(ms))
+	for _, m := range ms {
+		out[m.Name] = m.Threshold
+	}
+	return out
 }
 
 // EvaluateThreshold classifies precomputed score vectors under a threshold.
@@ -269,78 +353,27 @@ func EvaluateThreshold(th detect.Threshold, benign, attacks []float64) Confusion
 	return c
 }
 
-// EvaluateDetector runs a detector over the whole corpus.
-func EvaluateDetector(ctx context.Context, d *detect.Detector, c *Corpus) (ConfusionStats, error) {
-	if d == nil {
-		return ConfusionStats{}, errors.New("eval: nil detector")
-	}
-	verdictB := make([]bool, len(c.Benign))
-	verdictA := make([]bool, len(c.Attacks))
-	err := forEachParallel(ctx, len(c.Benign)+len(c.Attacks), func(i int) error {
-		if i < len(c.Benign) {
-			v, err := d.Detect(c.Benign[i])
-			if err != nil {
-				return err
-			}
-			verdictB[i] = v.Attack
-			return nil
-		}
-		j := i - len(c.Benign)
-		v, err := d.Detect(c.Attacks[j])
-		if err != nil {
-			return err
-		}
-		verdictA[j] = v.Attack
-		return nil
-	})
-	if err != nil {
-		return ConfusionStats{}, err
-	}
-	var cs ConfusionStats
-	for _, f := range verdictB {
-		cs.Record(false, f)
-	}
-	for _, f := range verdictA {
-		cs.Record(true, f)
-	}
-	return cs, nil
-}
-
-// EvaluateEnsemble runs an ensemble over the whole corpus.
-func EvaluateEnsemble(ctx context.Context, e *detect.Ensemble, c *Corpus) (ConfusionStats, error) {
+// EvaluateEnsemble runs an ensemble over the whole corpus as one batch. It
+// returns the majority vote's confusion stats and each member's, in the
+// order of e.Detectors().
+func EvaluateEnsemble(ctx context.Context, e *detect.Ensemble, c *Corpus) (vote ConfusionStats, members []ConfusionStats, err error) {
 	if e == nil {
-		return ConfusionStats{}, errors.New("eval: nil ensemble")
+		return ConfusionStats{}, nil, errors.New("eval: nil ensemble")
 	}
-	verdictB := make([]bool, len(c.Benign))
-	verdictA := make([]bool, len(c.Attacks))
-	err := forEachParallel(ctx, len(c.Benign)+len(c.Attacks), func(i int) error {
-		if i < len(c.Benign) {
-			v, err := e.Detect(ctx, c.Benign[i])
-			if err != nil {
-				return err
-			}
-			verdictB[i] = v.Attack
-			return nil
-		}
-		j := i - len(c.Benign)
-		v, err := e.Detect(ctx, c.Attacks[j])
-		if err != nil {
-			return err
-		}
-		verdictA[j] = v.Attack
-		return nil
-	})
+	imgs := append(append([]*imgcore.Image(nil), c.Benign...), c.Attacks...)
+	verdicts, err := e.DetectBatch(ctx, imgs)
 	if err != nil {
-		return ConfusionStats{}, err
+		return ConfusionStats{}, nil, err
 	}
-	var cs ConfusionStats
-	for _, f := range verdictB {
-		cs.Record(false, f)
+	members = make([]ConfusionStats, len(e.Detectors()))
+	for i, v := range verdicts {
+		isAttack := i >= len(c.Benign)
+		vote.Record(isAttack, v.Attack)
+		for j, mv := range v.Verdicts {
+			members[j].Record(isAttack, mv.Attack)
+		}
 	}
-	for _, f := range verdictA {
-		cs.Record(true, f)
-	}
-	return cs, nil
+	return vote, members, nil
 }
 
 // RuntimeStats is the paper's Table-7 measurement for one method/metric.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"decamouflage/internal/dataset"
@@ -187,78 +188,166 @@ func TestScorePairAndEvaluateThreshold(t *testing.T) {
 	}
 }
 
-func TestEvaluateDetectorAndEnsemble(t *testing.T) {
+func TestCalibrateAndEvaluateEnsemble(t *testing.T) {
 	ctx := context.Background()
 	c, err := BuildCorpus(ctx, smallSpec(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := detect.NewScalingScorer(c.Scaler, detect.MSE)
+	wb, err := CalibrateWhiteBox(ctx, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	benign, attacks, err := ScorePair(ctx, sc, c)
+	// Canonical order, each threshold the one CalibrateWhiteBox picks
+	// from that scorer's scores.
+	ss, err := detect.NewScalingScorer(c.Scaler, detect.MSE)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wb, err := detect.CalibrateWhiteBox(benign, attacks)
+	fs, err := detect.NewFilteringScorer(2, detect.SSIM)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := detect.NewDetector(sc, wb.Threshold)
-	if err != nil {
-		t.Fatal(err)
+	if len(wb) != 2 {
+		t.Fatalf("got %d methods, want 2", len(wb))
 	}
-	cs, err := EvaluateDetector(ctx, d, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs.Total() != 6 {
-		t.Fatalf("detector total = %d", cs.Total())
-	}
-	if cs.Accuracy() < 0.8 {
-		t.Errorf("detector accuracy = %v", cs.Accuracy())
-	}
-	if _, err := EvaluateDetector(ctx, nil, c); err == nil {
-		t.Error("nil detector accepted")
+	for i, s := range []detect.Scorer{ss, fs} {
+		b, a, err := ScorePair(ctx, s, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := detect.CalibrateWhiteBox(b, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := wb[i]
+		if got.Name != s.Name() || got.Threshold.Direction != want.Threshold.Direction ||
+			!testutil.BitEqual(got.Threshold.Value, want.Threshold.Value) ||
+			!testutil.BitEqual(got.TrainAccuracy, want.TrainAccuracy) {
+			t.Errorf("method %d = %+v, want %s %+v acc %v", i, wb[i], s.Name(), want.Threshold, want.TrainAccuracy)
+		}
 	}
 
-	// Ensemble path.
-	fsc, err := detect.NewFilteringScorer(2, detect.SSIM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb, fa, err := ScorePair(ctx, fsc, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fwb, err := detect.CalibrateWhiteBox(fb, fa)
-	if err != nil {
-		t.Fatal(err)
-	}
 	dstW, dstH := c.Scaler.DstSize()
 	e, err := detect.BuildSystem(&detect.SystemConfig{
 		DstW: dstW, DstH: dstH, Algorithm: c.Scaler.Options().Algorithm.String(),
-		Thresholds: map[string]detect.Threshold{
-			"scaling/MSE":    wb.Threshold,
-			"filtering/SSIM": fwb.Threshold,
-		},
+		Thresholds: Thresholds(wb),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	es, err := EvaluateEnsemble(ctx, e, c)
+	vote, members, err := EvaluateEnsemble(ctx, e, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if es.Total() != 6 {
-		t.Fatalf("ensemble total = %d", es.Total())
+	if vote.Total() != 6 {
+		t.Fatalf("ensemble total = %d", vote.Total())
 	}
-	if es.Accuracy() < 0.8 {
-		t.Errorf("ensemble accuracy = %v", es.Accuracy())
+	if vote.Accuracy() < 0.8 {
+		t.Errorf("ensemble accuracy = %v", vote.Accuracy())
 	}
-	if _, err := EvaluateEnsemble(ctx, nil, c); err == nil {
+	// Each member's stats are its threshold applied to its own scores.
+	if len(members) != 3 {
+		t.Fatalf("got %d member stats, want 3", len(members))
+	}
+	for i, s := range []detect.Scorer{ss, fs} {
+		b, a, err := ScorePair(ctx, s, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := EvaluateThreshold(wb[i].Threshold, b, a); members[i] != want {
+			t.Errorf("member %s stats %+v, want %+v", s.Name(), members[i], want)
+		}
+	}
+	if _, _, err := EvaluateEnsemble(ctx, nil, c); err == nil {
 		t.Error("nil ensemble accepted")
+	}
+}
+
+func TestCalibrateBlackBoxScoresBenignOnly(t *testing.T) {
+	ctx := context.Background()
+	c, err := BuildCorpus(ctx, smallSpec(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No attacks: black-box calibration must not need them.
+	benignOnly := &Corpus{Benign: c.Benign, Scaler: c.Scaler}
+	bb, err := CalibrateBlackBox(ctx, benignOnly, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, err := detect.NewScalingScorer(c.Scaler, detect.MSE)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := detect.NewFilteringScorer(2, detect.SSIM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bb) != 2 {
+		t.Fatalf("got %d methods, want 2", len(bb))
+	}
+	for i, m := range []struct {
+		s      detect.Scorer
+		metric detect.Metric
+	}{{ss, detect.MSE}, {fs, detect.SSIM}} {
+		b, err := Scores(ctx, m.s, c.Benign)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := detect.CalibrateBlackBox(b, 2, m.metric.AttackDirection())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := bb[i]
+		if got.Name != m.s.Name() || got.Threshold.Direction != want.Direction ||
+			!testutil.BitEqual(got.Threshold.Value, want.Value) || !testutil.BitEqual(got.TrainAccuracy, 0) {
+			t.Errorf("method %d = %+v, want %s %+v", i, bb[i], m.s.Name(), want)
+		}
+	}
+	if _, err := CalibrateBlackBox(ctx, &Corpus{Benign: c.Benign}, 2); err == nil {
+		t.Error("corpus without a scaler accepted")
+	}
+	if _, err := CalibrateBlackBox(ctx, benignOnly, 0); err == nil {
+		t.Error("percentile 0 accepted")
+	}
+}
+
+// TestScores pins the parallel fan-out to the serial scores, bit for bit,
+// at several worker counts.
+func TestScores(t *testing.T) {
+	c, err := BuildCorpus(context.Background(), smallSpec(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := detect.NewFilteringScorer(2, detect.SSIM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]float64, len(c.Attacks))
+	for i, img := range c.Attacks {
+		if want[i], err = fs.Score(img); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, workers := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(workers)
+		got, err := Scores(context.Background(), fs, c.Attacks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if !testutil.BitEqual(got[i], want[i]) {
+				t.Fatalf("workers=%d image %d: %v != serial %v", workers, i, got[i], want[i])
+			}
+		}
+	}
+	if _, err := Scores(context.Background(), nil, c.Attacks); err == nil {
+		t.Error("nil scorer accepted")
+	}
+	if _, err := Scores(context.Background(), fs, append(c.Attacks, &imgcore.Image{})); err == nil {
+		t.Error("invalid image accepted")
 	}
 }
 

@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 
-	"decamouflage"
 	"decamouflage/internal/attack"
 	"decamouflage/internal/dataset"
 	"decamouflage/internal/defense"
-	"decamouflage/internal/detect"
 	"decamouflage/internal/eval"
 	"decamouflage/internal/imgcore"
 	"decamouflage/internal/metrics"
@@ -45,15 +43,9 @@ func (r *Runner) runX1(ctx context.Context) error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			spec := eval.CorpusSpec{
-				Corpus: dataset.CaltechLike,
-				N:      n,
-				SrcW:   r.cfg.SrcW, SrcH: r.cfg.SrcH, DstW: r.cfg.DstW, DstH: r.cfg.DstH,
-				Seed:            r.cfg.Seed + int64(atkAlg)*31 + int64(defAlg)*17,
-				Algorithm:       defAlg,
-				AttackAlgorithm: atkAlg,
-				Eps:             r.cfg.Eps,
-			}
+			spec := r.spec(dataset.CaltechLike, r.cfg.Seed+int64(atkAlg)*31+int64(defAlg)*17)
+			spec.N = n
+			spec.Algorithm, spec.AttackAlgorithm = defAlg, atkAlg
 			corpus, err := eval.BuildCorpus(ctx, spec)
 			if err != nil {
 				return err
@@ -80,11 +72,15 @@ func (r *Runner) runX1(ctx context.Context) error {
 			if err != nil {
 				return err
 			}
-			e, err := r.blackBoxEnsembleFor(ctx, train)
+			bb, err := eval.CalibrateBlackBox(ctx, train, 1)
 			if err != nil {
 				return err
 			}
-			cs, err := eval.EvaluateEnsemble(ctx, e, corpus)
+			e, err := ensembleOn(train, bb)
+			if err != nil {
+				return err
+			}
+			cs, _, err := eval.EvaluateEnsemble(ctx, e, corpus)
 			if err != nil {
 				return err
 			}
@@ -93,36 +89,6 @@ func (r *Runner) runX1(ctx context.Context) error {
 		tbl.AddRow(row...)
 	}
 	return tbl.Render(r.cfg.Out)
-}
-
-// blackBoxEnsembleFor calibrates a percentile-threshold ensemble from the
-// benign half of the given corpus.
-func (r *Runner) blackBoxEnsembleFor(ctx context.Context, train *eval.Corpus) (*detect.Ensemble, error) {
-	ss, err := detect.NewScalingScorer(train.Scaler, detect.MSE)
-	if err != nil {
-		return nil, err
-	}
-	fs, err := detect.NewFilteringScorer(2, detect.SSIM)
-	if err != nil {
-		return nil, err
-	}
-	sb, _, err := eval.ScorePair(ctx, ss, train)
-	if err != nil {
-		return nil, err
-	}
-	fb, _, err := eval.ScorePair(ctx, fs, train)
-	if err != nil {
-		return nil, err
-	}
-	sth, err := detect.CalibrateBlackBox(sb, 1, detect.MSE.AttackDirection())
-	if err != nil {
-		return nil, err
-	}
-	fth, err := detect.CalibrateBlackBox(fb, 1, detect.SSIM.AttackDirection())
-	if err != nil {
-		return nil, err
-	}
-	return decamouflage.NewEnsemble(train.Scaler, sth, fth)
 }
 
 // runX2 sweeps the attacker's ε budget: larger ε makes the attack easier
@@ -137,7 +103,11 @@ func (r *Runner) runX2(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	e, err := r.blackBoxEnsembleFor(ctx, train)
+	bb, err := eval.CalibrateBlackBox(ctx, train, 1)
+	if err != nil {
+		return err
+	}
+	e, err := ensembleOn(train, bb)
 	if err != nil {
 		return err
 	}
@@ -145,14 +115,8 @@ func (r *Runner) runX2(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		spec := eval.CorpusSpec{
-			Corpus: dataset.CaltechLike,
-			N:      n,
-			SrcW:   r.cfg.SrcW, SrcH: r.cfg.SrcH, DstW: r.cfg.DstW, DstH: r.cfg.DstH,
-			Seed:      r.cfg.Seed + 900 + int64(eps*10),
-			Algorithm: r.cfg.Algorithm,
-			Eps:       eps,
-		}
+		spec := r.spec(dataset.CaltechLike, r.cfg.Seed+900+int64(eps*10))
+		spec.N, spec.Eps = n, eps
 		corpus, err := eval.BuildCorpus(ctx, spec)
 		if err != nil {
 			return err
@@ -181,7 +145,7 @@ func (r *Runner) runX2(ctx context.Context) error {
 			perturb += m
 		}
 		perturb /= float64(len(corpus.Attacks))
-		cs, err := eval.EvaluateEnsemble(ctx, e, corpus)
+		cs, _, err := eval.EvaluateEnsemble(ctx, e, corpus)
 		if err != nil {
 			return err
 		}
@@ -308,7 +272,11 @@ func (r *Runner) runX4(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	e, err := r.blackBoxEnsembleFor(ctx, train)
+	bb, err := eval.CalibrateBlackBox(ctx, train, 1)
+	if err != nil {
+		return err
+	}
+	e, err := ensembleOn(train, bb)
 	if err != nil {
 		return err
 	}
@@ -318,7 +286,7 @@ func (r *Runner) runX4(ctx context.Context) error {
 		Targets: evalCorpus.Targets[:n],
 		Scaler:  evalCorpus.Scaler,
 	}
-	cs, err := eval.EvaluateEnsemble(ctx, e, sub)
+	cs, _, err := eval.EvaluateEnsemble(ctx, e, sub)
 	if err != nil {
 		return err
 	}
@@ -361,7 +329,11 @@ func (r *Runner) runX5(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	e, err := r.blackBoxEnsembleFor(ctx, train)
+	bb, err := eval.CalibrateBlackBox(ctx, train, 1)
+	if err != nil {
+		return err
+	}
+	e, err := ensembleOn(train, bb)
 	if err != nil {
 		return err
 	}

@@ -33,6 +33,10 @@ func (r *Runner) runX6(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
+	train, err := r.Train(ctx)
+	if err != nil {
+		return err
+	}
 	evalCorpus, err := r.Eval(ctx)
 	if err != nil {
 		return err
@@ -47,7 +51,7 @@ func (r *Runner) runX6(ctx context.Context) error {
 		{"histogram", hist},
 		{"scaling/MSE", mse},
 	} {
-		wb, trainB, trainA, err := r.calibrateScorer(ctx, e.scorer)
+		wb, trainB, trainA, err := calibrateScorer(ctx, e.scorer, train)
 		if err != nil {
 			return err
 		}
@@ -244,7 +248,11 @@ func (r *Runner) runX8(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	ens, err := r.blackBoxEnsembleFor(ctx, train)
+	bb, err := eval.CalibrateBlackBox(ctx, train, 1)
+	if err != nil {
+		return err
+	}
+	ens, err := ensembleOn(train, bb)
 	if err != nil {
 		return err
 	}

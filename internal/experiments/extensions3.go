@@ -32,14 +32,8 @@ func (r *Runner) runX9(ctx context.Context) error {
 		if dstW < 4 || dstH < 4 {
 			continue
 		}
-		spec := eval.CorpusSpec{
-			Corpus: dataset.CaltechLike,
-			N:      n,
-			SrcW:   r.cfg.SrcW, SrcH: r.cfg.SrcH, DstW: dstW, DstH: dstH,
-			Seed:      r.cfg.Seed + int64(ratio)*1009,
-			Algorithm: r.cfg.Algorithm,
-			Eps:       r.cfg.Eps,
-		}
+		spec := r.spec(dataset.CaltechLike, r.cfg.Seed+int64(ratio)*1009)
+		spec.N, spec.DstW, spec.DstH = n, dstW, dstH
 		corpus, err := eval.BuildCorpus(ctx, spec)
 		if err != nil {
 			return err
@@ -52,73 +46,48 @@ func (r *Runner) runX9(ctx context.Context) error {
 			return err
 		}
 
-		// Individual methods, black-box calibrated on the train corpus.
-		ss, err := detect.NewScalingScorer(corpus.Scaler, detect.MSE)
+		// Black-box calibrated on the train corpus; each member's column
+		// is its own vote inside the ensemble.
+		bb, err := eval.CalibrateBlackBox(ctx, train, 1)
 		if err != nil {
 			return err
 		}
-		fs, err := detect.NewFilteringScorer(2, detect.SSIM)
+		e, err := ensembleOn(train, bb)
 		if err != nil {
 			return err
 		}
-		accOf := func(s detect.Scorer, dir detect.Direction) (float64, error) {
-			tb, _, err := eval.ScorePair(ctx, s, train)
-			if err != nil {
-				return 0, err
+		// The member columns follow the ensemble's order; stop rather
+		// than print a cell under another method's header.
+		for i, d := range e.Detectors() {
+			if i >= len(x9Members) || d.Name() != x9Members[i] {
+				return fmt.Errorf("x9: ensemble member %d is %s, want columns %v", i, d.Name(), x9Members)
 			}
-			th, err := detect.CalibrateBlackBox(tb, 1, dir)
-			if err != nil {
-				return 0, err
-			}
-			b, a, err := eval.ScorePair(ctx, s, corpus)
-			if err != nil {
-				return 0, err
-			}
-			return eval.EvaluateThreshold(th, b, a).Accuracy(), nil
 		}
-		sAcc, err := accOf(ss, detect.Above)
-		if err != nil {
-			return err
-		}
-		fAcc, err := accOf(fs, detect.Below)
-		if err != nil {
-			return err
-		}
-		gb, ga, err := eval.ScorePair(ctx, detect.NewStegScorer(steg.Options{}), corpus)
-		if err != nil {
-			return err
-		}
-		gAcc := eval.EvaluateThreshold(detect.DefaultCSPThreshold(), gb, ga).Accuracy()
-
-		e, err := r.blackBoxEnsembleFor(ctx, train)
-		if err != nil {
-			return err
-		}
-		cs, err := eval.EvaluateEnsemble(ctx, e, corpus)
+		vote, members, err := eval.EvaluateEnsemble(ctx, e, corpus)
 		if err != nil {
 			return err
 		}
 
-		// Forensic target-size recovery on the attacks, with the
-		// sensitive gate (the default detection threshold misses dim
-		// 8x-ratio replicas; see the CSP column).
+		// Forensic target-size recovery on the attacks.
 		recovered := 0
 		for _, img := range corpus.Attacks {
-			w, h, ok := steg.EstimateTargetSize(img, steg.Options{BinarizeThreshold: 0.70})
+			w, h, ok := steg.EstimateTargetSize(img, steg.Options{})
 			if ok && absDiff(w, dstW) <= 3 && absDiff(h, dstH) <= 3 {
 				recovered++
 			}
 		}
-		tbl.AddRow(
-			fmt.Sprintf("%dx", ratio),
-			fmt.Sprintf("%dx%d", dstW, dstH),
-			report.Pct(sAcc), report.Pct(fAcc), report.Pct(gAcc),
-			report.Pct(cs.Accuracy()),
-			fmt.Sprintf("%d/%d", recovered, n),
-		)
+		row := []string{fmt.Sprintf("%dx", ratio), fmt.Sprintf("%dx%d", dstW, dstH)}
+		for _, m := range members {
+			row = append(row, report.Pct(m.Accuracy()))
+		}
+		tbl.AddRow(append(row, report.Pct(vote.Accuracy()), fmt.Sprintf("%d/%d", recovered, n))...)
 	}
 	return tbl.Render(r.cfg.Out)
 }
+
+// x9Members names the methods behind X9's three member columns, in the
+// ensemble's order.
+var x9Members = []string{"scaling/MSE", "filtering/SSIM", "steganalysis/CSP"}
 
 func absDiff(a, b int) int {
 	if a > b {
@@ -135,39 +104,29 @@ func absDiff(a, b int) int {
 func (r *Runner) runX10(ctx context.Context) error {
 	const k = 3
 	n := r.extensionN()
+	ss, err := r.scalingScorer(detect.MSE)
+	if err != nil {
+		return err
+	}
 	type cal struct {
 		seed int64
 		th   detect.Threshold
 	}
 	var cals []cal
-	var evalCorpora []*eval.Corpus
+	var evalScores [][2][]float64 // benign, attack scores per eval corpus
 	var thresholds []float64
 	for i := 0; i < k; i++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		seed := r.cfg.Seed + int64(i)*4241
-		trainSpec := eval.CorpusSpec{
-			Corpus: dataset.NeurIPSLike,
-			N:      n,
-			SrcW:   r.cfg.SrcW, SrcH: r.cfg.SrcH, DstW: r.cfg.DstW, DstH: r.cfg.DstH,
-			Seed:      seed,
-			Algorithm: r.cfg.Algorithm,
-			Eps:       r.cfg.Eps,
-		}
+		trainSpec := r.spec(dataset.NeurIPSLike, seed)
+		trainSpec.N = n
 		train, err := eval.BuildCorpus(ctx, trainSpec)
 		if err != nil {
 			return err
 		}
-		ss, err := detect.NewScalingScorer(train.Scaler, detect.MSE)
-		if err != nil {
-			return err
-		}
-		b, a, err := eval.ScorePair(ctx, ss, train)
-		if err != nil {
-			return err
-		}
-		wb, err := detect.CalibrateWhiteBox(b, a)
+		wb, _, _, err := calibrateScorer(ctx, ss, train)
 		if err != nil {
 			return err
 		}
@@ -181,7 +140,11 @@ func (r *Runner) runX10(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		evalCorpora = append(evalCorpora, ec)
+		b, a, err := eval.ScorePair(ctx, ss, ec)
+		if err != nil {
+			return err
+		}
+		evalScores = append(evalScores, [2][]float64{b, a})
 	}
 	mean, std := stats.MeanStd(thresholds)
 	tbl := report.NewTable(
@@ -191,17 +154,8 @@ func (r *Runner) runX10(ctx context.Context) error {
 	worst := 1.0
 	for _, c := range cals {
 		row := []string{fmt.Sprintf("%d (th %.1f)", c.seed, c.th.Value)}
-		for _, ec := range evalCorpora {
-			ss, err := detect.NewScalingScorer(ec.Scaler, detect.MSE)
-			if err != nil {
-				return err
-			}
-			b, a, err := eval.ScorePair(ctx, ss, ec)
-			if err != nil {
-				return err
-			}
-			cs := eval.EvaluateThreshold(c.th, b, a)
-			acc := cs.Accuracy()
+		for _, sc := range evalScores {
+			acc := eval.EvaluateThreshold(c.th, sc[0], sc[1]).Accuracy()
 			if acc < worst {
 				worst = acc
 			}

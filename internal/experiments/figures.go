@@ -190,7 +190,11 @@ func (r *Runner) runF8(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	wb, _, _, err := r.calibrateScorer(ctx, scorer)
+	train, err := r.Train(ctx)
+	if err != nil {
+		return err
+	}
+	wb, _, _, err := calibrateScorer(ctx, scorer, train)
 	if err != nil {
 		return err
 	}
@@ -220,12 +224,16 @@ func (r *Runner) runF8(ctx context.Context) error {
 // distributionFigure renders benign-vs-attack histograms for a scorer on
 // the training corpus (the paper's white-box distribution figures).
 func (r *Runner) distributionFigure(ctx context.Context, id, title string, mkScorer func(detect.Metric) (detect.Scorer, error)) error {
+	train, err := r.Train(ctx)
+	if err != nil {
+		return err
+	}
 	for _, m := range []detect.Metric{detect.MSE, detect.SSIM} {
 		scorer, err := mkScorer(m)
 		if err != nil {
 			return err
 		}
-		wb, benign, attacks, err := r.calibrateScorer(ctx, scorer)
+		wb, benign, attacks, err := calibrateScorer(ctx, scorer, train)
 		if err != nil {
 			return err
 		}
@@ -258,7 +266,7 @@ func (r *Runner) percentileFigure(ctx context.Context, id, title string, mkScore
 		if err != nil {
 			return err
 		}
-		benign, _, err := eval.ScorePair(ctx, scorer, train)
+		benign, err := eval.Scores(ctx, scorer, train.Benign)
 		if err != nil {
 			return err
 		}

@@ -220,13 +220,9 @@ func (r *Runner) saveArtifact(name string, img *imgcore.Image) error {
 	return img.SavePNG(filepath.Join(r.cfg.ArtifactsDir, name))
 }
 
-// calibrateScorer white-box calibrates one scorer on the training corpus.
-func (r *Runner) calibrateScorer(ctx context.Context, s detect.Scorer) (*detect.WhiteBoxResult, []float64, []float64, error) {
-	train, err := r.Train(ctx)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	benign, attacks, err := eval.ScorePair(ctx, s, train)
+// calibrateScorer white-box calibrates one scorer on corpus c.
+func calibrateScorer(ctx context.Context, s detect.Scorer, c *eval.Corpus) (*detect.WhiteBoxResult, []float64, []float64, error) {
+	benign, attacks, err := eval.ScorePair(ctx, s, c)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -235,6 +231,16 @@ func (r *Runner) calibrateScorer(ctx context.Context, s detect.Scorer) (*detect.
 		return nil, nil, nil, err
 	}
 	return wb, benign, attacks, nil
+}
+
+// ensembleOn serves calibrated thresholds on c's scaling geometry and
+// algorithm through BuildSystem, the ensemble a gateway would run.
+func ensembleOn(c *eval.Corpus, methods []eval.MethodThreshold) (*detect.Ensemble, error) {
+	dstW, dstH := c.Scaler.DstSize()
+	return detect.BuildSystem(&detect.SystemConfig{
+		DstW: dstW, DstH: dstH, Algorithm: c.Scaler.Options().Algorithm.String(),
+		Thresholds: eval.Thresholds(methods),
+	})
 }
 
 // All returns every experiment in execution order.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"decamouflage"
 	"decamouflage/internal/attack"
 	"decamouflage/internal/detect"
 	"decamouflage/internal/eval"
@@ -34,6 +33,10 @@ func (r *Runner) runT1(_ context.Context) error {
 // calibrates MSE and SSIM thresholds on the training corpus and evaluates
 // them on the evaluation corpus.
 func (r *Runner) whiteBoxTable(ctx context.Context, title string, mkScorer func(detect.Metric) (detect.Scorer, error)) error {
+	train, err := r.Train(ctx)
+	if err != nil {
+		return err
+	}
 	evalCorpus, err := r.Eval(ctx)
 	if err != nil {
 		return err
@@ -44,7 +47,7 @@ func (r *Runner) whiteBoxTable(ctx context.Context, title string, mkScorer func(
 		if err != nil {
 			return err
 		}
-		wb, _, _, err := r.calibrateScorer(ctx, scorer)
+		wb, _, _, err := calibrateScorer(ctx, scorer, train)
 		if err != nil {
 			return err
 		}
@@ -76,7 +79,7 @@ func (r *Runner) blackBoxTable(ctx context.Context, title string, mkScorer func(
 		if err != nil {
 			return err
 		}
-		trainBenign, _, err := eval.ScorePair(ctx, scorer, train)
+		trainBenign, err := eval.Scores(ctx, scorer, train.Benign)
 		if err != nil {
 			return err
 		}
@@ -201,63 +204,18 @@ func (r *Runner) runT7(ctx context.Context) error {
 	return tbl.Render(r.cfg.Out)
 }
 
-// buildEnsembles calibrates and assembles the white-box and black-box
-// three-method ensembles used by T8 and T9.
-func (r *Runner) buildEnsembles(ctx context.Context) (wbE, bbE *detect.Ensemble, err error) {
+// runT8 reproduces Table 8: the majority-voting ensemble in both settings,
+// calibrated on the training corpus.
+func (r *Runner) runT8(ctx context.Context) error {
 	train, err := r.Train(ctx)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	scaler, err := r.Scaler()
+	wb, err := eval.CalibrateWhiteBox(ctx, train)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	ss, err := detect.NewScalingScorer(scaler, detect.MSE)
-	if err != nil {
-		return nil, nil, err
-	}
-	fs, err := detect.NewFilteringScorer(2, detect.SSIM)
-	if err != nil {
-		return nil, nil, err
-	}
-	sb, sa, err := eval.ScorePair(ctx, ss, train)
-	if err != nil {
-		return nil, nil, err
-	}
-	fb, fa, err := eval.ScorePair(ctx, fs, train)
-	if err != nil {
-		return nil, nil, err
-	}
-	swb, err := detect.CalibrateWhiteBox(sb, sa)
-	if err != nil {
-		return nil, nil, err
-	}
-	fwb, err := detect.CalibrateWhiteBox(fb, fa)
-	if err != nil {
-		return nil, nil, err
-	}
-	wbE, err = decamouflage.NewEnsemble(scaler, swb.Threshold, fwb.Threshold)
-	if err != nil {
-		return nil, nil, err
-	}
-	sbb, err := detect.CalibrateBlackBox(sb, 1, detect.MSE.AttackDirection())
-	if err != nil {
-		return nil, nil, err
-	}
-	fbb, err := detect.CalibrateBlackBox(fb, 1, detect.SSIM.AttackDirection())
-	if err != nil {
-		return nil, nil, err
-	}
-	bbE, err = decamouflage.NewEnsemble(scaler, sbb, fbb)
-	if err != nil {
-		return nil, nil, err
-	}
-	return wbE, bbE, nil
-}
-
-// runT8 reproduces Table 8: the majority-voting ensemble in both settings.
-func (r *Runner) runT8(ctx context.Context) error {
-	wbE, bbE, err := r.buildEnsembles(ctx)
+	bb, err := eval.CalibrateBlackBox(ctx, train, 1)
 	if err != nil {
 		return err
 	}
@@ -268,13 +226,17 @@ func (r *Runner) runT8(ctx context.Context) error {
 	tbl := report.NewTable("Decamouflage ensemble (paper Table 8)",
 		"Setting", "Acc.", "Prec.", "Rec.", "FAR", "FRR")
 	for _, row := range []struct {
-		name string
-		e    *detect.Ensemble
+		name    string
+		methods []eval.MethodThreshold
 	}{
-		{"White-box ensemble", wbE},
-		{"Black-box ensemble", bbE},
+		{"White-box ensemble", wb},
+		{"Black-box ensemble", bb},
 	} {
-		cs, err := eval.EvaluateEnsemble(ctx, row.e, evalCorpus)
+		e, err := ensembleOn(train, row.methods)
+		if err != nil {
+			return err
+		}
+		cs, _, err := eval.EvaluateEnsemble(ctx, e, evalCorpus)
 		if err != nil {
 			return err
 		}
@@ -287,7 +249,15 @@ func (r *Runner) runT8(ctx context.Context) error {
 // escape the ensemble are checked against the attack-success oracle; the
 // paper's finding is that escaped attacks have lost their effect.
 func (r *Runner) runT9(ctx context.Context) error {
-	wbE, _, err := r.buildEnsembles(ctx)
+	train, err := r.Train(ctx)
+	if err != nil {
+		return err
+	}
+	wb, err := eval.CalibrateWhiteBox(ctx, train)
+	if err != nil {
+		return err
+	}
+	wbE, err := ensembleOn(train, wb)
 	if err != nil {
 		return err
 	}

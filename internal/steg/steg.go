@@ -277,7 +277,8 @@ func (a *Analysis) EstimateTargetSize() (w, h int, ok bool) {
 // binarization levels, keeps only distance clusters that persist across
 // levels (replicas persist; benign speckle is level-fragile), and returns
 // the largest spacing dividing the cluster centers (a tolerance-aware GCD)
-// — the fundamental. ok is false when no persistent replicas exist.
+// — the fundamental. ok is false when no persistent replicas exist. The
+// sweep sets its own levels, so opts.BinarizeThreshold is ignored.
 //
 // Intended usage is forensic follow-up on images the CSP detector flagged;
 // benign images with strong periodic texture can yield spurious estimates,
