@@ -42,8 +42,8 @@ func NewLRU[K comparable, V any](capacity int, stats *obs.CacheStats) *LRU[K, V]
 // GetOrBuild returns the cached value for key, invoking build on first
 // use. build runs OUTSIDE the cache lock: construction is the expensive
 // part, holding the lock across it would serialize unrelated keys, and
-// build may reenter the same cache (fourier's Bluestein plans build their
-// radix-2 sub-plans through GetOrBuild). Concurrent callers may therefore
+// build may reenter the same cache (fourier's Bluestein plans build the
+// plan of their convolution length through GetOrBuild). Concurrent callers may therefore
 // briefly build the same value twice; whichever insert loses the race
 // adopts the incumbent, so all callers share one instance. A build error
 // is returned as-is and caches nothing.

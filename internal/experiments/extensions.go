@@ -99,11 +99,7 @@ func (r *Runner) runX2(ctx context.Context) error {
 	tbl := report.NewTable(
 		fmt.Sprintf("Attack ε sweep (N=%d per cell)", n),
 		"ε", "Attack L∞ ok", "Perturb. MSE", "Ensemble Acc.", "FAR", "FRR")
-	train, err := r.Train(ctx)
-	if err != nil {
-		return err
-	}
-	bb, err := eval.CalibrateBlackBox(ctx, train, 1)
+	train, bb, err := r.TrainBlackBox(ctx)
 	if err != nil {
 		return err
 	}
@@ -268,11 +264,7 @@ func (r *Runner) runX4(ctx context.Context) error {
 	benignCostRecon /= float64(n)
 
 	// Decamouflage detection on the same subset.
-	train, err := r.Train(ctx)
-	if err != nil {
-		return err
-	}
-	bb, err := eval.CalibrateBlackBox(ctx, train, 1)
+	train, bb, err := r.TrainBlackBox(ctx)
 	if err != nil {
 		return err
 	}
@@ -325,11 +317,7 @@ func (r *Runner) runX5(ctx context.Context) error {
 			labels = append(labels, true)
 		}
 	}
-	train, err := r.Train(ctx)
-	if err != nil {
-		return err
-	}
-	bb, err := eval.CalibrateBlackBox(ctx, train, 1)
+	train, bb, err := r.TrainBlackBox(ctx)
 	if err != nil {
 		return err
 	}

@@ -244,11 +244,7 @@ func (r *Runner) runX8(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	train, err := r.Train(ctx)
-	if err != nil {
-		return err
-	}
-	bb, err := eval.CalibrateBlackBox(ctx, train, 1)
+	train, bb, err := r.TrainBlackBox(ctx)
 	if err != nil {
 		return err
 	}

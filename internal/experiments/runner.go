@@ -93,10 +93,11 @@ type Experiment struct {
 type Runner struct {
 	cfg Config
 
-	mu     sync.Mutex
-	train  *eval.Corpus
-	evalC  *eval.Corpus
-	scaler *scaling.Scaler
+	mu      sync.Mutex
+	train   *eval.Corpus
+	trainBB []eval.MethodThreshold
+	evalC   *eval.Corpus
+	scaler  *scaling.Scaler
 }
 
 // NewRunner builds a Runner with the given configuration.
@@ -155,6 +156,33 @@ func (r *Runner) Train(ctx context.Context) (*eval.Corpus, error) {
 	c = r.train
 	r.mu.Unlock()
 	return c, nil
+}
+
+// TrainBlackBox returns the calibration corpus and its black-box
+// thresholds at the 1st percentile, calibrating them once. Same
+// discipline as Train: the calibration fan-out runs outside mu.
+func (r *Runner) TrainBlackBox(ctx context.Context) (*eval.Corpus, []eval.MethodThreshold, error) {
+	train, err := r.Train(ctx)
+	if err != nil {
+		return nil, nil, err
+	}
+	r.mu.Lock()
+	bb := r.trainBB
+	r.mu.Unlock()
+	if bb != nil {
+		return train, bb, nil
+	}
+	bb, err = eval.CalibrateBlackBox(ctx, train, 1)
+	if err != nil {
+		return nil, nil, err
+	}
+	r.mu.Lock()
+	if r.trainBB == nil {
+		r.trainBB = bb
+	}
+	bb = r.trainBB
+	r.mu.Unlock()
+	return train, bb, nil
 }
 
 // Eval returns the evaluation corpus (Caltech-like), building it once.

@@ -207,15 +207,11 @@ func (r *Runner) runT7(ctx context.Context) error {
 // runT8 reproduces Table 8: the majority-voting ensemble in both settings,
 // calibrated on the training corpus.
 func (r *Runner) runT8(ctx context.Context) error {
-	train, err := r.Train(ctx)
+	train, bb, err := r.TrainBlackBox(ctx)
 	if err != nil {
 		return err
 	}
 	wb, err := eval.CalibrateWhiteBox(ctx, train)
-	if err != nil {
-		return err
-	}
-	bb, err := eval.CalibrateBlackBox(ctx, train, 1)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 // Package fourier implements the discrete Fourier transforms Decamouflage's
-// steganalysis method is built on: an iterative radix-2 FFT, Bluestein's
-// algorithm for arbitrary lengths, 2-D transforms and the centered
+// steganalysis method is built on: an iterative radix-2 FFT, a mixed-radix
+// FFT for lengths with small prime factors, Bluestein's algorithm for the
+// other lengths, 2-D transforms and the centered
 // log-magnitude spectrum of Eq. 4 in the paper, computed with a
 // real-input (half-spectrum) 2-D transform.
 //
@@ -22,10 +23,11 @@ var ErrEmpty = errors.New("fourier: empty input")
 
 // FFT computes the forward discrete Fourier transform of x and returns a
 // new slice. Any length is supported: powers of two use the radix-2
-// Cooley-Tukey algorithm, other lengths fall back to Bluestein's chirp-z
-// algorithm (O(n log n) for all n). Transforms run through the cached Plan
-// for the length (see plan.go); planned output is bit-identical to the
-// naive transform kept in reference_test.go as the pinned reference.
+// Cooley-Tukey algorithm, lengths with small prime factors a mixed-radix
+// Cooley-Tukey algorithm, and the rest Bluestein's chirp-z algorithm.
+// Transforms run through the cached Plan for the length (see plan.go);
+// planned output is bit-identical to the textbook form of the same kernel
+// kept in reference_test.go.
 func FFT(x []complex128) ([]complex128, error) {
 	if len(x) == 0 {
 		return nil, ErrEmpty

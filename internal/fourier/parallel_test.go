@@ -21,13 +21,15 @@ func randomMatrix(rng *rand.Rand, w, h int) *Matrix {
 // TestTransform2DSerialParallelEquivalence is the core determinism
 // guarantee of the parallel-for port: the 2-D transform must be
 // BIT-IDENTICAL (==, not approximately equal) across worker counts, for
-// every size class — powers of two (radix-2), even composites and primes
-// (Bluestein), degenerate single-row/column shapes, forward and inverse.
+// every size class — powers of two (radix-2), composites and small primes
+// (mixed radix), large primes (Bluestein), degenerate single-row/column
+// shapes, forward and inverse.
 func TestTransform2DSerialParallelEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	sizes := [][2]int{
 		{1, 1}, {2, 2}, {4, 8}, {16, 16}, {64, 32}, // radix-2 branch
-		{3, 5}, {7, 7}, {13, 17}, {31, 37}, {61, 53}, // prime sizes → Bluestein
+		{3, 5}, {7, 7}, {13, 17}, {31, 37}, {61, 53}, // prime sizes → generic-radix passes
+		{127, 131},                              // large primes → Bluestein
 		{12, 18}, {24, 36}, {100, 10}, {33, 65}, // even/odd composites
 		{128, 1}, {1, 128}, {257, 3}, // degenerate shapes, prime 257
 	}
@@ -98,7 +100,7 @@ func TestFFT2DPublicAPIMatchesPinnedSerial(t *testing.T) {
 
 // TestFFTMatchesNaiveDFTSizes1To64 cross-checks the FFT against the O(n²)
 // reference at EVERY length from 1 to 64 — the dense sweep catches
-// Bluestein regressions (padding, chirp phase, scaling) that round-trip
+// mixed-radix regressions (factor order, twiddles, butterflies) that round-trip
 // tests structurally cannot, because a consistent forward/inverse bug
 // cancels in a round trip.
 func TestFFTMatchesNaiveDFTSizes1To64(t *testing.T) {

@@ -23,7 +23,7 @@ func randComplex(rng *rand.Rand, n int) []complex128 {
 // against the retained one-column-at-a-time reference: identical
 // arithmetic in a different memory walk must produce bit-identical
 // spectra. Geometries cover tile-boundary cases — widths below, at and
-// off multiples of colBlock — plus Bluestein (non-power-of-two) heights.
+// off multiples of colBlock — plus mixed-radix and Bluestein heights.
 func TestBlockedColumnsBitEqualReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	geoms := []struct{ w, h int }{
@@ -32,7 +32,8 @@ func TestBlockedColumnsBitEqualReference(t *testing.T) {
 		{8, 8},   // exactly one tile
 		{9, 8},   // one tile plus one column
 		{16, 32}, // whole tiles
-		{23, 17}, // Bluestein on both axes, ragged tiles
+		{23, 17}, // generic-radix passes on both axes, ragged tiles
+		{9, 127}, // Bluestein columns
 		{64, 48},
 	}
 	for _, g := range geoms {
@@ -323,7 +324,7 @@ func TestCenteredSpectrumPooledReuse(t *testing.T) {
 // finely chunked concurrent runs.
 func TestCenteredSpectrumWorkerCountsBitEqual(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
-	for _, g := range []struct{ w, h int }{{64, 64}, {65, 33}, {260, 304}, {31, 128}, {128, 1}} {
+	for _, g := range []struct{ w, h int }{{64, 64}, {65, 33}, {260, 304}, {240, 320}, {228, 316}, {31, 128}, {128, 1}} {
 		data := spectrumInput(rng, g.w, g.h)
 		p, err := Plan2DFor(g.w, g.h)
 		if err != nil {

@@ -42,14 +42,14 @@ func TestPlanCacheStats(t *testing.T) {
 		t.Fatalf("size gauge = %d, cache len = %d", got, planCacheLen())
 	}
 
-	// A Bluestein length pulls its radix-2 sub-plans through the same
-	// cache: one top-level miss plus two sub-plan misses.
+	// A Bluestein length pulls its forward sub-plan through the same
+	// cache: one top-level miss plus one sub-plan miss.
 	m1 := misses.Value()
-	if _, err := PlanFor(12, false); err != nil {
+	if _, err := PlanFor(127, false); err != nil {
 		t.Fatal(err)
 	}
-	if got := misses.Value() - m1; got != 3 {
-		t.Fatalf("Bluestein misses delta = %d, want 3 (plan + 2 sub-plans)", got)
+	if got := misses.Value() - m1; got != 2 {
+		t.Fatalf("Bluestein misses delta = %d, want 2 (plan + sub-plan)", got)
 	}
 
 	// Flooding past the cap must surface as evictions.

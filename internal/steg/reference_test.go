@@ -5,11 +5,14 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"decamouflage/internal/attack"
 	"decamouflage/internal/dataset"
 	"decamouflage/internal/fourier"
 	"decamouflage/internal/imgcore"
+	"decamouflage/internal/scaling"
 	"decamouflage/internal/testutil"
 )
 
@@ -124,6 +127,103 @@ func TestCSPMatchesComplexReference(t *testing.T) {
 		}
 		if got != ref.Count {
 			t.Errorf("image %d: CSP = %d, complex reference gives %d", i, got, ref.Count)
+		}
+	}
+}
+
+// dftSpectrum is the centered spectrum of img's luminance from a
+// separable O(n²) DFT — every row, then every column, each output a
+// direct sum over a table of exp(-2πi·j/n) — with no FFT kernel involved.
+func dftSpectrum(img *imgcore.Image) []float64 {
+	gray := img.Gray()
+	w, h := gray.W, gray.H
+	data := make([]complex128, w*h)
+	for i, v := range gray.Pix {
+		data[i] = complex(v, 0)
+	}
+	dft := func(x []complex128) []complex128 {
+		n := len(x)
+		tw := make([]complex128, n)
+		for j := range tw {
+			tw[j] = cmplx.Rect(1, -2*math.Pi*float64(j)/float64(n))
+		}
+		out := make([]complex128, n)
+		for k := range out {
+			var s complex128
+			for j, v := range x {
+				s += v * tw[j*k%n]
+			}
+			out[k] = s
+		}
+		return out
+	}
+	for y := 0; y < h; y++ {
+		copy(data[y*w:(y+1)*w], dft(data[y*w:(y+1)*w]))
+	}
+	col := make([]complex128, h)
+	for x := 0; x < w; x++ {
+		for y := range col {
+			col[y] = data[y*w+x]
+		}
+		for y, v := range dft(col) {
+			data[y*w+x] = v
+		}
+	}
+	out := make([]float64, w*h)
+	var mx float64
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			v := math.Log1p(cmplx.Abs(data[y*w+x]))
+			out[((y+h/2)%h)*w+(x+w/2)%w] = v
+			mx = math.Max(mx, v)
+		}
+	}
+	for i := range out {
+		out[i] /= mx
+	}
+	return out
+}
+
+// TestCSPMatchesDirectDFTOnMixedRadixSides requires Analyze's Count and
+// Areas to equal those on the direct-DFT spectrum for one benign image
+// (one CSP) and one 4× attack image (five) at two geometries whose sides
+// run mixed-radix passes of radix 3, 4 and 5 and generic passes of prime
+// radix 13, 19 and 79: 260×304 (4·5·13 and 16·19) and 228×316 (4·3·19
+// and 4·79).
+func TestCSPMatchesDirectDFTOnMixedRadixSides(t *testing.T) {
+	for _, g := range []struct{ w, h int }{{260, 304}, {228, 316}} {
+		src, err := dataset.NewGenerator(dataset.Config{Corpus: dataset.NeurIPSLike, W: g.w, H: g.h, C: 3, Seed: 23})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tgt, err := dataset.NewGenerator(dataset.Config{Corpus: dataset.CaltechLike, W: g.w / 4, H: g.h / 4, C: 3, Seed: 24})
+		if err != nil {
+			t.Fatal(err)
+		}
+		scaler, err := scaling.NewScaler(g.w, g.h, g.w/4, g.h/4, scaling.Options{Algorithm: scaling.Bilinear})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := attack.Craft(src.Image(0), tgt.Image(0), attack.Config{Scaler: scaler, Eps: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			name string
+			img  *imgcore.Image
+		}{{"benign", src.Image(1)}, {"attack", res.Attack}} {
+			got, err := Analyze(c.img, DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := AnalyzeSpectrum(dftSpectrum(c.img), g.w, g.h, DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Count != ref.Count || !slices.Equal(got.Areas, ref.Areas) {
+				t.Errorf("%dx%d %s: Count %d Areas %v, direct DFT gives %d %v",
+					g.w, g.h, c.name, got.Count, got.Areas, ref.Count, ref.Areas)
+			}
 		}
 	}
 }
