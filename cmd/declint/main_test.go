@@ -29,10 +29,8 @@ func TestViolatingFixturesExitNonzero(t *testing.T) {
 	}{
 		{"determinism", "detprop", "bad.go"},
 		{"floateq", "floateq", "cmp.go"},
-		{"naninput", "naninput", "api.go"},
 		{"errdrop", "errdrop", "drop.go"},
 		{"suppress", "declint", "bad.go"},
-		{"parsafe", "parsafe", "par.go"},
 		{"hotalloc", "hotalloc", "hot.go"},
 		{"detprop", "detprop", "resize.go"},
 		{"ctxflow", "ctxflow", "run.go"},
@@ -108,10 +106,8 @@ func TestListFlag(t *testing.T) {
 	}
 	want := strings.Join([]string{
 		"floateq      exact ==/!= on float operands",
-		"naninput     exported tensor functions without NaN/Inf guard or nan-ok marker",
 		"errdrop      _ = discards of error-returning calls",
 		"obsonly      profiling/exposition imports outside internal/obs and cmd/",
-		"parsafe      parallel closures writing captured state at non-chunk-derived indices",
 		"hotalloc     allocations reachable from //declint:hot kernel functions",
 		"detprop      time/rand/map-order sources in or reachable from kernel packages",
 		"ctxflow      dropped or re-minted contexts in internal library code",

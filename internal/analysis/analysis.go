@@ -11,22 +11,17 @@
 //
 //	floateq      no ==/!= on float operands outside the intentional
 //	             exact-equality helpers in internal/testutil
-//	naninput     exported tensor-accepting functions in metrics/steg/detect
-//	             must guard NaN/Inf or carry a //declint:nan-ok audit marker
 //	errdrop      no `_ =` discards of error-returning calls in non-test code
 //	obsonly      no runtime/pprof, net/http/pprof, or expvar imports outside
 //	             internal/obs and the cmd/ entry points
 //
 // On top of the per-package walks sits a dataflow layer (effects.go,
 // callgraph.go): an intraprocedural effects pass summarizes every function
-// (allocations, forbidden sources, captured writes, context facts, call
-// edges), and a whole-module call graph links the summaries — static calls,
-// method values, and interface dispatch resolved to module-defined
-// implementers. Seven checks run on that graph:
+// (allocations, forbidden sources, context facts, call edges), and a
+// whole-module call graph links the summaries — static calls, method
+// values, and interface dispatch resolved to module-defined implementers.
+// Six checks run on that graph:
 //
-//	parsafe      closures passed to parallel.For/Do may only write captured
-//	             slices/maps at indices derived from the chunk bounds lo..hi
-//	             (or the task index), and never captured scalars
 //	hotalloc     //declint:hot functions and their whole static call closure
 //	             must be allocation-free
 //	detprop      determinism: no time.Now, math/rand, or map-ordered output
@@ -63,9 +58,15 @@
 //	             cross-function acquires must be declared with
 //	             //declint:locks-after <outer>
 //
-// Goroutine lifetimes are guarded by tests, not by a check: the tree's
-// few go statements each have a test that fails when Stop, Close or the
-// fork-join wait stops joining (see docs/concurrency.md).
+// Some invariants are guarded by tests, not by a check. Goroutine
+// lifetimes: the tree's few go statements each have a test that fails
+// when Stop, Close or the fork-join wait stops joining (see
+// docs/concurrency.md). Parallel closures writing shared state: the race
+// detector over the serial-vs-parallel equivalence suites, run at
+// GOMAXPROCS=4 in CI so every parallel.For fans out. NaN/Inf and
+// malformed tensors: TestTensorEntryPointsHostileInput in internal/detect
+// runs every exported tensor entry point of metrics, steg and detect over
+// a hostile-input table.
 //
 // Intentional violations are annotated in place:
 //
@@ -109,9 +110,8 @@ type Config struct {
 	// Checks names the checks to run, in registry order. Empty = all.
 	Checks []string
 
-	// ParallelPkg is the fork-join substrate: parsafe audits the closures
-	// passed to its For/Do, and lockorder counts a call to them under a
-	// held mutex as blocking.
+	// ParallelPkg is the fork-join substrate: lockorder counts a call to
+	// its For/Do under a held mutex as blocking.
 	ParallelPkg string
 	// DeterminismPkgs are the numeric kernel packages whose non-test code
 	// must be bit-deterministic (detprop).
@@ -119,14 +119,6 @@ type Config struct {
 	// FloatEqAllowPkgs are packages whose float ==/!= are intentional by
 	// charter (the shared exact-equality test helpers).
 	FloatEqAllowPkgs []string
-	// NaNPkgs are the packages whose exported tensor-accepting functions
-	// the naninput check audits.
-	NaNPkgs []string
-	// TensorTypes are qualified named-type suffixes treated as image
-	// tensors (matched against the fully-qualified type string).
-	TensorTypes []string
-	// GuardFuncs are callee names accepted as NaN/Inf guards.
-	GuardFuncs []string
 	// ObsPkg is the one library package allowed to import the profiling
 	// and metrics-exposition machinery directly.
 	ObsPkg string
@@ -166,12 +158,7 @@ func DefaultConfig() Config {
 			"internal/qpsolve", "internal/detect",
 		},
 		FloatEqAllowPkgs: []string{"internal/testutil"},
-		NaNPkgs:          []string{"internal/metrics", "internal/steg", "internal/detect"},
-		TensorTypes:      []string{"internal/imgcore.Image"},
-		GuardFuncs: []string{
-			"Validate", "checkPair", "HasNaN", "IsNaN", "IsInf", "Finite",
-		},
-		ObsPkg: "internal/obs",
+		ObsPkg:           "internal/obs",
 		ObsOnlyImports: []string{
 			"runtime/pprof", "net/http/pprof", "expvar",
 		},
@@ -196,10 +183,8 @@ type check struct {
 // suppression syntax, so they are stable API.
 var registry = []check{
 	{name: "floateq", doc: "exact ==/!= on float operands", run: checkFloatEq},
-	{name: "naninput", doc: "exported tensor functions without NaN/Inf guard or nan-ok marker", run: checkNaNInput},
 	{name: "errdrop", doc: "_ = discards of error-returning calls", run: checkErrDrop},
 	{name: "obsonly", doc: "profiling/exposition imports outside internal/obs and cmd/", run: checkObsOnly},
-	{name: "parsafe", doc: "parallel closures writing captured state at non-chunk-derived indices", run: checkParSafe},
 	{name: "hotalloc", doc: "allocations reachable from //declint:hot kernel functions", runModule: checkHotAlloc},
 	{name: "detprop", doc: "time/rand/map-order sources in or reachable from kernel packages", runModule: checkDetProp},
 	{name: "ctxflow", doc: "dropped or re-minted contexts in internal library code", runModule: checkCtxFlow},

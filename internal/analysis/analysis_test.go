@@ -66,15 +66,6 @@ func TestGoldenFindings(t *testing.T) {
 			},
 		},
 		{
-			fixture: "naninput",
-			want: []string{
-				"internal/metrics/api.go:8 naninput",  // pointer tensor param
-				"internal/metrics/api.go:13 naninput", // slice-of-tensor param
-				// Guarded calls Validate, Marked carries nan-ok, helper is
-				// unexported, Scalar has no tensor, attack is unscoped.
-			},
-		},
-		{
 			fixture: "errdrop",
 			want: []string{
 				"internal/report/drop.go:17 errdrop", // _ = mayFail()
@@ -91,17 +82,6 @@ func TestGoldenFindings(t *testing.T) {
 				// annotated. The obs fixture's tag-gated const pair also pins
 				// the loader's build-constraint skip: parsing both variants
 				// would fail type-checking with a redeclaration.
-			},
-		},
-		{
-			fixture: "parsafe",
-			want: []string{
-				"internal/filtering/par.go:16 parsafe", // out[0] from every chunk
-				"internal/filtering/par.go:37 parsafe", // captured scalar accumulation
-				"internal/filtering/par.go:72 parsafe", // captured counter in a Do task
-				// Scale (derived indices), Bands (chunk-owned alias), the
-				// task-indexed and constant-index Do tasks, the substrate
-				// package itself, and par_test.go are all silent.
 			},
 		},
 		{
@@ -271,8 +251,8 @@ func TestUnknownCheckRejected(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	want := []string{
-		"floateq", "naninput", "errdrop", "obsonly",
-		"parsafe", "hotalloc", "detprop", "ctxflow",
+		"floateq", "errdrop", "obsonly",
+		"hotalloc", "detprop", "ctxflow",
 		"poollife", "memopure", "obscover",
 		"lockorder",
 	}

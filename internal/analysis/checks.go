@@ -128,129 +128,6 @@ func checkFloatEq(pkg *Package, cfg Config) []Finding {
 	return out
 }
 
-// ---- naninput ----------------------------------------------------------
-
-// tensorParam reports whether the field's type is (a pointer, slice, array,
-// or variadic form of) one of the configured tensor types.
-func tensorParam(info *types.Info, field *ast.Field, tensorTypes []string) bool {
-	tv, ok := info.Types[field.Type]
-	if !ok {
-		return false
-	}
-	t := tv.Type
-	for {
-		switch u := t.(type) {
-		case *types.Pointer:
-			t = u.Elem()
-			continue
-		case *types.Slice:
-			t = u.Elem()
-			continue
-		case *types.Array:
-			t = u.Elem()
-			continue
-		}
-		break
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	full := named.Obj().Pkg().Path() + "." + named.Obj().Name()
-	for _, want := range tensorTypes {
-		if full == want || strings.HasSuffix(full, "/"+want) {
-			return true
-		}
-	}
-	return false
-}
-
-// callsGuard reports whether the body directly calls one of the configured
-// NaN/Inf guard functions (Validate, HasNaN, math.IsNaN, ...).
-func callsGuard(body *ast.BlockStmt, guards []string) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		name := calleeName(call)
-		for _, g := range guards {
-			if name == g {
-				found = true
-				return false
-			}
-		}
-		return true
-	})
-	return found
-}
-
-// docHasNaNOK reports whether the func's doc comment carries the
-// //declint:nan-ok audit marker.
-func docHasNaNOK(doc *ast.CommentGroup) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		if strings.HasPrefix(strings.TrimSpace(c.Text), nanOKMarker) {
-			return true
-		}
-	}
-	return false
-}
-
-// checkNaNInput audits the scoring surface: every exported function or
-// method in the metrics/steg/detect packages that accepts an image tensor
-// must either call a NaN/Inf guard in its own body or carry a
-// //declint:nan-ok marker in its doc comment stating the handling was
-// audited (e.g. the function is total over NaN/Inf, or delegates to a
-// callee that guards). The paper's thresholds are meaningless on NaN
-// scores, so "what happens on a poisoned tensor" must be a decided
-// property of every entry point, not an accident.
-func checkNaNInput(pkg *Package, cfg Config) []Finding {
-	if !matchesAnySuffix(pkg, cfg.NaNPkgs) {
-		return nil
-	}
-	var out []Finding
-	for _, f := range pkg.Files {
-		if f.Test {
-			continue
-		}
-		for _, decl := range f.Ast.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || !fd.Name.IsExported() {
-				continue
-			}
-			hasTensor := false
-			for _, field := range fd.Type.Params.List {
-				if tensorParam(pkg.Info, field, cfg.TensorTypes) {
-					hasTensor = true
-					break
-				}
-			}
-			if !hasTensor {
-				continue
-			}
-			if docHasNaNOK(fd.Doc) {
-				continue
-			}
-			if fd.Body != nil && callsGuard(fd.Body, cfg.GuardFuncs) {
-				continue
-			}
-			out = append(out, Finding{
-				Check: "naninput", Pos: pkg.pos(fd.Name),
-				Msg: "exported " + fd.Name.Name + " accepts an image tensor but neither " +
-					"guards NaN/Inf nor documents handling with " + nanOKMarker,
-			})
-		}
-	}
-	return out
-}
-
 // ---- errdrop -----------------------------------------------------------
 
 var errorType = types.Universe.Lookup("error").Type()

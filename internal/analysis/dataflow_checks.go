@@ -64,336 +64,6 @@ func exprUsesAny(info *types.Info, e ast.Expr, set map[types.Object]bool) bool {
 	return found
 }
 
-// ---- parsafe -----------------------------------------------------------
-
-// checkParSafe makes the parallel substrate's determinism guarantee a
-// static property: a closure handed to parallel.For(ctx, n, fn) may write
-// captured slices, maps, or arrays only at indices derived from its chunk
-// bounds lo..hi, and may not write captured scalars at all — two chunks
-// writing the same location is a data race the serial-vs-parallel
-// equivalence tests can only catch probabilistically. Tasks handed to
-// parallel.Do are each run once, so their writes may additionally use the
-// task's enclosing loop variables (the task index) or constant indices.
-// Mutation through method calls is out of scope (covered by -race runs).
-func checkParSafe(pkg *Package, cfg Config) []Finding {
-	if pkg.HasSuffix(cfg.ParallelPkg) || pkg.HasSuffix(cfg.ParallelPkg+"_test") {
-		return nil
-	}
-	var out []Finding
-	for _, f := range pkg.Files {
-		if f.Test {
-			continue
-		}
-		for _, decl := range f.Ast.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			out = append(out, parSafeFunc(pkg, cfg, fd)...)
-		}
-	}
-	return out
-}
-
-func parSafeFunc(pkg *Package, cfg Config, fd *ast.FuncDecl) []Finding {
-	var out []Finding
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fun := ast.Unparen(call.Fun)
-		switch {
-		case selectsPkgFuncSuffix(pkg.Info, fun, cfg.ParallelPkg, "For"):
-			if len(call.Args) < 3 {
-				return true
-			}
-			lit, ok := ast.Unparen(call.Args[2]).(*ast.FuncLit)
-			if !ok {
-				return true // named body: analyzed where it is defined
-			}
-			seeds := map[types.Object]bool{}
-			for _, field := range lit.Type.Params.List {
-				for _, name := range field.Names {
-					if o := pkg.Info.Defs[name]; o != nil {
-						seeds[o] = true
-					}
-				}
-			}
-			out = append(out, analyzeChunkClosure(pkg, lit, seeds, false)...)
-		case selectsPkgFuncSuffix(pkg.Info, fun, cfg.ParallelPkg, "Do"):
-			if len(call.Args) < 2 {
-				return true
-			}
-			for _, task := range doTaskLits(pkg, fd, call.Args[1]) {
-				seeds := enclosingLoopSeeds(pkg, fd, task)
-				out = append(out, analyzeChunkClosure(pkg, task, seeds, true)...)
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// doTaskLits finds the task closures behind parallel.Do's second argument:
-// either a composite literal of func values in place, or a local slice
-// variable populated by indexed assignment or append within the function.
-func doTaskLits(pkg *Package, fd *ast.FuncDecl, arg ast.Expr) []*ast.FuncLit {
-	var lits []*ast.FuncLit
-	addElts := func(cl *ast.CompositeLit) {
-		for _, elt := range cl.Elts {
-			if kv, ok := elt.(*ast.KeyValueExpr); ok {
-				elt = kv.Value
-			}
-			if lit, ok := ast.Unparen(elt).(*ast.FuncLit); ok {
-				lits = append(lits, lit)
-			}
-		}
-	}
-	switch arg := ast.Unparen(arg).(type) {
-	case *ast.CompositeLit:
-		addElts(arg)
-	case *ast.Ident:
-		obj := pkg.Info.Uses[arg]
-		if obj == nil {
-			return nil
-		}
-		ast.Inspect(fd, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok || len(as.Lhs) != len(as.Rhs) {
-				return true
-			}
-			for i, lhs := range as.Lhs {
-				rhs := ast.Unparen(as.Rhs[i])
-				switch l := ast.Unparen(lhs).(type) {
-				case *ast.IndexExpr:
-					// tasks[i] = func() error { ... }
-					if rootObj(pkg.Info, l.X) != obj {
-						continue
-					}
-					if lit, ok := rhs.(*ast.FuncLit); ok {
-						lits = append(lits, lit)
-					}
-				case *ast.Ident:
-					o := pkg.Info.Defs[l]
-					if o == nil {
-						o = pkg.Info.Uses[l]
-					}
-					if o != obj {
-						continue
-					}
-					// tasks = append(tasks, func() error { ... })
-					if call, ok := rhs.(*ast.CallExpr); ok && calleeName(call) == "append" {
-						for _, a := range call.Args[1:] {
-							if lit, ok := ast.Unparen(a).(*ast.FuncLit); ok {
-								lits = append(lits, lit)
-							}
-						}
-					}
-					if cl, ok := rhs.(*ast.CompositeLit); ok {
-						addElts(cl)
-					}
-				}
-			}
-			return true
-		})
-	}
-	return lits
-}
-
-// enclosingLoopSeeds collects the loop variables of every for/range
-// statement in fd that encloses lit — for a task built in a loop, the task
-// index variables that make its writes per-task.
-func enclosingLoopSeeds(pkg *Package, fd *ast.FuncDecl, lit *ast.FuncLit) map[types.Object]bool {
-	seeds := map[types.Object]bool{}
-	addIdent := func(e ast.Expr) {
-		if id, ok := e.(*ast.Ident); ok {
-			if o := pkg.Info.Defs[id]; o != nil {
-				seeds[o] = true
-			}
-		}
-	}
-	ast.Inspect(fd, func(n ast.Node) bool {
-		if n == nil || lit.Pos() < n.Pos() || lit.End() > n.End() {
-			return n != nil && lit.Pos() >= n.Pos() && lit.End() <= n.End()
-		}
-		switch n := n.(type) {
-		case *ast.ForStmt:
-			if as, ok := n.Init.(*ast.AssignStmt); ok && as.Tok == token.DEFINE {
-				for _, lhs := range as.Lhs {
-					addIdent(lhs)
-				}
-			}
-		case *ast.RangeStmt:
-			if n.Tok == token.DEFINE {
-				if n.Key != nil {
-					addIdent(n.Key)
-				}
-				if n.Value != nil {
-					addIdent(n.Value)
-				}
-			}
-		}
-		return true
-	})
-	return seeds
-}
-
-// analyzeChunkClosure enforces the write discipline inside one parallel
-// closure. derived starts at the chunk-bound parameters (or task loop
-// variables) and grows by fixpoint over local assignments; a local sliced
-// from a captured base with a derived bound is a chunk-owned alias whose
-// writes are disjoint by construction.
-func analyzeChunkClosure(pkg *Package, lit *ast.FuncLit, seeds map[types.Object]bool, taskConstOK bool) []Finding {
-	info := pkg.Info
-	derived := map[types.Object]bool{}
-	for o := range seeds {
-		derived[o] = true
-	}
-	owned := map[types.Object]bool{}
-
-	capturedRoot := func(e ast.Expr) types.Object {
-		root := rootObj(info, e)
-		if v, ok := root.(*types.Var); ok && !declaredWithin(v, lit) && !owned[v] {
-			return v
-		}
-		return nil
-	}
-
-	for changed := true; changed; {
-		changed = false
-		ast.Inspect(lit.Body, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok {
-				return true
-			}
-			for i, lhs := range as.Lhs {
-				id, ok := ast.Unparen(lhs).(*ast.Ident)
-				if !ok {
-					continue
-				}
-				obj := info.Defs[id]
-				if obj == nil {
-					obj = info.Uses[id]
-				}
-				if obj == nil || !declaredWithin(obj, lit) {
-					continue
-				}
-				var rhs ast.Expr
-				switch {
-				case len(as.Rhs) == len(as.Lhs):
-					rhs = as.Rhs[i]
-				case len(as.Rhs) == 1:
-					rhs = as.Rhs[0]
-				default:
-					continue
-				}
-				if se, ok := ast.Unparen(rhs).(*ast.SliceExpr); ok {
-					if capturedRoot(se.X) != nil && sliceBoundDerived(info, se, derived) {
-						if !owned[obj] {
-							owned[obj] = true
-							changed = true
-						}
-						continue
-					}
-				}
-				if !derived[obj] && exprUsesAny(info, rhs, derived) {
-					derived[obj] = true
-					changed = true
-				}
-			}
-			return true
-		})
-	}
-
-	var out []Finding
-	report := func(n ast.Node, msg string) {
-		out = append(out, Finding{Check: "parsafe", Pos: pkg.pos(n), Msg: msg})
-	}
-	checkTarget := func(e ast.Expr) {
-		target := ast.Unparen(e)
-		var indices []ast.Expr
-		deref := false
-		cur := target
-	peel:
-		for {
-			switch x := ast.Unparen(cur).(type) {
-			case *ast.IndexExpr:
-				indices = append(indices, x.Index)
-				cur = x.X
-			case *ast.SelectorExpr:
-				cur = x.X
-			case *ast.StarExpr:
-				deref = true
-				cur = x.X
-			default:
-				break peel
-			}
-		}
-		id, ok := ast.Unparen(cur).(*ast.Ident)
-		if !ok || id.Name == "_" {
-			return
-		}
-		obj := info.Uses[id]
-		if obj == nil {
-			obj = info.Defs[id]
-		}
-		v, ok := obj.(*types.Var)
-		if !ok || declaredWithin(v, lit) || owned[v] {
-			return
-		}
-		if len(indices) == 0 {
-			what := "captured variable " + v.Name()
-			if deref {
-				what = "captured pointer target *" + v.Name()
-			}
-			report(target, "write to "+what+" from a parallel closure races across chunks; "+
-				"use a per-chunk local, an index derived from the chunk bounds, or sync/atomic")
-			return
-		}
-		for _, ix := range indices {
-			if exprUsesAny(info, ix, derived) {
-				continue
-			}
-			if taskConstOK {
-				if tv, ok := info.Types[ix]; ok && tv.Value != nil {
-					continue
-				}
-			}
-			report(target, "write to captured "+v.Name()+" at an index not derived from the "+
-				"chunk bounds: every chunk writes the same element; index with lo..hi "+
-				"(or the task's loop variable) instead")
-			return
-		}
-	}
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			if n.Tok == token.DEFINE {
-				return true
-			}
-			for _, lhs := range n.Lhs {
-				checkTarget(lhs)
-			}
-		case *ast.IncDecStmt:
-			checkTarget(n.X)
-		}
-		return true
-	})
-	return out
-}
-
-// sliceBoundDerived reports whether any explicit bound of the slice
-// expression references a derived variable.
-func sliceBoundDerived(info *types.Info, se *ast.SliceExpr, derived map[types.Object]bool) bool {
-	for _, b := range []ast.Expr{se.Low, se.High, se.Max} {
-		if b != nil && exprUsesAny(info, b, derived) {
-			return true
-		}
-	}
-	return false
-}
-
 // ---- hotalloc ----------------------------------------------------------
 
 // checkHotAlloc enforces the //declint:hot contract: an annotated function

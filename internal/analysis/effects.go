@@ -109,11 +109,6 @@ type FuncEffects struct {
 	Sources []Site
 	Calls   []CallSite
 
-	// WritesCaptured records assignments inside closures whose target is
-	// declared outside the closure — the raw material of a data race when
-	// the closure escapes to another goroutine.
-	WritesCaptured []Site
-
 	// Ownership facts for poollife. Acquires/Releases are the sync.Pool
 	// Get/Put call sites in the body; OwnsResults, TransfersParams and
 	// TransfersRecv mirror the //declint:owns and //declint:transfers doc
@@ -445,23 +440,12 @@ func nondetSource(info *types.Info, n ast.Node) string {
 }
 
 // effectsWalker accumulates one function's summary during a single AST
-// walk, tracking the enclosing-node stack so closure-captured writes can be
-// distinguished from ordinary local assignments.
+// walk.
 type effectsWalker struct {
 	pkg     *Package
 	fx      *FuncEffects
 	ctxObjs map[types.Object]bool
 	vars    map[types.Object][]*types.Func
-	stack   []ast.Node
-}
-
-func (w *effectsWalker) innermostLit() *ast.FuncLit {
-	for i := len(w.stack) - 1; i >= 0; i-- {
-		if lit, ok := w.stack[i].(*ast.FuncLit); ok {
-			return lit
-		}
-	}
-	return nil
 }
 
 func (w *effectsWalker) alloc(kind string, n ast.Node) {
@@ -474,10 +458,8 @@ func (w *effectsWalker) source(kind string, n ast.Node) {
 
 func (w *effectsWalker) visit(n ast.Node) bool {
 	if n == nil {
-		w.stack = w.stack[:len(w.stack)-1]
 		return false
 	}
-	w.stack = append(w.stack, n)
 	info := w.pkg.Info
 	switch n := n.(type) {
 	case *ast.FuncLit:
@@ -504,29 +486,13 @@ func (w *effectsWalker) visit(n ast.Node) bool {
 	case *ast.AssignStmt:
 		if n.Tok != token.DEFINE {
 			for _, lhs := range n.Lhs {
-				w.visitWrite(lhs)
 				w.visitGlobalWrite(lhs)
 			}
 		}
 	case *ast.IncDecStmt:
-		w.visitWrite(n.X)
 		w.visitGlobalWrite(n.X)
 	}
 	return true
-}
-
-// visitWrite records a captured-variable write when the assignment sits
-// inside a closure but targets state declared outside it.
-func (w *effectsWalker) visitWrite(lhs ast.Expr) {
-	lit := w.innermostLit()
-	if lit == nil {
-		return
-	}
-	obj := rootObj(w.pkg.Info, lhs)
-	if v, ok := obj.(*types.Var); ok && !declaredWithin(v, lit) {
-		w.fx.WritesCaptured = append(w.fx.WritesCaptured,
-			Site{Kind: "write to captured " + v.Name(), Pos: w.pkg.pos(lhs)})
-	}
 }
 
 // visitGlobalWrite records an assignment whose target roots at a

@@ -15,9 +15,6 @@ import (
 // below (comment-above style).
 const ignorePrefix = "//declint:ignore"
 
-// nanOKMarker is the naninput check's audit marker; see checkNaNInput.
-const nanOKMarker = "//declint:nan-ok"
-
 // suppressions maps file -> line -> suppressed check name -> waiver reason.
 type suppressions map[string]map[int]map[string]string
 

@@ -24,18 +24,6 @@ import (
 	"decamouflage/internal/scaling"
 )
 
-// Solver selects the optimization backend.
-type Solver int
-
-// Available solvers.
-const (
-	// POCS is the cyclic-projection solver (fast, default).
-	POCS Solver = iota + 1
-	// ProjGrad is the penalized projected-gradient solver (slow,
-	// independent cross-check).
-	ProjGrad
-)
-
 // Config parameterizes the attack.
 type Config struct {
 	// Scaler defines the scaling function under attack (algorithm and
@@ -44,10 +32,7 @@ type Config struct {
 	// Eps is the allowed L∞ deviation of the downscaled attack image from
 	// the target, in 8-bit pixel units. Default 1.
 	Eps float64
-	// Solver selects the optimization backend. Default POCS.
-	Solver Solver
-	// MaxSweeps bounds solver iterations. Default 200 for POCS, 20000 for
-	// ProjGrad.
+	// MaxSweeps bounds the POCS solver's sweeps. Default 200.
 	MaxSweeps int
 	// SkipQuantize leaves the attack image in floating point. By default
 	// the result is rounded to 8-bit levels — what a real attacker must
@@ -86,15 +71,8 @@ func (c Config) withDefaults() Config {
 	if c.Eps == 0 {
 		c.Eps = 1
 	}
-	if c.Solver == 0 {
-		c.Solver = POCS
-	}
 	if c.MaxSweeps == 0 {
-		if c.Solver == ProjGrad {
-			c.MaxSweeps = 20000
-		} else {
-			c.MaxSweeps = 200
-		}
+		c.MaxSweeps = 200
 	}
 	return c
 }
@@ -105,9 +83,6 @@ func (c Config) validate() error {
 	}
 	if c.Eps < 0 {
 		return fmt.Errorf("attack: negative eps %v", c.Eps)
-	}
-	if c.Solver != POCS && c.Solver != ProjGrad {
-		return fmt.Errorf("attack: unknown solver %d", int(c.Solver))
 	}
 	return nil
 }
@@ -162,17 +137,7 @@ func Craft(source, target *imgcore.Image, cfg Config) (*Result, error) {
 	for c := 0; c < source.C; c++ {
 		prob := buildProblem(vert, horiz, target, c, solveEps, srcW, srcH)
 		x0 := channelVector(source, c)
-		var (
-			sr  *qpsolve.Result
-			err error
-		)
-		opts := qpsolve.Options{MaxSweeps: cfg.MaxSweeps, Tol: 0.05}
-		switch cfg.Solver {
-		case ProjGrad:
-			sr, err = qpsolve.SolveProjGrad(prob, x0, opts)
-		default:
-			sr, err = qpsolve.SolvePOCS(prob, x0, opts)
-		}
+		sr, err := qpsolve.SolvePOCS(prob, x0, qpsolve.Options{MaxSweeps: cfg.MaxSweeps, Tol: 0.05})
 		if err != nil {
 			return nil, fmt.Errorf("attack: channel %d: %w", c, err)
 		}

@@ -7,6 +7,7 @@ import (
 
 	"decamouflage/internal/imgcore"
 	"decamouflage/internal/metrics"
+	"decamouflage/internal/qpsolve"
 	"decamouflage/internal/scaling"
 	"decamouflage/internal/testutil"
 )
@@ -61,9 +62,6 @@ func TestCraftValidation(t *testing.T) {
 	}
 	if _, err := Craft(src, tgt, Config{Scaler: s, Eps: -1}); err == nil {
 		t.Error("Craft negative eps = nil error")
-	}
-	if _, err := Craft(src, tgt, Config{Scaler: s, Solver: Solver(9)}); err == nil {
-		t.Error("Craft unknown solver = nil error")
 	}
 	if _, err := Craft(smoothImage(1, 16, 32, 1), tgt, Config{Scaler: s}); err == nil {
 		t.Error("Craft wrong source size = nil error")
@@ -191,8 +189,18 @@ func TestCraftProjGradAgreesWithPOCS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pg, err := Craft(src, tgt, Config{Scaler: s, Eps: 3, Solver: ProjGrad, MaxSweeps: 50000})
+	// The projected-gradient solver is the independent cross-check: it
+	// solves the problem Craft builds, inside Craft's quantization margin
+	// (eps 3 − 0.6), and its image is quantized and measured the same way.
+	prob := buildProblem(s.Vertical(), s.Horizontal(), tgt, 0, 3-0.6, 24, 24)
+	sr, err := qpsolve.SolveProjGrad(prob, channelVector(src, 0), qpsolve.Options{MaxSweeps: 50000, Tol: 0.05})
 	if err != nil {
+		t.Fatal(err)
+	}
+	pg := &Result{Attack: src.Clone()}
+	writeChannel(pg.Attack, 0, sr.X)
+	pg.Attack.Quantize8()
+	if err := pg.measure(src, tgt, Config{Scaler: s}); err != nil {
 		t.Fatal(err)
 	}
 	if pocs.MaxViolation > 3.01 {

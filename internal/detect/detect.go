@@ -168,8 +168,6 @@ func newScalingScorer(dstW, dstH int, opts scaling.Options, metric Metric) (*Sca
 func (s *ScalingScorer) Name() string { return "scaling/" + s.metric.String() }
 
 // Score implements Scorer through a one-member pipeline table.
-//
-//declint:nan-ok scoreAlone validates the input via imgcore.Validate; NaN/Inf totality is pinned by FuzzPipelineDetect
 func (s *ScalingScorer) Score(img *imgcore.Image) (float64, error) {
 	return scoreAlone(context.Background(), s, img)
 }
@@ -199,8 +197,6 @@ func NewFilteringScorer(window int, metric Metric) (*FilteringScorer, error) {
 func (s *FilteringScorer) Name() string { return "filtering/" + s.metric.String() }
 
 // Score implements Scorer through a one-member pipeline table.
-//
-//declint:nan-ok scoreAlone validates the input via imgcore.Validate; NaN/Inf totality is pinned by FuzzPipelineDetect
 func (s *FilteringScorer) Score(img *imgcore.Image) (float64, error) {
 	return scoreAlone(context.Background(), s, img)
 }
@@ -221,8 +217,6 @@ func NewStegScorer(opts steg.Options) *StegScorer {
 func (s *StegScorer) Name() string { return "steganalysis/CSP" }
 
 // Score implements Scorer through a one-member pipeline table.
-//
-//declint:nan-ok scoreAlone validates the input via imgcore.Validate; NaN/Inf totality is pinned by FuzzPipelineDetect
 func (s *StegScorer) Score(img *imgcore.Image) (float64, error) {
 	return scoreAlone(context.Background(), s, img)
 }
@@ -264,8 +258,6 @@ func (d *Detector) Name() string { return d.scorer.Name() }
 func (d *Detector) Threshold() Threshold { return d.threshold }
 
 // Detect scores img and classifies it.
-//
-//declint:nan-ok NaN/Inf handling is the scorer's contract; a NaN score classifies as benign (Classify is false on NaN)
 func (d *Detector) Detect(img *imgcore.Image) (Verdict, error) {
 	return d.DetectCtx(context.Background(), img)
 }
@@ -273,9 +265,8 @@ func (d *Detector) Detect(img *imgcore.Image) (Verdict, error) {
 // DetectCtx scores img and classifies it through a one-member table,
 // recording the method's score latency and verdict tally, and — under a
 // traced context — a span named after the method carrying the score and
-// decision, with the pipeline's stage spans nested beneath it.
-//
-//declint:nan-ok NaN/Inf handling is the scorer's contract; a NaN score classifies as benign (Classify is false on NaN)
+// decision, with the pipeline's stage spans nested beneath it. A NaN
+// score classifies as benign.
 func (d *Detector) DetectCtx(ctx context.Context, img *imgcore.Image) (Verdict, error) {
 	if err := img.Validate(); err != nil {
 		return Verdict{}, err

@@ -76,8 +76,6 @@ func (e *Ensemble) Detectors() []*Detector {
 // in detect.ensemble.seconds) with each method's span nested under it —
 // pipeline stage spans nest under the method that computed them — and the
 // vote outcome recorded on the detect.ensemble.attack/benign counters.
-//
-//declint:nan-ok delegates to detect, whose Validate runs first
 func (e *Ensemble) Detect(ctx context.Context, img *imgcore.Image) (*EnsembleVerdict, error) {
 	return e.detect(ctx, img)
 }
@@ -171,8 +169,6 @@ func (e *Ensemble) tally(st obs.Stage, verdicts []Verdict) *EnsembleVerdict {
 // oversubscribing the per-stage kernels; all images share the pipeline's
 // scaler and FFT-plan caches. It stops at the first error or context
 // cancellation. An empty batch returns an empty, non-nil verdict slice.
-//
-//declint:nan-ok per-image detect calls Validate before any scoring
 func (e *Ensemble) DetectBatch(ctx context.Context, imgs []*imgcore.Image) ([]*EnsembleVerdict, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

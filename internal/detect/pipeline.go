@@ -449,8 +449,6 @@ func (s *FilteringScorer) ScorePipeline(ctx context.Context, in *Intermediates) 
 
 // ScorePipeline implements pipelineScorer: the spectrum is computed once
 // per image and the component count once per resolved option set.
-//
-//declint:nan-ok delegates to the memoized CSP stage; NaN/Inf totality is pinned by FuzzPipelineDetect
 func (s *StegScorer) ScorePipeline(ctx context.Context, in *Intermediates) (float64, error) {
 	n, err := in.csp(ctx, s.opts)
 	if err != nil {

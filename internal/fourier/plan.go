@@ -3,9 +3,9 @@
 // three kernels:
 //
 //   - radix-2 (n a power of two): the bit-reversal permutation and
-//     per-stage twiddle tables, built by the same repeated-multiplication
-//     recurrence as the naive radix2 loop in reference_test.go, so planned
-//     output is BIT-IDENTICAL to it;
+//     per-stage twiddle tables, each entry evaluated directly as the naive
+//     radix2 loop in reference_test.go evaluates it, so planned output is
+//     BIT-IDENTICAL to it;
 //   - mixed radix (n whose prime factors are small): one Stockham pass
 //     per factor, with radix-2/3/4/5 butterflies and a generic small-prime
 //     butterfly, pinned bit for bit to the recursive decimation-in-time
@@ -115,9 +115,8 @@ func twiddle(j, n int, sign float64) complex128 {
 }
 
 // initRadix2 precomputes the bit-reversal permutation and the per-stage
-// twiddle tables, using the SAME repeated-multiplication recurrence as the
-// naive radix2 loop so the table entries are bit-identical to the values
-// that loop would compute.
+// twiddle tables. Each entry is evaluated directly, not by recurrence, so
+// its error does not grow with the stage size.
 func (p *Plan) initRadix2() {
 	n := p.n
 	shift := 64 - uint(bits.TrailingZeros(uint(n)))
@@ -127,14 +126,9 @@ func (p *Plan) initRadix2() {
 	}
 	sign := p.sign()
 	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		step := sign * 2 * math.Pi / float64(size)
-		wStep := cmplx.Rect(1, step)
-		tw := make([]complex128, half)
-		w := complex(1, 0)
-		for k := 0; k < half; k++ {
-			tw[k] = w
-			w *= wStep
+		tw := make([]complex128, size>>1)
+		for k := range tw {
+			tw[k] = twiddle(k, size, sign)
 		}
 		p.stages = append(p.stages, tw)
 	}

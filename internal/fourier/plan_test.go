@@ -260,13 +260,13 @@ func naiveDFTDir(x []complex128, inverse bool) []complex128 {
 }
 
 // oldKernelError is the error against naiveDFT of the kernels plans ran
-// before the mixed-radix kernel — radix2 for powers of two, the
+// before the mixed-radix kernel — oldRadix2 for powers of two, the
 // power-of-two Bluestein otherwise — floored at 16·ε·√n, the rounding
 // level of the naive sum itself for unit-variance input.
 func oldKernelError(x, want []complex128, inverse bool) float64 {
 	old := append([]complex128(nil), x...)
 	if n := len(x); n > 1 && n&(n-1) == 0 {
-		radix2(old, inverse)
+		oldRadix2(old, inverse)
 	} else if n > 1 {
 		_ = bluestein(old, inverse)
 	}
@@ -293,6 +293,37 @@ func TestPlannedErrorNoWorseThanOldBluestein(t *testing.T) {
 			}
 			if e, old := maxAbsDiff(got, want), oldKernelError(x, want, inverse); e > old {
 				t.Errorf("n=%d inverse=%v: planned error %.3g, old kernel %.3g", n, inverse, e, old)
+			}
+		}
+	}
+}
+
+// TestPowerOfTwoErrorWithinLogBound pins the radix-2 kernel's accuracy:
+// at every power of two up to 1024, in both directions, the planned
+// transform's error against naiveDFT stays within 4·ε·log₂n·‖x‖₂, the
+// textbook growth of a Cooley-Tukey FFT with exact twiddles. Twiddles
+// built by the recurrence w *= exp(2πi/size) (oldRadix2) exceed it from
+// n = 256 on, by 6.6× to 16× the ε·log₂n·‖x‖₂ unit.
+func TestPowerOfTwoErrorWithinLogBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for n := 2; n <= 1024; n <<= 1 {
+		for _, inverse := range []bool{false, true} {
+			x := randomComplex(rng, n)
+			var norm2 float64
+			for _, v := range x {
+				norm2 += real(v)*real(v) + imag(v)*imag(v)
+			}
+			bound := 4 * 0x1p-52 * math.Log2(float64(n)) * math.Sqrt(norm2)
+			p, err := PlanFor(n, inverse)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := append([]complex128(nil), x...)
+			if err := p.Transform(got); err != nil {
+				t.Fatal(err)
+			}
+			if e := maxAbsDiff(got, naiveDFTDir(x, inverse)); e > bound {
+				t.Errorf("n=%d inverse=%v: error %.3g > %.3g", n, inverse, e, bound)
 			}
 		}
 	}

@@ -34,21 +34,33 @@ func transform(x []complex128, inverse bool) error {
 	return nil
 }
 
-// radix2 is the iterative in-place Cooley-Tukey FFT for power-of-two sizes.
+// radix2 is the iterative in-place Cooley-Tukey FFT for power-of-two
+// sizes, evaluating each twiddle directly as the plan's tables do.
 func radix2(x []complex128, inverse bool) {
+	sign := bitReverse(x, inverse)
 	n := len(x)
-	// Bit-reversal permutation.
-	shift := 64 - uint(bits.TrailingZeros(uint(n)))
-	for i := 0; i < n; i++ {
-		j := int(bits.Reverse64(uint64(i)) >> shift)
-		if j > i {
-			x[i], x[j] = x[j], x[i]
+	for size := 2; size <= n; size <<= 1 {
+		half := size >> 1
+		for start := 0; start < n; start += size {
+			for k := 0; k < half; k++ {
+				w := twiddle(k, size, sign)
+				a := x[start+k]
+				b := x[start+k+half] * w
+				x[start+k] = a + b
+				x[start+k+half] = a - b
+			}
 		}
 	}
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
+}
+
+// oldRadix2 is the radix-2 kernel plans ran before their twiddles were
+// evaluated directly: each stage's twiddles come from the recurrence
+// w *= exp(sign·2πi/size), whose error grows with the stage size. It
+// stays frozen as part of the accuracy baseline (oldKernelError and
+// bluestein).
+func oldRadix2(x []complex128, inverse bool) {
+	sign := bitReverse(x, inverse)
+	n := len(x)
 	for size := 2; size <= n; size <<= 1 {
 		half := size >> 1
 		step := sign * 2 * math.Pi / float64(size)
@@ -64,6 +76,23 @@ func radix2(x []complex128, inverse bool) {
 			}
 		}
 	}
+}
+
+// bitReverse applies the bit-reversal permutation to a power-of-two x and
+// returns the twiddle sign: -1 forward, +1 inverse.
+func bitReverse(x []complex128, inverse bool) float64 {
+	n := len(x)
+	shift := 64 - uint(bits.TrailingZeros(uint(n)))
+	for i := 0; i < n; i++ {
+		j := int(bits.Reverse64(uint64(i)) >> shift)
+		if j > i {
+			x[i], x[j] = x[j], x[i]
+		}
+	}
+	if inverse {
+		return 1
+	}
+	return -1
 }
 
 // bluestein is the Bluestein kernel plans ran for every length that is
@@ -98,12 +127,12 @@ func bluestein(x []complex128, inverse bool) error {
 	for k := 1; k < n; k++ {
 		b[m-k] = cmplx.Conj(chirp[k])
 	}
-	radix2(a, false)
-	radix2(b, false)
+	oldRadix2(a, false)
+	oldRadix2(b, false)
 	for i := range a {
 		a[i] *= b[i]
 	}
-	radix2(a, true)
+	oldRadix2(a, true)
 	scale := complex(1/float64(m), 0)
 	for k := 0; k < n; k++ {
 		x[k] = a[k] * scale * chirp[k]

@@ -47,8 +47,6 @@ func MSE(a, b *imgcore.Image) (float64, error) {
 
 // PSNR returns the peak signal-to-noise ratio in decibels with L = 256
 // intensity levels (Eq. 9 in the paper). Identical images yield +Inf.
-//
-//declint:nan-ok shape validation runs in MSE; NaN samples propagate to the score
 func PSNR(a, b *imgcore.Image) (float64, error) {
 	mse, err := MSE(a, b)
 	if err != nil {
@@ -104,8 +102,6 @@ func (o SSIMOptions) validate() error {
 // SSIM returns the mean structural similarity index between a and b using
 // the default parameters. Color images are scored on their luminance, the
 // standard convention.
-//
-//declint:nan-ok delegates to SSIMWith, whose checkPair validation runs first
 func SSIM(a, b *imgcore.Image) (float64, error) {
 	return SSIMWith(a, b, DefaultSSIM())
 }
@@ -121,8 +117,6 @@ func SSIM(a, b *imgcore.Image) (float64, error) {
 // and averaged over all pixel positions. It prepares a as an SSIMRef and
 // scores b against it, so a one-off comparison and a shared reference run
 // the same code.
-//
-//declint:nan-ok shape validation runs in checkPair; NaN samples propagate to the score
 func SSIMWith(a, b *imgcore.Image, opts SSIMOptions) (float64, error) {
 	if err := checkPair(a, b); err != nil {
 		return 0, err

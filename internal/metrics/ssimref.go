@@ -100,8 +100,6 @@ func NewSSIMRef(ctx context.Context, a *imgcore.Image, opts SSIMOptions, popts .
 func (r *SSIMRef) Size() (w, h int) { return r.w, r.h }
 
 // Score is ScoreCtx without cancellation.
-//
-//declint:nan-ok delegates to ScoreCtx, whose Validate runs first
 func (r *SSIMRef) Score(b *imgcore.Image) (float64, error) {
 	return r.ScoreCtx(context.Background(), b)
 }

@@ -143,8 +143,9 @@ func (s Settings) wantTail() bool {
 	return s.TraceKeep > 0 || s.TraceOut != "" || s.TraceSample > 0
 }
 
-// dumpNDJSON writes one NDJSON dump to dst ("-" or "" for stdout).
-func dumpNDJSON(dst, what string, write func(io.Writer) error) error {
+// dump runs write on dst ("-" or "" for stdout), creating the file and
+// closing it; what names the dump in the create error.
+func dump(dst, what string, write func(io.Writer) error) error {
 	if dst == "" || dst == "-" {
 		return write(os.Stdout)
 	}
@@ -174,18 +175,7 @@ func (s Settings) writeMetrics(w io.Writer) error {
 // DumpMetrics writes the default registry to dst ("-" or "" for stdout)
 // using the settings' format.
 func (s Settings) DumpMetrics(dst string) error {
-	if dst == "" || dst == "-" {
-		return s.writeMetrics(os.Stdout)
-	}
-	f, err := os.Create(dst)
-	if err != nil {
-		return fmt.Errorf("obs: create metrics dump: %w", err)
-	}
-	if err := s.writeMetrics(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return dump(dst, "metrics", s.writeMetrics)
 }
 
 // Close finishes the session: stops the watchdog and CPU profiling,
@@ -211,10 +201,10 @@ func (s *Session) Close() error {
 		keep(s.settings.DumpMetrics(s.settings.MetricsOut))
 	}
 	if s.settings.EventsOut != "" {
-		keep(dumpNDJSON(s.settings.EventsOut, "events", s.recorder.WriteNDJSON))
+		keep(dump(s.settings.EventsOut, "events", s.recorder.WriteNDJSON))
 	}
 	if s.settings.TraceOut != "" {
-		keep(dumpNDJSON(s.settings.TraceOut, "traces", s.tail.WriteNDJSON))
+		keep(dump(s.settings.TraceOut, "traces", s.tail.WriteNDJSON))
 	}
 	if s.recorder != nil && Events() == s.recorder {
 		SetRecorder(nil)

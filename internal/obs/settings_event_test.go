@@ -94,3 +94,20 @@ func TestSettingsCloseKeepsForeignGlobals(t *testing.T) {
 		t.Fatal("Close uninstalled a recorder it did not install")
 	}
 }
+
+// TestDumpMetricsFile: DumpMetrics writes the registry through the shared
+// dump helper, and an uncreatable path names the metrics dump in its error.
+func TestDumpMetricsFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "metrics.json")
+	if err := (Settings{}).DumpMetrics(path); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := os.ReadFile(path); err != nil || len(b) == 0 {
+		t.Fatalf("metrics dump = %q, %v; want a non-empty file", b, err)
+	}
+	err := (Settings{}).DumpMetrics(filepath.Join(dir, "missing", "metrics.json"))
+	if err == nil || !strings.HasPrefix(err.Error(), "obs: create metrics dump: ") {
+		t.Fatalf("error = %v, want the obs: create metrics dump: prefix", err)
+	}
+}

@@ -89,6 +89,26 @@ func TestEstimateTargetSizeDegenerate(t *testing.T) {
 	}
 }
 
+// TestFundamentalSpacingRefinesToFit: the largest spacing within tolerance
+// of every replica distance sits above the true spacing; the least-squares
+// refinement brings it back, and a sub-harmonic still does not win.
+func TestFundamentalSpacingRefinesToFit(t *testing.T) {
+	for _, tc := range []struct {
+		ds   []float64
+		want int
+	}{
+		{[]float64{32}, 32},
+		{[]float64{32, 64}, 32},
+		{[]float64{31.6, 64.4, 95.8}, 32},
+		{[]float64{16, 32, 48}, 16},
+		{nil, 0},
+	} {
+		if got := fundamentalSpacing(tc.ds); got != tc.want {
+			t.Errorf("fundamentalSpacing(%v) = %d, want %d", tc.ds, got, tc.want)
+		}
+	}
+}
+
 func TestAnalysisCentroidsPairedWithAreas(t *testing.T) {
 	g, err := dataset.NewGenerator(dataset.Config{Corpus: dataset.CaltechLike, W: 64, H: 64, C: 1, Seed: 74})
 	if err != nil {

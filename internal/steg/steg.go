@@ -124,8 +124,6 @@ type Analysis struct {
 
 // CSP returns the number of centered spectrum points of img (computed on
 // its luminance) under opts.
-//
-//declint:nan-ok delegates to Analyze, which validates input; NaN/Inf totality is pinned by FuzzCSP
 func CSP(img *imgcore.Image, opts Options) (int, error) {
 	a, err := Analyze(img, opts)
 	if err != nil {
@@ -277,16 +275,18 @@ func (a *Analysis) EstimateTargetSize() (w, h int, ok bool) {
 // binarization levels, keeps only distance clusters that persist across
 // levels (replicas persist; benign speckle is level-fragile), and returns
 // the largest spacing dividing the cluster centers (a tolerance-aware GCD)
-// — the fundamental. ok is false when no persistent replicas exist. The
-// sweep sets its own levels, so opts.BinarizeThreshold is ignored.
+// — the fundamental. ok is false when no persistent replicas exist or img
+// is malformed. The sweep sets its own levels, so opts.BinarizeThreshold
+// is ignored.
 //
 // Intended usage is forensic follow-up on images the CSP detector flagged;
 // benign images with strong periodic texture can yield spurious estimates,
 // so gate on the detection verdict first.
-//
-//declint:nan-ok every probe runs through Analyze, which validates input; NaN spectra yield ok=false
 func EstimateTargetSize(img *imgcore.Image, opts Options) (w, h int, ok bool) {
 	const axisTol = 3.0
+	if img.Validate() != nil {
+		return 0, 0, false
+	}
 	measureOpts := opts.withDefaults(img.W, img.H)
 	type obs struct {
 		dist  float64
@@ -363,10 +363,13 @@ func EstimateTargetSize(img *imgcore.Image, opts Options) (w, h int, ok bool) {
 	return sx, sy, true
 }
 
-// fundamentalSpacing returns the largest integer f >= 4 such that at least
+// fundamentalSpacing finds the largest integer f >= 4 such that at least
 // 60% of the distances in ds lie within tolerance of a nonzero multiple of
-// f (an outlier-tolerant GCD), or 0 when ds is empty. Off-grid speckle
-// blobs would otherwise drag the estimate to spurious small divisors.
+// f (an outlier-tolerant GCD), or returns 0 when ds is empty. Off-grid
+// speckle blobs would otherwise drag the estimate to spurious small
+// divisors. The largest such f can sit up to the tolerance above the true
+// spacing, so it is refined by least squares over the distances it
+// explains, d ≈ k·f: round(Σk·d / Σk²), kept only while it is >= 4.
 func fundamentalSpacing(ds []float64) int {
 	if len(ds) == 0 {
 		return 0
@@ -381,13 +384,19 @@ func fundamentalSpacing(ds []float64) int {
 	need := (3*len(ds) + 4) / 5 // 60% coverage, rounded up
 	for f := int(maxD + tol); f >= 4; f-- {
 		fit := 0
+		var kd, kk float64
 		for _, d := range ds {
 			k := math.Round(d / float64(f))
 			if k >= 1 && math.Abs(d-k*float64(f)) <= tol {
 				fit++
+				kd += k * d
+				kk += k * k
 			}
 		}
 		if fit >= need {
+			if r := int(math.Round(kd / kk)); r >= 4 {
+				return r
+			}
 			return f
 		}
 	}
