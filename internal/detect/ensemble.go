@@ -164,11 +164,14 @@ func (e *Ensemble) tally(st obs.Stage, verdicts []Verdict) *EnsembleVerdict {
 
 // DetectBatch runs the ensemble over many images concurrently (bounded by
 // GOMAXPROCS via the shared parallel substrate) and returns one verdict
-// per image, in order. Images fan out across workers while each image's
-// members run serially on its worker, so the batch is parallel without
-// oversubscribing the per-stage kernels; all images share the pipeline's
-// scaler and FFT-plan caches. It stops at the first error or context
-// cancellation. An empty batch returns an empty, non-nil verdict slice.
+// per image, in order. Images fan out across workers, and each image's
+// members run serially on its worker: parallel.Workers(1) reaches only
+// the member fan-out. The stage kernels inside a member (the SSIM blur,
+// the spectrum FFT, the resize and the erosion) take no worker option, so
+// each still fans out at GOMAXPROCS inside the image fan-out. All images
+// share the pipeline's scaler and FFT-plan caches. It stops at the first
+// error or context cancellation. An empty batch returns an empty, non-nil
+// verdict slice.
 func (e *Ensemble) DetectBatch(ctx context.Context, imgs []*imgcore.Image) ([]*EnsembleVerdict, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -41,10 +41,17 @@ func (s *HistogramScorer) Name() string { return "histogram/intersection" }
 // Score implements Scorer. It returns 1 − histogram intersection between
 // the input image and its downscaled output, in [0,1]: 0 means identical
 // color distributions, 1 means disjoint. Under Xiao et al.'s hypothesis
-// attacks should score high; in practice the distributions overlap.
+// attacks should score high; in practice the distributions overlap. An
+// image with a NaN or ±Inf sample has no histogram and scores NaN, as
+// every metric in internal/metrics does.
 func (s *HistogramScorer) Score(img *imgcore.Image) (float64, error) {
 	if err := img.Validate(); err != nil {
 		return 0, err
+	}
+	for _, v := range img.Pix {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return math.NaN(), nil
+		}
 	}
 	down, err := s.scaler.Resize(img)
 	if err != nil {

@@ -156,7 +156,9 @@ func tensorEntryPoints(t *testing.T) map[string]func(*imgcore.Image) (string, er
 // tensor: malformed geometry is an error, and NaN/±Inf samples are scored
 // without a panic or an error (NaN propagates to a metric's score, and a
 // NaN score never votes attack). steg.EstimateTargetSize, which returns no
-// error, must report ok=false on malformed geometry.
+// error, must report ok=false on malformed geometry. The filtering/SSIM
+// detector and the histogram baseline must score every non-finite input
+// NaN.
 func TestTensorEntryPointsHostileInput(t *testing.T) {
 	call := func(f func(*imgcore.Image) (string, error), img *imgcore.Image) (res string, panicked any, err error) {
 		defer func() { panicked = recover() }()
@@ -210,6 +212,15 @@ func TestTensorEntryPointsHostileInput(t *testing.T) {
 			if err != nil || !math.IsNaN(v.Score) || v.Attack {
 				t.Errorf("filtering/SSIM %v detector on %s = %+v, %v; want a benign NaN verdict", dir, in, v, err)
 			}
+		}
+	}
+	hist, err := NewHistogramScorer(mustScaler(t, 32, 32, 8, 8), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for in, img := range hostileSamples() {
+		if v, err := hist.Score(img); err != nil || !math.IsNaN(v) {
+			t.Errorf("HistogramScorer on %s = %v, %v; want NaN", in, v, err)
 		}
 	}
 }

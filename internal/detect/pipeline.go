@@ -342,7 +342,7 @@ func (in *Intermediates) csp(ctx context.Context, opts steg.Options) (int, error
 			return nil, err
 		}
 		_, st := obs.StartStage(ctx, "pipeline.csp", cspH)
-		a, err := steg.AnalyzeSpectrum(spec, in.img.W, in.img.H, key.gopts)
+		a, err := steg.AnalyzeSpectrumCtx(ctx, spec, in.img.W, in.img.H, key.gopts)
 		st.End()
 		if err != nil {
 			return nil, err

@@ -485,6 +485,38 @@ func TestDetectBatchFusedCancellationMidBatch(t *testing.T) {
 	}
 }
 
+// cancelBeforeCSP is a steganalysis scorer that computes the shared
+// spectrum under a live context, then cancels it before the CSP stage
+// runs.
+type cancelBeforeCSP struct {
+	*StegScorer
+	cancel context.CancelFunc
+}
+
+func (c *cancelBeforeCSP) ScorePipeline(ctx context.Context, in *Intermediates) (float64, error) {
+	if _, err := in.spectrum(ctx); err != nil {
+		return 0, err
+	}
+	c.cancel()
+	return c.StegScorer.ScorePipeline(ctx, in)
+}
+
+// TestDetectCancelledBeforeCSPStage: a context cancelled after the
+// spectrum but before the CSP stage reaches the CSP smoothing blur, so
+// Detect returns context.Canceled instead of a verdict.
+func TestDetectCancelledBeforeCSPStage(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s := &cancelBeforeCSP{StegScorer: NewStegScorer(steg.Options{}), cancel: cancel}
+	d, err := NewDetector(s, Threshold{Value: 2, Direction: Above})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.DetectCtx(ctx, corpusImage(t, 1, 0, 32, 32)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
 // TestDetectBatchFusedMatchesSingle pins the fused batch against per-image
 // Detect calls: same verdicts, in order, and an empty batch stays non-nil.
 func TestDetectBatchFusedMatchesSingle(t *testing.T) {

@@ -6,9 +6,11 @@
 // against in Figure 4 (the naive window scan rankFilter), and Gaussian
 // smoothing. All filters use replicate border
 // handling, matching OpenCV's default BORDER_REPLICATE semantics for small
-// kernels. The separable Gaussian in blur.go (GaussianKernel, BlurPlane) is
-// the repository's only one: SSIM's window in internal/metrics and the CSP
-// spectrum low-pass in internal/steg run on it too.
+// kernels. The separable blur in blur.go (GaussianKernel, Blur and its
+// one-plane case BlurPlane) is the repository's only one: it blurs k
+// planes in one row pass and one column pass. SSIM's moments in
+// internal/metrics (k = 2 and 3) and the CSP spectrum low-pass in
+// internal/steg (BlurPlane) run on it too.
 package filtering
 
 import (

@@ -16,10 +16,12 @@ import (
 // and scores every method's reconstruction against it.
 //
 // SSIMWith(a, b, opts) is NewSSIMRef(a) → Score(b) → Release, so a shared
-// reference and a one-off comparison give bit-identical scores. Every
-// Gaussian sweep is filtering.BlurPlane, whose output does not depend on
-// the worker count, and the final mean is a serial reduction, so scores
-// are also bit-identical for every worker count.
+// reference and a one-off comparison give bit-identical scores. Each side
+// computes its Gaussian moments in one filtering.Blur: the reference
+// blurs a and a² together, and a score blurs b, b² and a·b together and
+// turns each finished row into per-pixel SSIM terms. Blur's output does
+// not depend on the worker count, and the terms are summed serially in
+// index order, so scores are also bit-identical for every worker count.
 //
 // A reference is safe for concurrent ScoreCtx calls (they only read the
 // shared buffers). Release returns the buffers to the scratch pool; the
@@ -47,11 +49,6 @@ func NewSSIMRef(ctx context.Context, a *imgcore.Image, opts SSIMOptions, popts .
 	w, h := a.W, a.H
 	n := w * h
 	r := &SSIMRef{opts: opts, w: w, h: h, kern: filtering.GaussianKernel(opts.WindowRadius, opts.Sigma)}
-	release := func() {
-		for _, p := range r.pins {
-			putScratch(p)
-		}
-	}
 	// Own a copy of the luminance plane: grayPix may return a view of a.Pix,
 	// and the reference must stay valid if the caller mutates or recycles a.
 	gaPix, gaP := grayPix(a)
@@ -63,34 +60,16 @@ func NewSSIMRef(ctx context.Context, a *imgcore.Image, opts SSIMOptions, popts .
 	r.pins = append(r.pins, gap)
 	r.ga = *gap
 
-	muAp := getScratch(n)
-	r.pins = append(r.pins, muAp)
-	r.muA = *muAp
-	if err := filtering.BlurPlane(ctx, r.muA, r.ga, w, h, r.kern, popts...); err != nil {
-		release()
-		return nil, err
-	}
-	aap := getScratch(n)
-	aa := *aap
-	ga := r.ga
-	prodOpts := append([]parallel.Option{parallel.Grain(minMapWork)}, popts...)
-	if err := parallel.For(ctx, n, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			aa[i] = ga[i] * ga[i]
-		}
-		return nil
-	}, prodOpts...); err != nil {
-		putScratch(aap)
-		release()
-		return nil, err
-	}
-	sAAp := getScratch(n)
-	r.pins = append(r.pins, sAAp)
-	r.sAA = *sAAp
-	err := filtering.BlurPlane(ctx, r.sAA, aa, w, h, r.kern, popts...)
-	putScratch(aap)
-	if err != nil {
-		release()
+	muAp, sAAp := getScratch(n), getScratch(n)
+	r.pins = append(r.pins, muAp, sAAp)
+	r.muA, r.sAA = *muAp, *sAAp
+	muA, sAA := r.muA, r.sAA
+	in := []filtering.BlurInput{{X: r.ga}, {X: r.ga, Y: r.ga}}
+	if err := filtering.Blur(ctx, in, w, h, r.kern, func(y int, rows []float64) {
+		copy(muA[y*w:(y+1)*w], rows[:w])
+		copy(sAA[y*w:(y+1)*w], rows[w:])
+	}, popts...); err != nil {
+		r.Release()
 		return nil, err
 	}
 	return r, nil
@@ -121,50 +100,36 @@ func (r *SSIMRef) ScoreCtx(ctx context.Context, b *imgcore.Image, popts ...paral
 	if gbP != nil {
 		defer putScratch(gbP)
 	}
-	muBp := getScratch(n)
-	defer putScratch(muBp)
-	muB := *muBp
-	if err := filtering.BlurPlane(ctx, muB, gbPix, w, h, r.kern, popts...); err != nil {
-		return 0, err
-	}
-	bbp, abp := getScratch(n), getScratch(n)
-	defer putScratch(bbp)
-	defer putScratch(abp)
-	bb, ab := *bbp, *abp
-	ga := r.ga
-	prodOpts := append([]parallel.Option{parallel.Grain(minMapWork)}, popts...)
-	if err := parallel.For(ctx, n, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			bb[i] = gbPix[i] * gbPix[i]
-			ab[i] = ga[i] * gbPix[i]
-		}
-		return nil
-	}, prodOpts...); err != nil {
-		return 0, err
-	}
-	sBBp, sABp := getScratch(n), getScratch(n)
-	defer putScratch(sBBp)
-	defer putScratch(sABp)
-	sBB, sAB := *sBBp, *sABp
-	if err := filtering.BlurPlane(ctx, sBB, bb, w, h, r.kern, popts...); err != nil {
-		return 0, err
-	}
-	if err := filtering.BlurPlane(ctx, sAB, ab, w, h, r.kern, popts...); err != nil {
-		return 0, err
-	}
-
+	// The column pass folds each finished row of muB, sBB and sAB into its
+	// SSIM terms, so those moments never exist as planes. The terms are
+	// summed serially in index order afterwards, keeping the mean
+	// independent of the band split.
+	termp := getScratch(n)
+	defer putScratch(termp)
+	term := *termp
 	c1 := (r.opts.K1 * r.opts.L) * (r.opts.K1 * r.opts.L)
 	c2 := (r.opts.K2 * r.opts.L) * (r.opts.K2 * r.opts.L)
 	muA, sAA := r.muA, r.sAA
+	in := []filtering.BlurInput{{X: gbPix}, {X: gbPix, Y: gbPix}, {X: r.ga, Y: gbPix}}
+	if err := filtering.Blur(ctx, in, w, h, r.kern, func(y int, rows []float64) {
+		off := y * w
+		muB, sBB, sAB := rows[:w], rows[w:2*w], rows[2*w:3*w]
+		mA, sA, t := muA[off:off+w], sAA[off:off+w], term[off:off+w]
+		for x, mb := range muB {
+			ma := mA[x]
+			varA := sA[x] - ma*ma
+			varB := sBB[x] - mb*mb
+			cov := sAB[x] - ma*mb
+			num := (2*ma*mb + c1) * (2*cov + c2)
+			den := (ma*ma + mb*mb + c1) * (varA + varB + c2)
+			t[x] = num / den
+		}
+	}, popts...); err != nil {
+		return 0, err
+	}
 	var sum float64
-	for i := 0; i < n; i++ {
-		ma, mb := muA[i], muB[i]
-		varA := sAA[i] - ma*ma
-		varB := sBB[i] - mb*mb
-		cov := sAB[i] - ma*mb
-		num := (2*ma*mb + c1) * (2*cov + c2)
-		den := (ma*ma + mb*mb + c1) * (varA + varB + c2)
-		sum += num / den
+	for _, t := range term {
+		sum += t
 	}
 	return sum / float64(n), nil
 }

@@ -152,6 +152,12 @@ func Analyze(img *imgcore.Image, opts Options) (*Analysis, error) {
 // is treated as read-only; when smoothing is disabled the returned
 // Analysis.Spectrum aliases it.
 func AnalyzeSpectrum(spec []float64, w, h int, opts Options) (*Analysis, error) {
+	return AnalyzeSpectrumCtx(context.Background(), spec, w, h, opts)
+}
+
+// AnalyzeSpectrumCtx is AnalyzeSpectrum honouring ctx cancellation in the
+// smoothing blur. Output is bit-identical to AnalyzeSpectrum's.
+func AnalyzeSpectrumCtx(ctx context.Context, spec []float64, w, h int, opts Options) (*Analysis, error) {
 	if w <= 0 || h <= 0 || len(spec) != w*h {
 		return nil, fmt.Errorf("steg: spectrum length %d does not match %dx%d", len(spec), w, h)
 	}
@@ -161,7 +167,7 @@ func AnalyzeSpectrum(spec []float64, w, h int, opts Options) (*Analysis, error) 
 	}
 	if opts.SmoothSigma > 0 {
 		var err error
-		if spec, err = gaussianBlur2D(context.Background(), spec, w, h, opts.SmoothSigma); err != nil {
+		if spec, err = gaussianBlur2D(ctx, spec, w, h, opts.SmoothSigma); err != nil {
 			return nil, err
 		}
 		renormalize(spec)
