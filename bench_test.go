@@ -125,9 +125,6 @@ func BenchmarkX3CSPSensitivity(b *testing.B) { benchExperiment(b, "X3") }
 // comparison (X4).
 func BenchmarkX4PreventionBaselines(b *testing.B) { benchExperiment(b, "X4") }
 
-// BenchmarkX5BackdoorAudit runs the poisoning-audit scenario (X5).
-func BenchmarkX5BackdoorAudit(b *testing.B) { benchExperiment(b, "X5") }
-
 // BenchmarkX6HistogramDebunk runs the color-histogram baseline (X6).
 func BenchmarkX6HistogramDebunk(b *testing.B) { benchExperiment(b, "X6") }
 

@@ -11,17 +11,7 @@ import (
 
 	"decamouflage"
 	"decamouflage/internal/detect"
-	"decamouflage/internal/imgcore"
 )
-
-// decodeBytes routes binary PGM/PPM to DecodePNM and everything else to
-// DecodeImage, as a service accepting all three formats would.
-func decodeBytes(data []byte) (*decamouflage.Image, error) {
-	if bytes.HasPrefix(data, []byte("P5")) || bytes.HasPrefix(data, []byte("P6")) {
-		return imgcore.DecodePNM(bytes.NewReader(data))
-	}
-	return decamouflage.DecodeImage(bytes.NewReader(data))
-}
 
 // hugePNGHeader is a PNG signature, an IHDR declaring a w×h RGB canvas
 // with a correct CRC, and the start of an IDAT chunk.
@@ -39,8 +29,9 @@ func hugePNGHeader(w, h uint32) []byte {
 	return b.Bytes()
 }
 
-// fuzzSeeds returns valid PNG, JPEG and PNM files, a truncated copy of
-// each, and headers declaring absurd canvases.
+// fuzzSeeds returns valid PNG and JPEG files in colour and in grayscale
+// (which decode to *image.Gray), a truncated copy of each, and headers
+// declaring absurd canvases, the second the largest a PNG header allows.
 func fuzzSeeds(t testing.TB) [][]byte {
 	t.Helper()
 	m := image.NewNRGBA(image.Rect(0, 0, 40, 32))
@@ -50,32 +41,24 @@ func fuzzSeeds(t testing.TB) [][]byte {
 	for i := 3; i < len(m.Pix); i += 4 {
 		m.Pix[i] = 255
 	}
-	var pngBuf, jpegBuf, pnmBuf bytes.Buffer
-	if err := png.Encode(&pngBuf, m); err != nil {
-		t.Fatal(err)
-	}
-	if err := jpeg.Encode(&jpegBuf, m, &jpeg.Options{Quality: 90}); err != nil {
-		t.Fatal(err)
-	}
 	gray := image.NewGray(image.Rect(0, 0, 24, 20))
 	for i := range gray.Pix {
 		gray.Pix[i] = uint8(i * 11)
 	}
-	if err := imgcore.EncodePNM(&pnmBuf, imgcore.FromImage(m)); err != nil {
-		t.Fatal(err)
-	}
-	var pgmBuf bytes.Buffer
-	if err := imgcore.EncodePNM(&pgmBuf, imgcore.FromGrayImage(gray)); err != nil {
-		t.Fatal(err)
-	}
 	var seeds [][]byte
-	for _, valid := range [][]byte{pngBuf.Bytes(), jpegBuf.Bytes(), pnmBuf.Bytes(), pgmBuf.Bytes()} {
-		seeds = append(seeds, valid, valid[:len(valid)/2])
+	for _, src := range []image.Image{m, gray} {
+		var pngBuf, jpegBuf bytes.Buffer
+		if err := png.Encode(&pngBuf, src); err != nil {
+			t.Fatal(err)
+		}
+		if err := jpeg.Encode(&jpegBuf, src, &jpeg.Options{Quality: 90}); err != nil {
+			t.Fatal(err)
+		}
+		for _, valid := range [][]byte{pngBuf.Bytes(), jpegBuf.Bytes()} {
+			seeds = append(seeds, valid, valid[:len(valid)/2])
+		}
 	}
-	return append(seeds,
-		hugePNGHeader(50000, 50000),
-		[]byte("P5\n4294967296 4294967296\n255\n"),
-	)
+	return append(seeds, hugePNGHeader(50000, 50000), hugePNGHeader(1<<31-1, 1<<31-1))
 }
 
 // FuzzDecodeDetect drives bytes through decode and the calibration-free
@@ -94,7 +77,7 @@ func FuzzDecodeDetect(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		img, err := decodeBytes(data)
+		img, err := decamouflage.DecodeImage(bytes.NewReader(data))
 		if err != nil {
 			if img != nil {
 				t.Fatalf("decode returned an image with error %v", err)

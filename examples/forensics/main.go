@@ -24,7 +24,11 @@ func main() {
 	log.SetPrefix("forensics: ")
 
 	// The attacker prepares camouflage images for a LeNet-style 32x32
-	// pipeline; the auditor does not know this.
+	// pipeline; the auditor does not know this. The 16x16 case is an 8x
+	// ratio, where the spectral replicas dim below the fixed CSP >= 2 rule
+	// (EXPERIMENTS.md, X9): CSP misses it, and the case runs the estimator
+	// on it anyway to show that the geometry is still in the spectrum. In
+	// deployment the estimator only follows a flagged verdict.
 	const srcW, srcH = 128, 128
 	cases := []struct {
 		name       string
@@ -68,9 +72,9 @@ func main() {
 		}
 		fmt.Printf("  steganalysis verdict: attack=%v (CSP=%.0f)\n", v.Attack, v.Score)
 
-		// The sensitive gate (0.70) also measures strong-ratio attacks
-		// whose dim replicas the stricter detection default misses.
-		w, h, ok := steg.EstimateTargetSize(res.Attack, steg.Options{BinarizeThreshold: 0.70})
+		// The estimator sweeps its own binarization levels, so default
+		// options serve both ratios.
+		w, h, ok := steg.EstimateTargetSize(res.Attack, steg.Options{})
 		if !ok {
 			fmt.Println("  no measurable spectral replicas; cannot estimate target size")
 			continue
@@ -87,8 +91,8 @@ func main() {
 	}
 
 	// Benign control: forensics are follow-up on FLAGGED images. A benign
-	// image with CSP = 1 never reaches the estimator, so periodic benign
-	// texture cannot create a false trail.
+	// image below the CSP threshold never reaches the estimator, so
+	// periodic benign texture cannot create a false trail.
 	benign := covers.Image(9)
 	v, err := stegDet.Detect(benign)
 	if err != nil {
@@ -97,6 +101,6 @@ func main() {
 	if v.Attack {
 		fmt.Println("benign control: unexpectedly flagged")
 	} else {
-		fmt.Println("benign control: CSP=1, not flagged — forensics never consulted")
+		fmt.Printf("benign control: CSP=%.0f, not flagged — forensics never consulted\n", v.Score)
 	}
 }

@@ -8,7 +8,6 @@ package defense
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"decamouflage/internal/imgcore"
@@ -28,70 +27,6 @@ func RobustScaler(s *scaling.Scaler) (*scaling.Scaler, error) {
 	srcW, srcH := s.SrcSize()
 	dstW, dstH := s.DstSize()
 	return scaling.NewScaler(srcW, srcH, dstW, dstH, scaling.Options{Algorithm: scaling.Area})
-}
-
-// RandomReconstruct implements Quiring et al.'s selective random
-// substitution variant: every source pixel the vulnerable scaler samples is
-// replaced by a uniformly chosen non-sampled neighbor within the window.
-// Faster than the median variant and non-deterministic from the attacker's
-// viewpoint; seed fixes the substitution pattern for reproducibility.
-func RandomReconstruct(img *imgcore.Image, s *scaling.Scaler, window int, seed int64) (*imgcore.Image, error) {
-	if s == nil {
-		return nil, ErrNilScaler
-	}
-	if err := img.Validate(); err != nil {
-		return nil, err
-	}
-	srcW, srcH := s.SrcSize()
-	if img.W != srcW || img.H != srcH {
-		return nil, fmt.Errorf("defense: image %v does not match scaler source %dx%d", img, srcW, srcH)
-	}
-	useX := s.Horizontal().SourceUse()
-	useY := s.Vertical().SourceUse()
-	if window <= 0 {
-		window = defaultWindow(s)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	out := img.Clone()
-	var candidates []int
-	for y := 0; y < img.H; y++ {
-		//declint:ignore floateq the mask holds exact 0/1 values by construction
-		if useY[y] == 0 {
-			continue
-		}
-		for x := 0; x < img.W; x++ {
-			//declint:ignore floateq the mask holds exact 0/1 values by construction
-			if useX[x] == 0 {
-				continue
-			}
-			candidates = candidates[:0]
-			for dy := -window; dy <= window; dy++ {
-				yy := y + dy
-				if yy < 0 || yy >= img.H {
-					continue
-				}
-				for dx := -window; dx <= window; dx++ {
-					xx := x + dx
-					if xx < 0 || xx >= img.W {
-						continue
-					}
-					//declint:ignore floateq the mask holds exact 0/1 values by construction
-					if useY[yy] != 0 && useX[xx] != 0 {
-						continue
-					}
-					candidates = append(candidates, yy*img.W+xx)
-				}
-			}
-			if len(candidates) == 0 {
-				continue
-			}
-			pick := candidates[rng.Intn(len(candidates))]
-			for c := 0; c < img.C; c++ {
-				out.Pix[(y*img.W+x)*img.C+c] = img.Pix[pick*img.C+c]
-			}
-		}
-	}
-	return out, nil
 }
 
 func defaultWindow(s *scaling.Scaler) int {

@@ -8,7 +8,6 @@ import (
 	"decamouflage/internal/imgcore"
 	"decamouflage/internal/metrics"
 	"decamouflage/internal/scaling"
-	"decamouflage/internal/testutil"
 )
 
 func mustScaler(t testing.TB) *scaling.Scaler {
@@ -152,83 +151,6 @@ func TestMedianReconstructPreservesBenign(t *testing.T) {
 	}
 	if mse > 500 {
 		t.Errorf("reconstruction damaged benign image: MSE %v", mse)
-	}
-}
-
-func TestRandomReconstructNeutralizesAttack(t *testing.T) {
-	s := mustScaler(t)
-	src, tgt := corpusPair(t, 5)
-	res, err := attack.Craft(src, tgt, attack.Config{Scaler: s, Eps: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cleaned, err := RandomReconstruct(res.Attack, s, 0, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cleanDown, err := s.Resize(cleaned)
-	if err != nil {
-		t.Fatal(err)
-	}
-	benignDown, err := s.Resize(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	toTarget, err := metrics.MSE(cleanDown, tgt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	toBenign, err := metrics.MSE(cleanDown, benignDown)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if toBenign >= toTarget {
-		t.Errorf("random-reconstructed downscale closer to target (%v) than benign (%v)", toTarget, toBenign)
-	}
-}
-
-func TestRandomReconstructDeterministicPerSeed(t *testing.T) {
-	s := mustScaler(t)
-	src, _ := corpusPair(t, 6)
-	a, err := RandomReconstruct(src, s, 0, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RandomReconstruct(src, s, 0, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Pix {
-		if !testutil.BitEqual(a.Pix[i], b.Pix[i]) {
-			t.Fatal("same seed produced different reconstructions")
-		}
-	}
-	c, err := RandomReconstruct(src, s, 0, 43)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diff := 0
-	for i := range a.Pix {
-		if !testutil.BitEqual(a.Pix[i], c.Pix[i]) {
-			diff++
-		}
-	}
-	if diff == 0 {
-		t.Error("different seeds produced identical reconstructions")
-	}
-}
-
-func TestRandomReconstructValidation(t *testing.T) {
-	s := mustScaler(t)
-	src, _ := corpusPair(t, 7)
-	if _, err := RandomReconstruct(src, nil, 0, 1); err == nil {
-		t.Error("nil scaler accepted")
-	}
-	if _, err := RandomReconstruct(&imgcore.Image{}, s, 0, 1); err == nil {
-		t.Error("empty image accepted")
-	}
-	if _, err := RandomReconstruct(imgcore.MustNew(8, 8, 3), s, 0, 1); err == nil {
-		t.Error("mismatched image accepted")
 	}
 }
 

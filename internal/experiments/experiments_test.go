@@ -51,10 +51,13 @@ func TestRegistry(t *testing.T) {
 		}
 		seen[e.ID] = true
 	}
-	for _, want := range []string{"T1", "T2", "T8", "F9", "F13", "X1", "X5"} {
+	for _, want := range []string{"T1", "T2", "T8", "F9", "F13", "X1", "X10"} {
 		if _, ok := ByID(want); !ok {
 			t.Errorf("missing experiment %s", want)
 		}
+	}
+	if _, ok := ByID("X5"); ok {
+		t.Error("retired experiment X5 still registered")
 	}
 	if _, ok := ByID("nope"); ok {
 		t.Error("bogus ID found")
@@ -177,12 +180,12 @@ func TestRunExtensions(t *testing.T) {
 	var out strings.Builder
 	r := NewRunner(testConfig(t, &out))
 	ctx := context.Background()
-	if err := r.Run(ctx, "X2", "X3", "X4", "X5"); err != nil {
+	if err := r.Run(ctx, "X2", "X3", "X4"); err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()
 	for _, want := range []string{
-		"ε sweep", "CSP parameter sensitivity", "Detection vs prevention", "Backdoor poisoning audit",
+		"ε sweep", "CSP parameter sensitivity", "Detection vs prevention",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("output missing %q", want)

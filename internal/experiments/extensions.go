@@ -8,7 +8,6 @@ import (
 	"decamouflage/internal/dataset"
 	"decamouflage/internal/defense"
 	"decamouflage/internal/eval"
-	"decamouflage/internal/imgcore"
 	"decamouflage/internal/metrics"
 	"decamouflage/internal/report"
 	"decamouflage/internal/scaling"
@@ -291,51 +290,5 @@ func (r *Runner) runX4(ctx context.Context) error {
 	tbl.AddRow("Decamouflage (detect, black-box)",
 		fmt.Sprintf("%d/%d", cs.TP, n),
 		"0.0 (input unmodified)")
-	return tbl.Render(r.cfg.Out)
-}
-
-// runX5 demonstrates the backdoor-poisoning audit scenario of Section II-B:
-// a data aggregator scans a mixed submission batch offline and flags the
-// poisoned (attack) images before training.
-func (r *Runner) runX5(ctx context.Context) error {
-	evalCorpus, err := r.Eval(ctx)
-	if err != nil {
-		return err
-	}
-	n := len(evalCorpus.Benign)
-	if n > r.extensionN() {
-		n = r.extensionN()
-	}
-	// A poisoned submission batch: 80% benign, 20% attacks.
-	var batch []*imgcore.Image
-	var labels []bool
-	for i := 0; i < n; i++ {
-		batch = append(batch, evalCorpus.Benign[i])
-		labels = append(labels, false)
-		if i%5 == 0 {
-			batch = append(batch, evalCorpus.Attacks[i])
-			labels = append(labels, true)
-		}
-	}
-	train, bb, err := r.TrainBlackBox(ctx)
-	if err != nil {
-		return err
-	}
-	e, err := ensembleOn(train, bb)
-	if err != nil {
-		return err
-	}
-	var cs eval.ConfusionStats
-	for i, img := range batch {
-		v, err := e.Detect(ctx, img)
-		if err != nil {
-			return err
-		}
-		cs.Record(labels[i], v.Attack)
-	}
-	tbl := report.NewTable("Backdoor poisoning audit (paper Section II-B scenario)",
-		"Batch size", "Poisoned", "Caught", "Missed", "False alarms")
-	tbl.AddRow(fmt.Sprintf("%d", len(batch)), fmt.Sprintf("%d", cs.TP+cs.FN),
-		fmt.Sprintf("%d", cs.TP), fmt.Sprintf("%d", cs.FN), fmt.Sprintf("%d", cs.FP))
 	return tbl.Render(r.cfg.Out)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 
 	"decamouflage/internal/attack"
@@ -11,6 +12,7 @@ import (
 	"decamouflage/internal/eval"
 	"decamouflage/internal/imgcore"
 	"decamouflage/internal/report"
+	"decamouflage/internal/scaling"
 	"decamouflage/internal/stats"
 	"decamouflage/internal/steg"
 )
@@ -25,7 +27,7 @@ func (r *Runner) runX6(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	hist, err := detect.NewHistogramScorer(scaler, 32)
+	hist, err := newHistogramScorer(scaler)
 	if err != nil {
 		return err
 	}
@@ -146,6 +148,88 @@ func permutePixels(img *imgcore.Image, rng *rand.Rand) *imgcore.Image {
 	return out
 }
 
+// histogramScorer is the color-histogram check Xiao et al. suggested, but
+// did not evaluate, as a defense: compare the color histogram of the input
+// with that of its downscaled output; an attack image's downscale shows
+// the hidden target, so its colors should differ.
+//
+// The paper (Section III-A) raises it only to reject it, and X6 and X7
+// reproduce why: the metric does NOT separate attacks from benign images
+// (scaling legitimately changes color statistics, and the attack only
+// needs to perturb a sparse pixel subset whose mass barely moves the
+// histogram). It lives here, next to those two experiments, as a baseline
+// and not as a detection method.
+type histogramScorer struct {
+	scaler *scaling.Scaler
+}
+
+// histogramBins is the number of histogram bins per channel.
+const histogramBins = 32
+
+// newHistogramScorer builds the baseline scorer over the given scaler.
+func newHistogramScorer(scaler *scaling.Scaler) (*histogramScorer, error) {
+	if scaler == nil {
+		return nil, detect.ErrNilScaler
+	}
+	return &histogramScorer{scaler: scaler}, nil
+}
+
+// Name implements detect.Scorer.
+func (s *histogramScorer) Name() string { return "histogram/intersection" }
+
+// Score implements detect.Scorer. It returns 1 − histogram intersection
+// between the input image and its downscaled output, in [0,1]: 0 means
+// identical color distributions, 1 means disjoint. Under Xiao et al.'s
+// hypothesis attacks should score high; in practice the distributions
+// overlap. An image with a NaN or ±Inf sample has no histogram and scores
+// NaN, as every metric in internal/metrics does.
+func (s *histogramScorer) Score(img *imgcore.Image) (float64, error) {
+	if err := img.Validate(); err != nil {
+		return 0, err
+	}
+	for _, v := range img.Pix {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return math.NaN(), nil
+		}
+	}
+	down, err := s.scaler.Resize(img)
+	if err != nil {
+		return 0, fmt.Errorf("experiments: histogram downscale: %w", err)
+	}
+	hi := s.histogram(img)
+	hd := s.histogram(down)
+	var inter float64
+	for i := range hi {
+		inter += math.Min(hi[i], hd[i])
+	}
+	// Normalize by channel count: each channel histogram sums to 1.
+	inter /= float64(img.C)
+	return 1 - inter, nil
+}
+
+// histogram returns the concatenated normalized per-channel histograms.
+func (s *histogramScorer) histogram(img *imgcore.Image) []float64 {
+	h := make([]float64, histogramBins*img.C)
+	scale := float64(histogramBins) / 256.0
+	for i := 0; i < img.W*img.H; i++ {
+		for c := 0; c < img.C; c++ {
+			v := img.Pix[i*img.C+c]
+			b := int(v * scale)
+			if b < 0 {
+				b = 0
+			} else if b >= histogramBins {
+				b = histogramBins - 1
+			}
+			h[c*histogramBins+b]++
+		}
+	}
+	n := float64(img.W * img.H)
+	for i := range h {
+		h[i] /= n
+	}
+	return h
+}
+
 // runX7 computes the ROC AUC of every score metric on the evaluation
 // corpus — a threshold-free view of each method's separability.
 func (r *Runner) runX7(ctx context.Context) error {
@@ -157,7 +241,7 @@ func (r *Runner) runX7(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	hist, err := detect.NewHistogramScorer(scaler, 32)
+	hist, err := newHistogramScorer(scaler)
 	if err != nil {
 		return err
 	}

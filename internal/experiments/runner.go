@@ -1,8 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (and this reproduction's extension experiments) on synthetic
-// corpora. Each experiment has a stable ID (T1-T9, F1-F15, X1-X5) indexed
-// in DESIGN.md; cmd/experiments is the CLI front end and bench_test.go the
-// benchmark harness.
+// corpora. Each experiment has a stable ID (T1-T9, F1-F15, X1-X4 and
+// X6-X10; X5 is retired and its ID not reused) indexed in DESIGN.md;
+// cmd/experiments is the CLI front end and bench_test.go the benchmark
+// harness.
 package experiments
 
 import (
@@ -299,7 +300,6 @@ func All() []Experiment {
 		{ID: "X2", Title: "Extension — attack ε sweep vs detectability", run: (*Runner).runX2},
 		{ID: "X3", Title: "Extension — CSP parameter sensitivity", run: (*Runner).runX3},
 		{ID: "X4", Title: "Extension — prevention baselines (Quiring et al.)", run: (*Runner).runX4},
-		{ID: "X5", Title: "Extension — backdoor poisoning audit", run: (*Runner).runX5},
 		{ID: "X6", Title: "Extension — color-histogram metric debunk (Sec. III-A)", run: (*Runner).runX6},
 		{ID: "X7", Title: "Extension — ROC AUC per score metric", run: (*Runner).runX7},
 		{ID: "X8", Title: "Extension — JPEG recompression robustness", run: (*Runner).runX8},

@@ -15,7 +15,7 @@ import (
 	"strings"
 )
 
-// MaxPixels is the largest width×height Decode and DecodePNM accept. It
+// MaxPixels is the largest width×height Decode accepts. It
 // is about 33.5 MP, enough for 8K UHD (7680×4320). The limit is checked
 // against the header before any pixel buffer is allocated, so a tiny file
 // declaring a huge canvas costs only its header.

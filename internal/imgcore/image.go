@@ -6,7 +6,7 @@
 // row-major order (y, x, channel). Floating point is used throughout the
 // pipeline so that the attack optimizer and the detection metrics are not
 // perturbed by intermediate quantization; quantization to 8-bit happens only
-// at encode time via Clamp8.
+// at encode time, where ToNRGBA and ToGray round and clamp each sample.
 package imgcore
 
 import (
@@ -137,18 +137,6 @@ func (m *Image) Clone() *Image {
 	out := &Image{W: m.W, H: m.H, C: m.C, Pix: make([]float64, len(m.Pix))}
 	copy(out.Pix, m.Pix)
 	return out
-}
-
-// Clamp8 clamps every sample into [0, 255] in place and returns the image.
-func (m *Image) Clamp8() *Image {
-	for i, v := range m.Pix {
-		if v < 0 {
-			m.Pix[i] = 0
-		} else if v > MaxPixel {
-			m.Pix[i] = MaxPixel
-		}
-	}
-	return m
 }
 
 // Quantize8 rounds every sample to the nearest integer and clamps to

@@ -283,18 +283,6 @@ func maxViolation(p *Problem, x []float64) float64 {
 	return mx
 }
 
-// MaxViolation evaluates how far x is from satisfying the problem; exported
-// for attack-quality reporting.
-func MaxViolation(p *Problem, x []float64) (float64, error) {
-	if err := p.Validate(); err != nil {
-		return 0, err
-	}
-	if len(x) != p.N {
-		return 0, fmt.Errorf("%w: %d vs %d", ErrBadStart, len(x), p.N)
-	}
-	return maxViolation(p, x), nil
-}
-
 func clampAll(x []float64, b Box) {
 	for i, v := range x {
 		if v < b.Lo {

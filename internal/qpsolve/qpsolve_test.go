@@ -136,9 +136,6 @@ func TestSolverErrors(t *testing.T) {
 	if _, err := SolvePOCS(p, []float64{1, 2}, Options{Tol: -1}); err == nil {
 		t.Error("POCS negative tol = nil error")
 	}
-	if _, err := MaxViolation(p, []float64{1}); err == nil {
-		t.Error("MaxViolation bad x = nil error")
-	}
 }
 
 // buildRandomFeasible constructs a random sparse problem that is feasible

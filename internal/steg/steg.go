@@ -279,9 +279,10 @@ func (a *Analysis) EstimateTargetSize() (w, h int, ok bool) {
 // visible replicas may be the fundamental or higher harmonics (the first
 // replica can merge into the central blob). The estimator sweeps several
 // binarization levels, keeps only distance clusters that persist across
-// levels (replicas persist; benign speckle is level-fragile), and returns
+// levels (replicas persist; benign speckle is level-fragile), and finds
 // the largest spacing dividing the cluster centers (a tolerance-aware GCD)
-// — the fundamental. ok is false when no persistent replicas exist or img
+// — the fundamental — which it then refines by least squares over the
+// distances that spacing explains (see fundamentalSpacing). ok is false when no persistent replicas exist or img
 // is malformed. The sweep sets its own levels, so opts.BinarizeThreshold
 // is ignored.
 //
