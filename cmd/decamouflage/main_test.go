@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -346,19 +347,15 @@ func TestRunBadMetricsFormat(t *testing.T) {
 	}
 }
 
-// TestRunFlightRecorder pins the CLI's recording session: -events-out and
-// -trace-out produce non-empty NDJSON dumps whose events carry the
-// per-image wide-event fields, and -watchdog rides along without output.
+// TestRunFlightRecorder pins the CLI's recording session: -events-out
+// produces a non-empty NDJSON dump whose events carry the per-image
+// wide-event fields.
 func TestRunFlightRecorder(t *testing.T) {
 	requireObs(t)
 	benign, atk, _, dir := writeFixtures(t)
 	evPath := filepath.Join(dir, "events.ndjson")
-	trPath := filepath.Join(dir, "traces.ndjson")
 	var out strings.Builder
-	err := run([]string{"-dst", "24x24",
-		"-events-out", evPath, "-trace-keep", "8", "-trace-out", trPath,
-		"-watchdog", "-watchdog-interval", "20",
-		benign, atk}, &out)
+	err := run([]string{"-dst", "24x24", "-events-out", evPath, benign, atk}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,13 +372,6 @@ func TestRunFlightRecorder(t *testing.T) {
 		if !strings.Contains(string(ev), want) {
 			t.Errorf("events dump missing %q:\n%s", want, ev)
 		}
-	}
-	tr, err := os.ReadFile(trPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(tr), `"reason":"`) || !strings.Contains(string(tr), `"spans":[`) {
-		t.Errorf("trace dump missing retained traces:\n%s", tr)
 	}
 }
 
@@ -465,12 +455,14 @@ func TestCalibrationAndSystemServeAlike(t *testing.T) {
 	}
 }
 
-// TestRunLegacySystemConfig pins that a system config written before the
-// source geometry left the format, still carrying src_w/src_h, loads and
-// serves.
+// TestRunLegacySystemConfig pins that system configs written before keys
+// left the format still load and serve: one carrying the source geometry
+// (src_w/src_h), and one whose obs block names the retired tail-sampler
+// and watchdog settings, which are ignored.
 func TestRunLegacySystemConfig(t *testing.T) {
 	benign, _, _, dir := writeFixtures(t)
 	sysPath := filepath.Join(dir, "legacy.json")
+	tracePath := filepath.Join(dir, "traces.ndjson")
 	legacy := `{
   "src_w": 96,
   "src_h": 96,
@@ -486,11 +478,37 @@ func TestRunLegacySystemConfig(t *testing.T) {
 	if err := os.WriteFile(sysPath, []byte(legacy), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var out strings.Builder
-	if err := run([]string{"-system", sysPath, "-json", benign}, &out); err != nil {
+	legacyObs := `{
+  "dst_w": 24,
+  "dst_h": 24,
+  "algorithm": "bilinear",
+  "thresholds": {
+    "filtering/SSIM": {"value": 0.5, "direction": 2},
+    "scaling/MSE": {"value": 500, "direction": 1},
+    "steganalysis/CSP": {"value": 2, "direction": 1}
+  },
+  "obs": {
+    "trace_keep": 64,
+    "trace_out": ` + strconv.Quote(tracePath) + `,
+    "trace_sample": 0.25,
+    "watchdog": true,
+    "watchdog_interval_ms": 20
+  }
+}`
+	obsPath := filepath.Join(dir, "legacy_obs.json")
+	if err := os.WriteFile(obsPath, []byte(legacyObs), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), `"methods":3`) {
-		t.Errorf("legacy config did not serve the 3-method ensemble: %s", out.String())
+	for _, path := range []string{sysPath, obsPath} {
+		var out strings.Builder
+		if err := run([]string{"-system", path, "-json", benign}, &out); err != nil {
+			t.Fatalf("%s: %v", filepath.Base(path), err)
+		}
+		if !strings.Contains(out.String(), `"methods":3`) {
+			t.Errorf("%s did not serve the 3-method ensemble: %s", filepath.Base(path), out.String())
+		}
+	}
+	if _, err := os.Stat(tracePath); !os.IsNotExist(err) {
+		t.Errorf("retired trace_out key wrote %s (stat err %v)", tracePath, err)
 	}
 }

@@ -53,13 +53,8 @@ func run(args []string) (err error) {
 		memProfile = fs.String("memprofile", "", "write a heap profile to this file on exit")
 		httpDebug  = fs.String("httpdebug", "", "serve /healthz, /metrics, /debug/events and /debug/pprof on this address")
 
-		eventsOut   = fs.String("events-out", "", `dump flight-recorder events as NDJSON on exit ("-" for stdout)`)
-		eventsBuf   = fs.Int("events-buffer", 0, "flight-recorder ring capacity (implies recording; default 1024)")
-		traceKeep   = fs.Int("trace-keep", 0, "retain up to this many sampled traces (implies tail sampling)")
-		traceOut    = fs.String("trace-out", "", `dump retained traces as NDJSON on exit ("-" for stdout)`)
-		traceSample = fs.Float64("trace-sample", 0, "probability of retaining an unremarkable trace (errors/records/slow always kept)")
-		watchdog    = fs.Bool("watchdog", false, "sample runtime health (GC, heap, goroutines, scheduler lag) into gauges")
-		watchdogMs  = fs.Int("watchdog-interval", 0, "watchdog sampling interval in milliseconds (default 1000)")
+		eventsOut = fs.String("events-out", "", `dump flight-recorder events as NDJSON on exit ("-" for stdout)`)
+		eventsBuf = fs.Int("events-buffer", 0, "flight-recorder ring capacity (implies recording; default 1024)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -84,18 +79,13 @@ func run(args []string) (err error) {
 	}
 
 	settings := obs.Settings{
-		MetricsOut:         *metricsOut,
-		MetricsFormat:      *metricsFmt,
-		CPUProfile:         *cpuProfile,
-		MemProfile:         *memProfile,
-		DebugAddr:          *httpDebug,
-		EventsOut:          *eventsOut,
-		EventBuffer:        *eventsBuf,
-		TraceKeep:          *traceKeep,
-		TraceOut:           *traceOut,
-		TraceSample:        *traceSample,
-		Watchdog:           *watchdog,
-		WatchdogIntervalMs: *watchdogMs,
+		MetricsOut:    *metricsOut,
+		MetricsFormat: *metricsFmt,
+		CPUProfile:    *cpuProfile,
+		MemProfile:    *memProfile,
+		DebugAddr:     *httpDebug,
+		EventsOut:     *eventsOut,
+		EventBuffer:   *eventsBuf,
 	}
 	sess, err := settings.Apply()
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -113,10 +114,10 @@ func decodeNDJSON[T any](t *testing.T, path string) []T {
 }
 
 // TestRunFlightRecorderEndToEnd is the acceptance run: a full ensemble
-// experiment with the recorder, tail sampler and watchdog installed must
-// produce a wide event per detected image whose stage durations fit the
-// span-tree total, and the latency histogram's top exemplar must resolve
-// to both a retained trace and a recorded event.
+// experiment with the recorder installed must produce a wide event per
+// detected image whose stage durations fit the span-tree total, the
+// latency histogram's top exemplar must resolve to a recorded event, and
+// obsdump -trace must render that event's stage timeline.
 func TestRunFlightRecorderEndToEnd(t *testing.T) {
 	obs.Enable()
 	enabled := obs.Enabled()
@@ -128,22 +129,18 @@ func TestRunFlightRecorderEndToEnd(t *testing.T) {
 
 	dir := t.TempDir()
 	evPath := filepath.Join(dir, "events.ndjson")
-	trPath := filepath.Join(dir, "traces.ndjson")
 	mPath := filepath.Join(dir, "metrics.json")
 	err := run([]string{"-run", "T8", "-n", "6", "-src", "48x48", "-dst", "16x16",
-		"-events-out", evPath, "-trace-keep", "64", "-trace-out", trPath,
-		"-metrics-out", mPath, "-watchdog", "-watchdog-interval", "20"})
+		"-events-out", evPath, "-metrics-out", mPath})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	events := decodeNDJSON[obs.Event](t, evPath)
-	detects := 0
 	for _, ev := range events {
 		if ev.Name != "ensemble.detect" {
-			continue
+			t.Fatalf("event %q is not a detect event: %+v", ev.Name, ev)
 		}
-		detects++
 		if ev.TraceID == "" {
 			t.Fatalf("detect event without trace ID: %+v", ev)
 		}
@@ -164,17 +161,12 @@ func TestRunFlightRecorderEndToEnd(t *testing.T) {
 			}
 		}
 	}
-	if detects == 0 {
+	if len(events) == 0 {
 		t.Fatal("T8 run recorded no detect events")
 	}
 
-	traces := decodeNDJSON[obs.RetainedTrace](t, trPath)
-	if len(traces) == 0 {
-		t.Fatal("T8 run retained no traces")
-	}
-
-	// The slowest-bucket exemplar is the run's record duration, which the
-	// tail sampler always retains: it must resolve end to end.
+	// The slowest-bucket exemplar names the run's worst request, which
+	// the recorder's ring still holds: it must resolve end to end.
 	data, err := os.ReadFile(mPath)
 	if err != nil {
 		t.Fatal(err)
@@ -193,24 +185,37 @@ func TestRunFlightRecorderEndToEnd(t *testing.T) {
 			top = x
 		}
 	}
-	foundTrace := false
-	for _, rt := range traces {
-		if rt.ID == top.TraceID {
-			foundTrace = true
-			break
+	var topEv *obs.Event
+	for i := range events {
+		if events[i].TraceID == top.TraceID {
+			topEv = &events[i]
 		}
 	}
-	if !foundTrace {
-		t.Errorf("top exemplar trace %q not among %d retained traces", top.TraceID, len(traces))
+	if topEv == nil {
+		t.Fatalf("top exemplar trace %q has no recorded event", top.TraceID)
 	}
-	foundEvent := false
-	for _, ev := range events {
-		if ev.TraceID == top.TraceID {
-			foundEvent = true
-			break
+
+	// obsdump renders that event's stage timeline from the dump: a header
+	// naming the trace, then one line per stage at its depth.
+	gobin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go toolchain not on PATH; cannot run obsdump")
+	}
+	out, err := exec.Command(gobin, "run", "decamouflage/cmd/obsdump",
+		"-events", evPath, "-trace", top.TraceID).CombinedOutput()
+	if err != nil {
+		t.Fatalf("obsdump -trace %s: %v\n%s", top.TraceID, err, out)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(out), "\n"), "\n")
+	if want := "trace " + top.TraceID + " (ensemble.detect, "; !strings.HasPrefix(lines[0], want) {
+		t.Fatalf("obsdump header = %q, want prefix %q", lines[0], want)
+	}
+	if len(lines)-1 != len(topEv.Stages) {
+		t.Fatalf("obsdump rendered %d stage lines for %d stages:\n%s", len(lines)-1, len(topEv.Stages), out)
+	}
+	for i, sd := range topEv.Stages {
+		if want := strings.Repeat("  ", sd.Depth) + sd.Name + " "; !strings.HasPrefix(lines[i+1], want) {
+			t.Fatalf("obsdump stage line %d = %q, want prefix %q", i+1, lines[i+1], want)
 		}
-	}
-	if !foundEvent {
-		t.Errorf("top exemplar trace %q has no recorded event", top.TraceID)
 	}
 }

@@ -1,16 +1,15 @@
-// Command obsdump renders flight-recorder NDJSON dumps (and retained-trace
-// dumps) into the per-stage latency-attribution tables an operator reads
-// during an incident.
+// Command obsdump renders flight-recorder NDJSON dumps into the
+// per-stage latency-attribution tables an operator reads during an
+// incident.
 //
 // Usage:
 //
-//	obsdump -events events.ndjson                  # full report
-//	obsdump -events events.ndjson -top 10          # longer slow-list
-//	obsdump -events events.ndjson -traces t.ndjson # adds trace retention
-//	obsdump -traces t.ndjson -trace a1b2c3-7       # render one trace
+//	obsdump -events events.ndjson                    # full report
+//	obsdump -events events.ndjson -top 10            # longer slow-list
+//	obsdump -events events.ndjson -trace a1b2c3-7    # one request's timeline
 //
-// The input files are what cmd/decamouflage and cmd/experiments write for
-// -events-out / -trace-out, or what /debug/events and /debug/traces serve.
+// The input is what cmd/decamouflage and cmd/experiments write for
+// -events-out, or what /debug/events serves.
 package main
 
 import (
@@ -37,37 +36,23 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("obsdump", flag.ContinueOnError)
 	var (
 		eventsPath = fs.String("events", "", "flight-recorder NDJSON dump (from -events-out or /debug/events)")
-		tracesPath = fs.String("traces", "", "retained-trace NDJSON dump (from -trace-out or /debug/traces)")
 		top        = fs.Int("top", 5, "how many slowest events and borderline verdicts to list")
-		traceID    = fs.String("trace", "", "render the retained trace with this ID instead of the report")
+		traceID    = fs.String("trace", "", "render the stage timeline of the event with this trace ID instead of the report")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *eventsPath == "" && *tracesPath == "" {
-		return fmt.Errorf("nothing to read (pass -events and/or -traces)")
+	if *eventsPath == "" {
+		return fmt.Errorf("nothing to read (pass -events)")
 	}
 	var events []obs.Event
-	if *eventsPath != "" {
-		if err := readNDJSON(*eventsPath, &events); err != nil {
-			return err
-		}
-	}
-	var traces []obs.RetainedTrace
-	if *tracesPath != "" {
-		if err := readNDJSON(*tracesPath, &traces); err != nil {
-			return err
-		}
+	if err := readNDJSON(*eventsPath, &events); err != nil {
+		return err
 	}
 	if *traceID != "" {
-		return renderTrace(out, traces, *traceID)
+		return renderTrace(out, events, *traceID)
 	}
-	if *eventsPath != "" {
-		report(out, events, *top)
-	}
-	if *tracesPath != "" {
-		traceSummary(out, traces)
-	}
+	report(out, events, *top)
 	return nil
 }
 
@@ -126,19 +111,10 @@ func fmtNs(ns int64) string {
 }
 
 // report writes the incident-readout tables: summary line, per-stage
-// latency attribution, slowest events, borderline verdicts, watchdog
-// crossings.
+// latency attribution, slowest events and borderline verdicts.
 func report(out io.Writer, events []obs.Event, top int) {
-	var detects, watchdogs, errs, anomalous int
-	var detectEvents []obs.Event
+	var errs, anomalous int
 	for _, ev := range events {
-		switch ev.Name {
-		case "watchdog":
-			watchdogs++
-		default:
-			detects++
-			detectEvents = append(detectEvents, ev)
-		}
 		if ev.Err != "" {
 			errs++
 		}
@@ -146,25 +122,24 @@ func report(out io.Writer, events []obs.Event, top int) {
 			anomalous++
 		}
 	}
-	fmt.Fprintf(out, "Flight recorder report: %d events (%d detect, %d watchdog), %d errored, %d anomalous\n",
-		len(events), detects, watchdogs, errs, anomalous)
-	if detects > 0 {
-		durs := make([]int64, 0, detects)
+	fmt.Fprintf(out, "Flight recorder report: %d events, %d errored, %d anomalous\n",
+		len(events), errs, anomalous)
+	if len(events) > 0 {
+		durs := make([]int64, 0, len(events))
 		var total int64
-		for _, ev := range detectEvents {
+		for _, ev := range events {
 			durs = append(durs, ev.DurNs)
 			total += ev.DurNs
 		}
 		sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
 		fmt.Fprintf(out, "Detect latency: total %s, mean %s, p50 %s, p95 %s, p99 %s\n",
-			fmtNs(total), fmtNs(total/int64(detects)),
+			fmtNs(total), fmtNs(total/int64(len(events))),
 			fmtNs(quantile(durs, 0.50)), fmtNs(quantile(durs, 0.95)), fmtNs(quantile(durs, 0.99)))
 	}
 
-	attribution(out, detectEvents)
-	slowest(out, detectEvents, top)
-	borderline(out, detectEvents, top)
-	watchdogSection(out, events)
+	attribution(out, events)
+	slowest(out, events, top)
+	borderline(out, events, top)
 }
 
 // attribution aggregates every event's flattened span tree by stage path
@@ -295,63 +270,20 @@ func borderline(out io.Writer, events []obs.Event, top int) {
 	}
 }
 
-func watchdogSection(out io.Writer, events []obs.Event) {
-	printed := false
-	for _, ev := range events {
-		if ev.Name != "watchdog" {
+// renderTrace prints the stage timeline of the most recent event with
+// the given trace ID, the offline twin of obs.Trace.Render.
+func renderTrace(out io.Writer, events []obs.Event, id string) error {
+	for i := len(events) - 1; i >= 0; i-- {
+		ev := events[i]
+		if ev.TraceID != id {
 			continue
 		}
-		if !printed {
-			fmt.Fprintf(out, "\nWatchdog threshold crossings:\n")
-			printed = true
+		status := ev.Verdict
+		if ev.Err != "" {
+			status = "error: " + ev.Err
 		}
-		keys := make([]string, 0, len(ev.Values))
-		for k := range ev.Values {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		var vals []string
-		for _, k := range keys {
-			vals = append(vals, fmt.Sprintf("%s=%d", k, ev.Values[k]))
-		}
-		fmt.Fprintf(out, "seq %-5d %-40s %s\n",
-			ev.Seq, strings.Join(ev.Anomalies, ","), strings.Join(vals, " "))
-	}
-}
-
-// traceSummary lists the retained traces with their retention reasons.
-func traceSummary(out io.Writer, traces []obs.RetainedTrace) {
-	reasons := map[string]int{}
-	for _, rt := range traces {
-		reasons[rt.Reason]++
-	}
-	keys := make([]string, 0, len(reasons))
-	for k := range reasons {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var parts []string
-	for _, k := range keys {
-		parts = append(parts, fmt.Sprintf("%s=%d", k, reasons[k]))
-	}
-	fmt.Fprintf(out, "\nRetained traces: %d (%s)\n", len(traces), strings.Join(parts, " "))
-	fmt.Fprintf(out, "%-14s %-24s %10s %-8s %s\n", "ID", "NAME", "DUR", "REASON", "ERR")
-	for _, rt := range traces {
-		fmt.Fprintf(out, "%-14s %-24s %10s %-8s %s\n",
-			rt.ID, rt.Name, fmtNs(rt.DurNs), rt.Reason, rt.Err)
-	}
-}
-
-// renderTrace prints one retained trace as an indented timeline, the
-// offline twin of obs.Trace.Render.
-func renderTrace(out io.Writer, traces []obs.RetainedTrace, id string) error {
-	for i := len(traces) - 1; i >= 0; i-- {
-		rt := traces[i]
-		if rt.ID != id {
-			continue
-		}
-		fmt.Fprintf(out, "trace %s (%s, %s, kept: %s)\n", rt.ID, rt.Name, fmtNs(rt.DurNs), rt.Reason)
-		for _, sd := range rt.Spans {
+		fmt.Fprintf(out, "trace %s (%s, %s, %s)\n", ev.TraceID, ev.Name, fmtNs(ev.DurNs), status)
+		for _, sd := range ev.Stages {
 			line := fmt.Sprintf("%*s%-24s +%-10s %10s",
 				sd.Depth*2, "", sd.Name, fmtNs(sd.OffsetNs), fmtNs(sd.DurNs))
 			keys := make([]string, 0, len(sd.Attrs))
@@ -366,5 +298,5 @@ func renderTrace(out io.Writer, traces []obs.RetainedTrace, id string) error {
 		}
 		return nil
 	}
-	return fmt.Errorf("no retained trace %q", id)
+	return fmt.Errorf("no event for trace %q", id)
 }

@@ -33,7 +33,8 @@ func testEvents() []obs.Event {
 	stages := func(total int64) []obs.StageDur {
 		return []obs.StageDur{
 			{Name: "ensemble.detect", Depth: 0, DurNs: total},
-			{Name: "scaling/MSE", Depth: 1, OffsetNs: 1000, DurNs: total / 2},
+			{Name: "scaling/MSE", Depth: 1, OffsetNs: 1000, DurNs: total / 2,
+				Attrs: map[string]string{"score": "102", "attack": "true"}},
 			{Name: "downscale", Depth: 2, OffsetNs: 1200, DurNs: total / 4},
 			{Name: "filtering/SSIM", Depth: 1, OffsetNs: 1100, DurNs: total / 3},
 		}
@@ -61,45 +62,20 @@ func testEvents() []obs.Event {
 			DurNs: 2_000_000, W: 64, H: 64, C: 3,
 			Err: "scaling/MSE: boom", Anomalies: []string{obs.AnomalyError},
 		},
-		{
-			Seq: 4, Name: "watchdog", UnixNs: 400,
-			Anomalies: []string{obs.AnomalyWatchdog, "goroutines-high"},
-			Values:    map[string]int64{"runtime.goroutines": 12000, "heap.alloc_bytes": 1 << 20},
-		},
-	}
-}
-
-func testTraces() []obs.RetainedTrace {
-	return []obs.RetainedTrace{
-		{
-			ID: "tr-2", Name: "ensemble.detect", UnixNs: 200, DurNs: 9_000_000,
-			Reason: obs.KeepRecord,
-			Spans: []obs.StageDur{
-				{Name: "ensemble.detect", Depth: 0, DurNs: 9_000_000},
-				{Name: "scaling/MSE", Depth: 1, OffsetNs: 1000, DurNs: 4_500_000,
-					Attrs: map[string]string{"score": "102", "attack": "true"}},
-			},
-		},
-		{
-			ID: "tr-3", Name: "ensemble.detect", UnixNs: 300, DurNs: 2_000_000,
-			Reason: obs.KeepError, Err: "scaling/MSE: boom",
-			Spans: []obs.StageDur{{Name: "ensemble.detect", Depth: 0, DurNs: 2_000_000}},
-		},
 	}
 }
 
 func TestObsdumpReport(t *testing.T) {
 	dir := t.TempDir()
 	ev := writeNDJSON(t, dir, "events.ndjson", testEvents())
-	tr := writeNDJSON(t, dir, "traces.ndjson", testTraces())
 
 	var sb strings.Builder
-	if err := run([]string{"-events", ev, "-traces", tr}, &sb); err != nil {
+	if err := run([]string{"-events", ev}, &sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
 	for _, want := range []string{
-		"Flight recorder report: 4 events (3 detect, 1 watchdog), 1 errored, 3 anomalous",
+		"Flight recorder report: 3 events, 1 errored, 2 anomalous",
 		"Detect latency:",
 		"Per-stage latency attribution (3 detect events):",
 		"ensemble.detect",
@@ -109,12 +85,8 @@ func TestObsdumpReport(t *testing.T) {
 		"Slowest events:",
 		"tr-2",
 		"Borderline verdicts (within 5% of a decision boundary):",
-		"Watchdog threshold crossings:",
-		"goroutines-high",
-		"runtime.goroutines=12000",
-		"Retained traces: 2 (error=1 record=1)",
 		"tr-3",
-		"boom",
+		"error",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
@@ -129,24 +101,32 @@ func TestObsdumpReport(t *testing.T) {
 
 func TestObsdumpRenderTrace(t *testing.T) {
 	dir := t.TempDir()
-	tr := writeNDJSON(t, dir, "traces.ndjson", testTraces())
+	ev := writeNDJSON(t, dir, "events.ndjson", testEvents())
 
 	var sb strings.Builder
-	if err := run([]string{"-traces", tr, "-trace", "tr-2"}, &sb); err != nil {
+	if err := run([]string{"-events", ev, "-trace", "tr-2"}, &sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
 	for _, want := range []string{
-		"trace tr-2 (ensemble.detect, 9ms, kept: record)",
-		"scaling/MSE",
+		"trace tr-2 (ensemble.detect, 9ms, attack)",
+		"  scaling/MSE",
+		"    downscale",
 		"attack=true score=102", // attrs render sorted
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("trace render missing %q:\n%s", want, out)
 		}
 	}
-	if err := run([]string{"-traces", tr, "-trace", "nope"}, &sb); err == nil ||
-		!strings.Contains(err.Error(), `no retained trace "nope"`) {
+	sb.Reset()
+	if err := run([]string{"-events", ev, "-trace", "tr-3"}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	if want := "trace tr-3 (ensemble.detect, 2ms, error: scaling/MSE: boom)"; !strings.Contains(sb.String(), want) {
+		t.Errorf("errored trace render missing %q:\n%s", want, sb.String())
+	}
+	if err := run([]string{"-events", ev, "-trace", "nope"}, &sb); err == nil ||
+		!strings.Contains(err.Error(), `no event for trace "nope"`) {
 		t.Fatalf("unknown trace id error = %v", err)
 	}
 }

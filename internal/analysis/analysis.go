@@ -141,7 +141,8 @@ type Config struct {
 	// requires to be called inside an active span — after an ObsPkg
 	// StartSpan/StartStage call in the same function — so every wide
 	// event carries a trace ID and stage attribution. ObsPkg itself is
-	// exempt (the watchdog records health events with no request span).
+	// exempt (it defines the recorder, and its tests record hand-built
+	// events with no request span).
 	RecorderTypes []string
 	// IncludeSuppressed keeps ignored findings in Run's result with
 	// Finding.Suppressed set instead of dropping them.

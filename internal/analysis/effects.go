@@ -721,7 +721,7 @@ func parseLocksAfter(pkg *Package, fd *ast.FuncDecl, fx *FuncEffects) {
 		fields := strings.Fields(text[len(locksAfterMarker):])
 		if len(fields) == 0 {
 			fx.LocksAfterErrs = append(fx.LocksAfterErrs, Site{Pos: pkg.pos(c),
-				Kind: "malformed " + locksAfterMarker + ": name the outer mutex, e.g. obs.TailSampler.mu"})
+				Kind: "malformed " + locksAfterMarker + ": name the outer mutex, e.g. obs.Recorder.mu"})
 			continue
 		}
 		fx.LocksAfter = append(fx.LocksAfter, fields[0])

@@ -299,8 +299,8 @@ func obsCoverStage(mc memoClosure, cfg Config) []Finding {
 // via ObsPkg's StartSpan or StartStage — else the event it emits carries
 // no trace ID and no stage tree, and the exemplar/trace/event linkage the
 // recorder exists for is silently severed. The obs package itself is
-// exempt: the runtime watchdog records health events that belong to no
-// request and so have no span to sit inside.
+// exempt: it defines the recorder, and its tests record hand-built events
+// that belong to no request and so have no span to sit inside.
 func obsCoverEvents(pkg *Package, cfg Config) []Finding {
 	if len(cfg.RecorderTypes) == 0 {
 		return nil

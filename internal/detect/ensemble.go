@@ -90,10 +90,10 @@ func (e *Ensemble) detect(ctx context.Context, img *imgcore.Image, popts ...para
 	if err := img.Validate(); err != nil {
 		return nil, err
 	}
-	// Flight recorder: when one is installed, every image is traced — the
-	// wide event attributes per-stage latency from the span tree, and the
-	// finished tree is offered to the tail sampler. Callers that already
-	// traced the context keep their trace (and own its End/retention).
+	// Flight recorder: when one is installed, every image is traced so the
+	// wide event attributes per-stage latency from the span tree. Callers
+	// that already traced the context keep their trace (and own its End
+	// and Release).
 	rec := obs.Events()
 	var tr *obs.Trace
 	if rec.Active() && obs.TraceID(ctx) == "" {
@@ -128,11 +128,10 @@ func (e *Ensemble) detect(ctx context.Context, img *imgcore.Image, popts ...para
 	st.End()
 	if rec.Active() {
 		rec.Record(e.detectEvent(sctx, st.Span(), img, in, out, err))
-		if tr != nil {
-			tr.End()
-			obs.Tail().Offer(tr, err)
-		}
 	}
+	// The event holds the flattened copy of the trace this call opened, so
+	// its span arena goes back to the pool here. A nil tr is a no-op.
+	tr.Release()
 	return out, err
 }
 

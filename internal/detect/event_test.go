@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -58,9 +59,9 @@ func TestJSONSafe(t *testing.T) {
 	}
 }
 
-// eventTestSession installs a fresh recorder and tail sampler (and enables
-// metrics) for one test, skipping under noobs.
-func eventTestSession(t *testing.T, traceKeep int) (*obs.Recorder, *obs.TailSampler) {
+// eventTestSession installs a fresh recorder (and enables metrics) for one
+// test, skipping under noobs.
+func eventTestSession(t *testing.T) *obs.Recorder {
 	t.Helper()
 	obs.Enable()
 	t.Cleanup(obs.Disable)
@@ -70,29 +71,27 @@ func eventTestSession(t *testing.T, traceKeep int) (*obs.Recorder, *obs.TailSamp
 	rec := obs.NewRecorder(64)
 	obs.SetRecorder(rec)
 	t.Cleanup(func() { obs.SetRecorder(nil) })
-	ts := obs.NewTailSampler(traceKeep, 0)
-	obs.SetTailSampler(ts)
-	t.Cleanup(func() { obs.SetTailSampler(nil) })
-	return rec, ts
+	return rec
 }
 
 // TestDetectEmitsWideEvent pins the wide event one Detect call records
 // when a flight recorder is installed: trace ID, geometry, verdict and
 // per-method boundaries, stage attribution from the span tree, and memo
-// accounting — and that the same trace is retained by the tail sampler
-// under the ID the event carries.
+// accounting — and that the event is found under its trace ID, the key
+// latency-histogram exemplars carry.
 func TestDetectEmitsWideEvent(t *testing.T) {
-	rec, ts := eventTestSession(t, 16)
+	rec := eventTestSession(t)
 	e := obsTestEnsemble(t)
 
 	v, err := e.Detect(context.Background(), obsTestImage(t, 32, 32))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rec.Recorded(); got != 1 {
-		t.Fatalf("recorded %d events, want 1", got)
+	evs := rec.Snapshot()
+	if len(evs) != 1 {
+		t.Fatalf("recorded %d events, want 1", len(evs))
 	}
-	ev := rec.Snapshot()[0]
+	ev := evs[0]
 	if ev.TraceID == "" {
 		t.Fatal("event has no trace ID")
 	}
@@ -151,18 +150,9 @@ func TestDetectEmitsWideEvent(t *testing.T) {
 		t.Errorf("event memo misses = %d, want > 0 on a cold image", ev.MemoMisses)
 	}
 
-	// The auto-opened trace was offered to the tail sampler and retained
-	// under the same ID the event carries (first offer is the new record).
-	rt, ok := ts.Find(ev.TraceID)
-	if !ok {
-		t.Fatalf("trace %q not retained by the tail sampler", ev.TraceID)
-	}
-	if rt.Reason != obs.KeepRecord || len(rt.Spans) == 0 {
-		t.Fatalf("retained trace = %+v, want record reason with spans", rt)
-	}
-
 	// The latency histogram pinned an exemplar for the traced observation;
-	// a pinned exemplar always carries a trace ID.
+	// a pinned exemplar always carries a trace ID, and a trace ID finds
+	// its event.
 	ex := obs.H("detect.ensemble.seconds").Exemplars()
 	if len(ex) == 0 {
 		t.Fatal("detect.ensemble.seconds has no exemplars after a traced detect")
@@ -171,6 +161,9 @@ func TestDetectEmitsWideEvent(t *testing.T) {
 		if x.TraceID == "" {
 			t.Errorf("exemplar without trace ID: %+v", x)
 		}
+	}
+	if found, ok := rec.Find(ev.TraceID); !ok || found.Seq != ev.Seq {
+		t.Fatalf("Find(%q) = %+v,%v, want event %d", ev.TraceID, found, ok, ev.Seq)
 	}
 
 	// The wide event must marshal as-is: that is the NDJSON dump contract.
@@ -181,9 +174,9 @@ func TestDetectEmitsWideEvent(t *testing.T) {
 
 // TestDetectEventCallerOwnedTrace: a caller that already traced the
 // context keeps ownership — the event reuses the caller's trace ID and the
-// ensemble does not offer the unfinished trace for retention.
+// ensemble does not release the caller's trace.
 func TestDetectEventCallerOwnedTrace(t *testing.T) {
-	rec, ts := eventTestSession(t, 16)
+	rec := eventTestSession(t)
 	e := obsTestEnsemble(t)
 
 	ctx, tr := obs.WithTrace(context.Background(), "caller")
@@ -197,19 +190,23 @@ func TestDetectEventCallerOwnedTrace(t *testing.T) {
 	if ev.Name != "ensemble.detect" {
 		t.Fatalf("event name = %q", ev.Name)
 	}
-	if got := ts.Offered(); got != 0 {
-		t.Fatalf("ensemble offered the caller-owned trace (%d offers)", got)
+	if tr.ID() == "" || tr.Root() == nil {
+		t.Fatal("ensemble released the caller-owned trace")
+	}
+	// The caller's tree still holds the detect stage, live until End.
+	stages := obs.FlattenSpans(tr.Root())
+	if len(stages) < 2 || stages[0].Name != "caller" || stages[1].Name != "ensemble.detect" {
+		t.Fatalf("caller trace = %+v, want caller > ensemble.detect", stages)
 	}
 	tr.End()
+	tr.Release()
 }
 
 // TestDetectEventError: a failing member produces an event with the error
-// string and the error anomaly tag, written to the anomaly output, and the
-// trace is retained with the error reason.
+// string, the error anomaly tag and the stage tree of the failed request,
+// and the event survives the NDJSON dump.
 func TestDetectEventError(t *testing.T) {
-	rec, ts := eventTestSession(t, 16)
-	var dump bytes.Buffer
-	rec.SetAnomalyOutput(&dump)
+	rec := eventTestSession(t)
 
 	d, err := NewDetector(&stubScorer{name: "boom/metric", err: errors.New("boom")},
 		Threshold{Value: 1, Direction: Above})
@@ -233,19 +230,22 @@ func TestDetectEventError(t *testing.T) {
 	if ev.Verdict != "" || len(ev.Methods) != 0 {
 		t.Fatalf("errored event carries a verdict: %+v", ev)
 	}
-	if !strings.Contains(dump.String(), `"err":"boom/metric: boom"`) {
-		t.Fatalf("anomaly dump missing the errored event: %q", dump.String())
+	if len(ev.Stages) == 0 || ev.Stages[0].Name != "ensemble.detect" {
+		t.Fatalf("errored event stages = %+v, want the ensemble.detect tree", ev.Stages)
 	}
-	rt, ok := ts.Find(ev.TraceID)
-	if !ok || rt.Reason != obs.KeepError {
-		t.Fatalf("errored trace retention = %+v (found=%v), want error reason", rt, ok)
+	var dump bytes.Buffer
+	if err := rec.WriteNDJSON(&dump); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(dump.String(), `"err":"boom/metric: boom"`) {
+		t.Fatalf("event dump missing the errored event: %q", dump.String())
 	}
 }
 
 // TestDetectEventNearThreshold: a verdict inside the 5% boundary band is
 // tagged near-threshold; a comfortable margin is not.
 func TestDetectEventNearThreshold(t *testing.T) {
-	rec, _ := eventTestSession(t, 16)
+	rec := eventTestSession(t)
 
 	near, err := NewDetector(&stubScorer{name: "near/metric", score: 5},
 		Threshold{Value: 5.1, Direction: Above})
@@ -285,7 +285,7 @@ func TestDetectEventNearThreshold(t *testing.T) {
 // TestDetectBatchEmitsPerImageEvents: a batch records one wide event per
 // image, each under its own trace.
 func TestDetectBatchEmitsPerImageEvents(t *testing.T) {
-	rec, _ := eventTestSession(t, 16)
+	rec := eventTestSession(t)
 	e := obsTestEnsemble(t)
 
 	imgs := []*imgcore.Image{
@@ -310,24 +310,27 @@ func TestDetectBatchEmitsPerImageEvents(t *testing.T) {
 	}
 }
 
-// TestDetectWithoutRecorder: no recorder installed means no tracing, no
-// events, no offers — the metrics-only path of previous releases.
+// TestDetectWithoutRecorder: no recorder installed means no tracing and
+// no events — the metrics-only path. The detect is still observed, but
+// untraced, so it pins no exemplar.
 func TestDetectWithoutRecorder(t *testing.T) {
 	obs.Enable()
 	t.Cleanup(obs.Disable)
 	if !obs.Enabled() {
 		t.Skip("observability compiled out (noobs)")
 	}
-	ts := obs.NewTailSampler(4, 1)
-	obs.SetTailSampler(ts)
-	t.Cleanup(func() { obs.SetTailSampler(nil) })
+	h := obs.H("detect.ensemble.seconds")
+	count, exemplars := h.Count(), h.Exemplars()
 
 	e := obsTestEnsemble(t)
 	if _, err := e.Detect(context.Background(), obsTestImage(t, 32, 32)); err != nil {
 		t.Fatal(err)
 	}
-	if got := ts.Offered(); got != 0 {
-		t.Fatalf("recorder-less detect offered %d traces", got)
+	if got := h.Count() - count; got != 1 {
+		t.Fatalf("recorder-less detect observed %d times, want 1", got)
+	}
+	if got := h.Exemplars(); !reflect.DeepEqual(got, exemplars) {
+		t.Fatalf("recorder-less detect pinned an exemplar: %+v, was %+v", got, exemplars)
 	}
 }
 

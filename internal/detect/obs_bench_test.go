@@ -46,9 +46,8 @@ func BenchmarkDetectInstrumented(b *testing.B) {
 }
 
 // BenchmarkDetectRecorder measures the fully loaded observability stack:
-// metrics on, flight recorder writing a wide event per image, every
-// finished trace offered to the tail sampler, watchdog ticking in the
-// background. CI runs it against the same benchmark compiled with -tags
+// metrics on, a trace per image, and the flight recorder writing a wide
+// event per image before the trace's span arena is released. CI runs it against the same benchmark compiled with -tags
 // noobs (where every obs call is a no-op, so the benchmark degenerates
 // to the bare pipeline) via cmd/benchguard and fails the build when the
 // full-stack cost exceeds 2%.
@@ -57,7 +56,7 @@ func BenchmarkDetectInstrumented(b *testing.B) {
 // system's default deployment geometry (128x128 inputs scaled to 32x32,
 // the cmd defaults and the paper's setup). Recording is a flat per-image
 // cost — materializing the span tree and denormalizing it into one event
-// is ~7us regardless of pixel count (obs.BenchmarkRecordPath pins it in
+// is ~8us regardless of pixel count (obs.BenchmarkRecordPath pins it in
 // isolation) — so the meaningful question is what that costs against a
 // real detection, not against the 32x32 microbenchmark the
 // nanosecond-tight disabled-path gate uses, where the whole detection
@@ -68,15 +67,6 @@ func BenchmarkDetectRecorder(b *testing.B) {
 	rec := obs.NewRecorder(1024)
 	obs.SetRecorder(rec)
 	b.Cleanup(func() { obs.SetRecorder(nil) })
-	ts := obs.NewTailSampler(64, 0.1)
-	obs.SetTailSampler(ts)
-	b.Cleanup(func() { obs.SetTailSampler(nil) })
-	// The watchdog runs at its default 1s interval, the deployment
-	// configuration. Each tick costs a runtime.ReadMemStats stop-the-world,
-	// so an artificially hot interval would charge the benchmark a
-	// time-proportional tax no production setup pays.
-	w := obs.StartWatchdog(obs.WatchdogConfig{})
-	b.Cleanup(w.Stop)
 	e, err := BuildSystem(&SystemConfig{
 		DstW: 32, DstH: 32, Algorithm: "bilinear",
 		Thresholds: map[string]Threshold{

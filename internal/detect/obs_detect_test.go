@@ -189,19 +189,14 @@ func TestSystemConfigObsRoundTrip(t *testing.T) {
 			"scaling/MSE": {Value: 100, Direction: Above},
 		},
 		Obs: &obs.Settings{
-			Metrics:            true,
-			MetricsOut:         "metrics.json",
-			MetricsFormat:      "json",
-			DebugAddr:          "localhost:6060",
-			CPUProfile:         "cpu.out",
-			MemProfile:         "mem.out",
-			EventsOut:          "events.ndjson",
-			EventBuffer:        2048,
-			TraceKeep:          128,
-			TraceOut:           "traces.ndjson",
-			TraceSample:        0.25,
-			Watchdog:           true,
-			WatchdogIntervalMs: 500,
+			Metrics:       true,
+			MetricsOut:    "metrics.json",
+			MetricsFormat: "json",
+			DebugAddr:     "localhost:6060",
+			CPUProfile:    "cpu.out",
+			MemProfile:    "mem.out",
+			EventsOut:     "events.ndjson",
+			EventBuffer:   2048,
 		},
 	}
 	data, err := MarshalSystemConfig(cfg)

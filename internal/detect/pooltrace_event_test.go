@@ -17,8 +17,10 @@ import (
 	"decamouflage/internal/obs"
 )
 
-// recordingSession installs a recorder and tail sampler for one pooltrace
-// test (metrics enabled so spans and stage histograms are live too).
+// recordingSession installs a recorder for one pooltrace test (metrics
+// enabled so spans and stage histograms are live too). Every image then
+// opens a trace whose span arena the ensemble releases after recording
+// its event.
 // Under -tags noobs there is no recorder to install: these tests pin the
 // ledger/recorder interplay specifically, and the ledger alone is already
 // covered tag-independently in pooltrace_test.go, so they skip.
@@ -32,14 +34,13 @@ func recordingSession(t *testing.T) *obs.Recorder {
 	rec := obs.NewRecorder(256)
 	obs.SetRecorder(rec)
 	t.Cleanup(func() { obs.SetRecorder(nil) })
-	obs.SetTailSampler(obs.NewTailSampler(8, 1))
-	t.Cleanup(func() { obs.SetTailSampler(nil) })
 	return rec
 }
 
 // TestPoolTraceRecorderBatchBalances: with the recorder tracing every
 // image, a full batch still releases each pooled borrow exactly once, and
-// the events report the borrows the ledger saw.
+// the events report the borrows the ledger saw and keep their stage trees
+// intact after the ensemble released each trace's span arena.
 func TestPoolTraceRecorderBatchBalances(t *testing.T) {
 	poolTraceReset()
 	rec := recordingSession(t)
@@ -61,6 +62,9 @@ func TestPoolTraceRecorderBatchBalances(t *testing.T) {
 	for _, ev := range evs {
 		if ev.PoolBorrows <= 0 {
 			t.Fatalf("3-channel image event reports %d pool borrows, want > 0", ev.PoolBorrows)
+		}
+		if len(ev.Stages) == 0 || ev.Stages[0].Name != "ensemble.detect" {
+			t.Fatalf("event stages after release = %+v, want the ensemble.detect tree", ev.Stages)
 		}
 	}
 }
@@ -84,7 +88,7 @@ func TestPoolTraceRecorderCancellation(t *testing.T) {
 	if err := poolTraceVerify(); err != nil {
 		t.Fatal(err)
 	}
-	if rec.Recorded() == 0 {
+	if len(rec.Snapshot()) == 0 {
 		t.Fatal("cancelled batch recorded no events at all")
 	}
 }

@@ -8,10 +8,9 @@ import (
 	"time"
 )
 
-// Anomaly tags attached to flight-recorder events. An event carrying any
-// tag is dumped immediately when the recorder has an anomaly writer, so
-// the interesting requests survive even if the process dies before a
-// dump-on-demand.
+// Anomaly tags attached to flight-recorder events, so the interesting
+// requests sort out of a dump without re-deriving thresholds or latency
+// baselines.
 const (
 	// AnomalyError marks a request that returned an error.
 	AnomalyError = "error"
@@ -23,13 +22,39 @@ const (
 	// AnomalySlow marks a request well above the recorder's adaptive
 	// per-event-name latency average.
 	AnomalySlow = "slow"
-	// AnomalyWatchdog marks a runtime-watchdog threshold crossing.
-	AnomalyWatchdog = "watchdog"
 )
 
-// StageDur is one flattened span of an event or retained trace: the span
-// tree serialized pre-order, with depth and start offset relative to the
-// root, so a dump preserves the full latency attribution without pointers.
+// ewma tracks an exponential moving average of durations with a warmup
+// count, the adaptive part of the recorder's "slow" tagging. Not
+// goroutine-safe; the recorder holds its mutex.
+type ewma struct {
+	n    int64
+	mean float64
+}
+
+// observe folds ns into the average and reports whether this observation
+// is anomalously slow: past warmup, several times the prior mean, and
+// above an absolute floor so microsecond jitter is never tagged.
+func (e *ewma) observe(ns int64) (slow bool) {
+	const (
+		warmup     = 8
+		slowFactor = 3.0
+		floorNs    = 1e6 // 1ms
+	)
+	slow = e.n >= warmup && float64(ns) > slowFactor*e.mean && float64(ns) > floorNs
+	e.n++
+	// Cap the effective window so the mean keeps adapting to drift.
+	w := e.n
+	if w > 64 {
+		w = 64
+	}
+	e.mean += (float64(ns) - e.mean) / float64(w)
+	return slow
+}
+
+// StageDur is one flattened span of an event: the span tree serialized
+// pre-order, with depth and start offset relative to the root, so a dump
+// preserves the full latency attribution without pointers.
 type StageDur struct {
 	Name     string            `json:"name"`
 	Depth    int               `json:"depth"`
@@ -51,8 +76,8 @@ type MethodResult struct {
 }
 
 // Event is one wide flight-recorder event: everything known about a single
-// request (one image detection, or one watchdog sample), denormalized into
-// a single record an operator can grep after the fact.
+// request (one image detection), denormalized into a single record an
+// operator can grep after the fact.
 type Event struct {
 	Seq     uint64 `json:"seq"`
 	TraceID string `json:"trace_id,omitempty"`
@@ -80,9 +105,6 @@ type Event struct {
 
 	Err       string   `json:"err,omitempty"`
 	Anomalies []string `json:"anomalies,omitempty"`
-
-	// Values carries named samples (watchdog gauge readings).
-	Values map[string]int64 `json:"values,omitempty"`
 }
 
 // Anomalous reports whether the event carries any anomaly tag.
@@ -93,23 +115,13 @@ func (e *Event) Anomalous() bool { return len(e.Anomalies) > 0 }
 // adaptive-latency update); snapshots copy the ring so readers never
 // block writers for long.
 type Recorder struct {
-	mu        sync.Mutex
-	ring      *ringBuf[Event]
-	seq       uint64
-	recorded  int64
-	dropped   int64
-	anomalous int64
-	slow      map[string]*ewma
+	mu   sync.Mutex
+	ring *ringBuf[Event]
+	seq  uint64
+	slow map[string]*ewma
 
-	// anomalyMu serializes the dump-on-anomaly writer separately from the
-	// ring mutex: encoding an event is I/O and must never stall Record
-	// callers waiting on mu.
-	anomalyMu sync.Mutex
-	anomalyW  io.Writer
-	anomalyE  error
-
-	// Registry counters mirror the plain fields so dumps and /metrics show
-	// recorder health next to everything else.
+	// Registry counters carry recorder health, so dumps and /metrics show
+	// it next to everything else.
 	recordedC  *Counter
 	droppedC   *Counter
 	anomalousC *Counter
@@ -139,18 +151,6 @@ func NewRecorder(capacity int) *Recorder {
 // atomic load per request.
 func (r *Recorder) Active() bool { return !compiledOut && r != nil }
 
-// SetAnomalyOutput directs events carrying anomaly tags to w as NDJSON the
-// moment they are recorded (dump-on-anomaly). The first write error stops
-// further anomaly writes and is reported by Err.
-func (r *Recorder) SetAnomalyOutput(w io.Writer) {
-	if r == nil {
-		return
-	}
-	r.anomalyMu.Lock()
-	r.anomalyW = w
-	r.anomalyMu.Unlock()
-}
-
 // Record stamps and stores one event: assigns the sequence number, fills
 // a zero UnixNs, tags the event "slow" when its duration is far above the
 // adaptive average for its name, and pushes it into the ring.
@@ -174,25 +174,14 @@ func (r *Recorder) Record(ev Event) {
 			ev.Anomalies = append(ev.Anomalies, AnomalySlow)
 		}
 	}
-	if r.ring.push(ev) {
-		r.dropped++
-	}
-	r.recorded++
-	if ev.Anomalous() {
-		r.anomalous++
-	}
+	evicted := r.ring.push(ev)
 	r.mu.Unlock()
 	r.recordedC.Inc()
+	if evicted {
+		r.droppedC.Inc()
+	}
 	if ev.Anomalous() {
 		r.anomalousC.Inc()
-		// Dump-on-anomaly happens outside mu: the encode is I/O, and a slow
-		// anomaly writer must never stall concurrent Record callers.
-		r.anomalyMu.Lock()
-		if r.anomalyW != nil && r.anomalyE == nil {
-			//declint:ignore lockorder anomalyMu exists to serialize exactly this write; it guards nothing else and Record never blocks on it while holding mu
-			r.anomalyE = json.NewEncoder(r.anomalyW).Encode(&ev)
-		}
-		r.anomalyMu.Unlock()
 	}
 }
 
@@ -217,36 +206,6 @@ func (r *Recorder) Find(traceID string) (Event, bool) {
 		}
 	}
 	return Event{}, false
-}
-
-// Recorded returns the total number of events recorded.
-func (r *Recorder) Recorded() int64 {
-	if !r.Active() {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.recorded
-}
-
-// Dropped returns how many events the ring has overwritten.
-func (r *Recorder) Dropped() int64 {
-	if !r.Active() {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
-}
-
-// Err returns the first anomaly-writer error, if any.
-func (r *Recorder) Err() error {
-	if !r.Active() {
-		return nil
-	}
-	r.anomalyMu.Lock()
-	defer r.anomalyMu.Unlock()
-	return r.anomalyE
 }
 
 // WriteNDJSON dumps the retained events to w, one JSON object per line,
@@ -286,12 +245,6 @@ func Events() *Recorder {
 // FlattenSpans serializes a span tree pre-order into StageDur records:
 // the root at depth 0, descendants below it, offsets relative to the root
 // start. Unended spans report their live duration. Nil-safe.
-//
-// The tail sampler calls this under its own lock while flattening a
-// finished trace; each Span.mu is leaf-level (held only for field copies,
-// never across another acquire), so the order is safe and declared:
-//
-//declint:locks-after obs.TailSampler.mu
 func FlattenSpans(root *Span) []StageDur {
 	if compiledOut || root == nil {
 		return nil

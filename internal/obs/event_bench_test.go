@@ -11,7 +11,7 @@ import (
 // the shape of an ensemble detect (root stage, three method spans, three
 // pipeline stages each, with the attrs the scorers attach), histogram
 // observations per stage, the wide event built from the flattened tree,
-// the ring insert, and the tail-sampler offer. The detect-level overhead
+// the ring insert, and the span arena's release. The detect-level overhead
 // gate (BenchmarkDetectRecorder vs -tags noobs) measures the same work
 // diluted by multi-millisecond kernels on a shared runner; this number is
 // the stable numerator of that ratio.
@@ -22,7 +22,6 @@ func BenchmarkRecordPath(b *testing.B) {
 	Enable()
 	b.Cleanup(Disable)
 	rec := NewRecorder(1024)
-	ts := NewTailSampler(64, 0.1)
 	h := H("bench.record.seconds")
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -49,6 +48,6 @@ func BenchmarkRecordPath(b *testing.B) {
 		}
 		rec.Record(ev)
 		tr.End()
-		ts.Offer(tr, nil)
+		tr.Release()
 	}
 }

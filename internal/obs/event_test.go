@@ -1,14 +1,11 @@
 package obs
 
 import (
-	"bytes"
 	"context"
-	"errors"
 	"io"
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 
 	"decamouflage/internal/testutil"
 )
@@ -45,15 +42,11 @@ func TestRecorderNilReceiver(t *testing.T) {
 		t.Fatal("nil recorder reports active")
 	}
 	r.Record(Event{Name: "x"}) // must not panic
-	r.SetAnomalyOutput(io.Discard)
 	if got := r.Snapshot(); got != nil {
 		t.Fatalf("nil recorder snapshot = %v, want nil", got)
 	}
 	if _, ok := r.Find("id"); ok {
 		t.Fatal("nil recorder found an event")
-	}
-	if r.Recorded() != 0 || r.Dropped() != 0 || r.Err() != nil {
-		t.Fatal("nil recorder reports non-zero state")
 	}
 	if err := r.WriteNDJSON(io.Discard); err != nil {
 		t.Fatalf("nil recorder WriteNDJSON: %v", err)
@@ -62,6 +55,7 @@ func TestRecorderNilReceiver(t *testing.T) {
 
 func TestRecorderSeqAndEviction(t *testing.T) {
 	withRecording(t)
+	recorded, dropped := C("obs.events.recorded").Value(), C("obs.events.dropped").Value()
 	r := NewRecorder(2)
 	if !r.Active() {
 		t.Fatal("new recorder inactive")
@@ -82,11 +76,11 @@ func TestRecorderSeqAndEviction(t *testing.T) {
 	if evs[0].UnixNs == 0 {
 		t.Fatal("recorder did not stamp UnixNs")
 	}
-	if got := r.Recorded(); got != 3 {
-		t.Fatalf("Recorded = %d, want 3", got)
+	if got := C("obs.events.recorded").Value() - recorded; got != 3 {
+		t.Fatalf("obs.events.recorded rose by %d, want 3", got)
 	}
-	if got := r.Dropped(); got != 1 {
-		t.Fatalf("Dropped = %d, want 1", got)
+	if got := C("obs.events.dropped").Value() - dropped; got != 1 {
+		t.Fatalf("obs.events.dropped rose by %d, want 1", got)
 	}
 	// Find returns the most recent event for a trace.
 	ev, ok := r.Find("t2")
@@ -103,6 +97,7 @@ func TestRecorderSeqAndEviction(t *testing.T) {
 
 func TestRecorderSlowTagging(t *testing.T) {
 	withRecording(t)
+	anomalous := C("obs.events.anomalous").Value()
 	r := NewRecorder(64)
 	// Warm the per-name average past the ewma warmup with ordinary 2ms
 	// events, then record one far above mean and floor.
@@ -126,36 +121,10 @@ func TestRecorderSlowTagging(t *testing.T) {
 			t.Fatalf("ordinary event tagged anomalous: %v", ev.Anomalies)
 		}
 	}
-}
-
-func TestRecorderAnomalyDump(t *testing.T) {
-	withRecording(t)
-	r := NewRecorder(8)
-	var buf bytes.Buffer
-	r.SetAnomalyOutput(&buf)
-	r.Record(Event{Name: "ok"})
-	if buf.Len() != 0 {
-		t.Fatalf("ordinary event written to anomaly output: %q", buf.String())
-	}
-	r.Record(Event{Name: "bad", Err: "boom", Anomalies: []string{AnomalyError}})
-	line := buf.String()
-	if !strings.Contains(line, `"err":"boom"`) || !strings.Contains(line, AnomalyError) {
-		t.Fatalf("anomaly dump missing fields: %q", line)
-	}
-	if err := r.Err(); err != nil {
-		t.Fatalf("recorder reports writer error on healthy writer: %v", err)
-	}
-	// First writer error sticks and stops further writes.
-	r.SetAnomalyOutput(failWriter{})
-	r.Record(Event{Name: "bad2", Anomalies: []string{AnomalyError}})
-	if r.Err() == nil {
-		t.Fatal("failed anomaly write not reported")
+	if got := C("obs.events.anomalous").Value() - anomalous; got != 1 {
+		t.Fatalf("obs.events.anomalous rose by %d, want 1", got)
 	}
 }
-
-type failWriter struct{}
-
-func (failWriter) Write([]byte) (int, error) { return 0, errors.New("sink failed") }
 
 func TestEventsGlobalInstall(t *testing.T) {
 	if compiledOut {
@@ -250,198 +219,6 @@ func TestFlattenSpans(t *testing.T) {
 	}
 }
 
-// fakeTrace fabricates a finished single-span trace with a fixed duration,
-// so tail-sampler decisions are deterministic.
-func fakeTrace(name, tid string, d time.Duration) *Trace {
-	return &Trace{root: &Span{
-		name:  name,
-		tid:   tid,
-		start: time.Now().Add(-d),
-		dur:   d,
-		ended: true,
-	}}
-}
-
-func TestTailSamplerNilAndDisabled(t *testing.T) {
-	var s *TailSampler
-	if s.Active() {
-		t.Fatal("nil sampler active")
-	}
-	if _, kept := s.Offer(fakeTrace("x", "t", time.Millisecond), nil); kept {
-		t.Fatal("nil sampler kept a trace")
-	}
-	if s.Snapshot() != nil || s.Offered() != 0 || s.Kept() != 0 {
-		t.Fatal("nil sampler reports state")
-	}
-	if err := s.WriteNDJSON(io.Discard); err != nil {
-		t.Fatalf("nil sampler WriteNDJSON: %v", err)
-	}
-}
-
-func TestTailSamplerRetention(t *testing.T) {
-	withRecording(t)
-	s := NewTailSampler(16, 0)
-
-	// First offer per name sets the record.
-	reason, kept := s.Offer(fakeTrace("req", "t1", 2*time.Millisecond), nil)
-	if !kept || reason != KeepRecord {
-		t.Fatalf("first offer = %q,%v, want record,true", reason, kept)
-	}
-	// A strictly slower trace beats the record.
-	reason, kept = s.Offer(fakeTrace("req", "t2", 4*time.Millisecond), nil)
-	if !kept || reason != KeepRecord {
-		t.Fatalf("slower offer = %q,%v, want record,true", reason, kept)
-	}
-	// A trace within 1% of the record still counts as the record holder
-	// (tolerates the two-clock skew between histogram and span durations).
-	reason, kept = s.Offer(fakeTrace("req", "t3", 4*time.Millisecond-time.Microsecond), nil)
-	if !kept || reason != KeepRecord {
-		t.Fatalf("near-tie offer = %q,%v, want record,true", reason, kept)
-	}
-	// An ordinary faster trace with sampling off is discarded.
-	if reason, kept = s.Offer(fakeTrace("req", "t4", time.Millisecond), nil); kept {
-		t.Fatalf("ordinary offer kept as %q", reason)
-	}
-	// Errors always keep.
-	reason, kept = s.Offer(fakeTrace("req", "t5", time.Millisecond), errors.New("boom"))
-	if !kept || reason != KeepError {
-		t.Fatalf("errored offer = %q,%v, want error,true", reason, kept)
-	}
-	// Adaptive slow: under a separate name, pin the record high with one
-	// 10ms trace, then feed 1ms traces past the ewma warmup so the mean
-	// settles under 2ms. A 6ms trace is then no record (below 99% of
-	// 10ms) but more than three times the mean: kept as slow.
-	s.Offer(fakeTrace("warm", "wmax", 10*time.Millisecond), nil)
-	for i := 0; i < 12; i++ {
-		if _, kept := s.Offer(fakeTrace("warm", "w", time.Millisecond), nil); kept {
-			t.Fatal("ordinary warmup trace kept")
-		}
-	}
-	reason, kept = s.Offer(fakeTrace("warm", "wslow", 6*time.Millisecond), nil)
-	if !kept || reason != KeepSlow {
-		t.Fatalf("6ms over a ~1.7ms mean = %q,%v, want slow,true", reason, kept)
-	}
-
-	if got := s.Kept(); got != 6 {
-		t.Fatalf("Kept = %d, want 6", got)
-	}
-	if got := s.Offered(); got != 19 {
-		t.Fatalf("Offered = %d, want 19", got)
-	}
-	rt, ok := s.Find("t5")
-	if !ok || rt.Err != "boom" || rt.Reason != KeepError {
-		t.Fatalf("Find(t5) = %+v,%v", rt, ok)
-	}
-	if len(rt.Spans) != 1 || rt.Spans[0].Name != "req" {
-		t.Fatalf("retained trace spans = %+v", rt.Spans)
-	}
-	if _, ok := s.Find("t4"); ok {
-		t.Fatal("discarded trace was retained")
-	}
-}
-
-func TestTailSamplerProbabilistic(t *testing.T) {
-	withRecording(t)
-	s := NewTailSampler(256, 1) // sample=1: every ordinary trace keeps
-	s.Offer(fakeTrace("req", "first", 2*time.Millisecond), nil)
-	reason, kept := s.Offer(fakeTrace("req", "t", time.Millisecond), nil)
-	if !kept || reason != KeepSampled {
-		t.Fatalf("sample=1 ordinary offer = %q,%v, want sampled,true", reason, kept)
-	}
-	// Sample clamps to [0,1]; the clamp assigns the literal bound, so
-	// exact comparison is the intended check.
-	if sp := NewTailSampler(1, 7).sample; !testutil.BitEqual(sp, 1) {
-		t.Fatalf("sample 7 clamped to %v, want 1", sp)
-	}
-	if sp := NewTailSampler(1, -3).sample; !testutil.BitEqual(sp, 0) {
-		t.Fatalf("sample -3 clamped to %v, want 0", sp)
-	}
-}
-
-func TestTailGlobalInstall(t *testing.T) {
-	if compiledOut {
-		t.Skip("observability compiled out (noobs)")
-	}
-	s := NewTailSampler(4, 0)
-	SetTailSampler(s)
-	t.Cleanup(func() { SetTailSampler(nil) })
-	if Tail() != s {
-		t.Fatal("Tail does not return the installed sampler")
-	}
-	SetTailSampler(nil)
-	if Tail().Active() {
-		t.Fatal("uninstall did not clear the sampler")
-	}
-}
-
-func TestWatchdogSample(t *testing.T) {
-	testutil.VerifyNoLeaks(t) // pins that every watchdog's loop exits
-	withRecording(t)
-	rec := NewRecorder(16)
-	SetRecorder(rec)
-	t.Cleanup(func() { SetRecorder(nil) })
-
-	// A huge interval keeps the background loop idle so the test can call
-	// sample directly and deterministically.
-	w := StartWatchdog(WatchdogConfig{Interval: time.Hour, MaxGoroutines: 1})
-	t.Cleanup(w.Stop)
-
-	w.sample(0)
-	if got := w.goroutines.Value(); got <= 1 {
-		t.Fatalf("goroutine gauge = %d, want > 1", got)
-	}
-	if w.heapAlloc.Value() <= 0 || w.heapSys.Value() <= 0 {
-		t.Fatal("heap gauges not sampled")
-	}
-	evs := rec.Snapshot()
-	if len(evs) != 1 {
-		t.Fatalf("crossings recorded %d events, want 1", len(evs))
-	}
-	ev := evs[0]
-	if ev.Name != "watchdog" || len(ev.Anomalies) < 2 || ev.Anomalies[0] != AnomalyWatchdog {
-		t.Fatalf("watchdog event = %+v", ev)
-	}
-	crossedGoroutines := false
-	for _, a := range ev.Anomalies {
-		if a == "goroutines-high" {
-			crossedGoroutines = true
-		}
-	}
-	if !crossedGoroutines {
-		t.Fatalf("goroutines-high not in anomalies: %v", ev.Anomalies)
-	}
-	if ev.Values["goroutines"] <= 1 {
-		t.Fatalf("event values missing goroutine sample: %v", ev.Values)
-	}
-
-	// Edge-triggered: the still-crossed state records no second event.
-	w.sample(0)
-	if got := len(rec.Snapshot()); got != 1 {
-		t.Fatalf("sustained crossing recorded %d events, want 1", got)
-	}
-
-	var nilW *Watchdog
-	nilW.Stop() // must not panic
-
-	// Stop joins the sampling loop: across repeated start/stop cycles,
-	// some stopping an idle loop and some a loop that has been ticking,
-	// w.done is already closed when Stop returns. VerifyNoLeaks alone
-	// cannot see a Stop that forgets the join, because the loop still
-	// exits soon after.
-	for i := 0; i < 20; i++ {
-		c := StartWatchdog(WatchdogConfig{Interval: 10 * time.Millisecond})
-		if i%4 == 0 {
-			time.Sleep(15 * time.Millisecond)
-		}
-		c.Stop()
-		select {
-		case <-c.done:
-		default:
-			t.Fatalf("cycle %d: Stop returned before the sampling loop exited", i)
-		}
-	}
-}
-
 func TestServeDebugEventsEndpoints(t *testing.T) {
 	testutil.VerifyNoLeaks(t) // pins that Close joins the Serve goroutine
 	// The default client's keep-alive connections are ours, not the
@@ -451,12 +228,8 @@ func TestServeDebugEventsEndpoints(t *testing.T) {
 	rec := NewRecorder(8)
 	SetRecorder(rec)
 	t.Cleanup(func() { SetRecorder(nil) })
-	ts := NewTailSampler(8, 0)
-	SetTailSampler(ts)
-	t.Cleanup(func() { SetTailSampler(nil) })
 
 	rec.Record(Event{Name: "detect", TraceID: "abc-1", Verdict: "benign"})
-	ts.Offer(fakeTrace("req", "abc-1", 2*time.Millisecond), nil)
 
 	d, err := ServeDebug("127.0.0.1:0")
 	if err != nil {
@@ -489,23 +262,11 @@ func TestServeDebugEventsEndpoints(t *testing.T) {
 	if code, _ = get("/debug/events?trace=nope"); code != http.StatusNotFound {
 		t.Fatalf("unknown trace = %d, want 404", code)
 	}
-	code, body = get("/debug/traces")
-	if code != http.StatusOK || !strings.Contains(body, `"id":"abc-1"`) {
-		t.Fatalf("/debug/traces = %d %q", code, body)
-	}
-	code, body = get("/debug/traces?id=abc-1")
-	if code != http.StatusOK || !strings.Contains(body, `"reason":"record"`) {
-		t.Fatalf("/debug/traces?id = %d %q", code, body)
-	}
 
 	// With the recorder uninstalled the endpoint 404s rather than serving
 	// an empty stream.
 	SetRecorder(nil)
 	if code, _ = get("/debug/events"); code != http.StatusNotFound {
 		t.Fatalf("uninstalled recorder = %d, want 404", code)
-	}
-	SetTailSampler(nil)
-	if code, _ = get("/debug/traces"); code != http.StatusNotFound {
-		t.Fatalf("uninstalled sampler = %d, want 404", code)
 	}
 }

@@ -91,7 +91,7 @@ func TestSnapshotCarriesExemplars(t *testing.T) {
 }
 
 // TestPromEscaping pins exposition-format escaping: backslash, quote and
-// newline in label values; backslash and newline in HELP text.
+// newline in label values.
 func TestPromEscaping(t *testing.T) {
 	labelCases := []struct{ in, want string }{
 		{`plain`, `plain`},
@@ -105,28 +105,14 @@ func TestPromEscaping(t *testing.T) {
 			t.Fatalf("escapeLabel(%q) = %q, want %q", c.in, got, c.want)
 		}
 	}
-	helpCases := []struct{ in, want string }{
-		{`plain help`, `plain help`},
-		{`back\slash`, `back\\slash`},
-		{"two\nlines", `two\nlines`},
-		// Quotes are legal in HELP text and stay unescaped.
-		{`say "hi"`, `say "hi"`},
-	}
-	for _, c := range helpCases {
-		if got := escapeHelp(c.in); got != c.want {
-			t.Fatalf("escapeHelp(%q) = %q, want %q", c.in, got, c.want)
-		}
-	}
 }
 
-func TestWritePrometheusHelpAndExemplars(t *testing.T) {
+func TestWritePrometheusExemplars(t *testing.T) {
 	withRecording(t)
 	r := NewRegistry()
 	r.Counter("req.count").Inc()
-	r.SetHelp("req.count", "requests\nwith \\ newline")
 	h := r.Histogram("lat.seconds")
 	h.ObserveTraced(1500*time.Microsecond, `id"with\quirks`)
-	r.SetHelp("lat.seconds", "latency")
 
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
@@ -134,9 +120,8 @@ func TestWritePrometheusHelpAndExemplars(t *testing.T) {
 	}
 	out := sb.String()
 	for _, want := range []string{
-		// HELP precedes TYPE, with help-text escaping applied.
-		"# HELP req_count requests\\nwith \\\\ newline\n# TYPE req_count counter\n",
-		"# HELP lat_seconds latency\n# TYPE lat_seconds histogram\n",
+		"# TYPE req_count counter\nreq_count 1\n",
+		"# TYPE lat_seconds histogram\n",
 		// The exemplar rides the bucket line in OpenMetrics syntax, with
 		// the trace ID label-escaped and the value in seconds.
 		`lat_seconds_bucket{le="0.002"} 1 # {trace_id="id\"with\\quirks"} 0.0015 `,

@@ -114,7 +114,7 @@ type exemplar struct {
 // Exemplar is the exported snapshot of one histogram bucket's trace link:
 // the trace that produced the bucket's most recent extreme observation
 // (OpenMetrics-style), so a latency spike in exposition resolves directly
-// to a retained trace and flight-recorder event.
+// to a flight-recorder event (Recorder.Find).
 type Exemplar struct {
 	// BucketLe is the bucket's upper bound in seconds as rendered in
 	// Prometheus exposition ("0.005", "+Inf").
@@ -189,15 +189,6 @@ func (h *Histogram) Exemplars() []Exemplar {
 		})
 	}
 	return out
-}
-
-// ObserveSince records the time elapsed since start, skipping zero starts
-// (the value Clock returns while recording is disabled).
-func (h *Histogram) ObserveSince(start time.Time) {
-	if compiledOut || h == nil || start.IsZero() {
-		return
-	}
-	h.Observe(time.Since(start))
 }
 
 // Count returns the number of observations.

@@ -16,19 +16,9 @@ func TestNoobsStubsReturnNil(t *testing.T) {
 	if r := NewRecorder(16); r != nil {
 		t.Fatal("NewRecorder != nil under noobs")
 	}
-	if s := NewTailSampler(16, 1); s != nil {
-		t.Fatal("NewTailSampler != nil under noobs")
-	}
-	if w := StartWatchdog(WatchdogConfig{}); w != nil {
-		t.Fatal("StartWatchdog != nil under noobs")
-	}
 	SetRecorder(NewRecorder(1))
 	if Events().Active() {
 		t.Fatal("Events().Active() under noobs")
-	}
-	SetTailSampler(NewTailSampler(1, 1))
-	if Tail().Active() {
-		t.Fatal("Tail().Active() under noobs")
 	}
 	ctx, tr := WithTrace(context.Background(), "req")
 	if tr != nil {
@@ -40,11 +30,11 @@ func TestNoobsStubsReturnNil(t *testing.T) {
 	if fs := FlattenSpans(tr.Root()); fs != nil {
 		t.Fatal("FlattenSpans returned spans under noobs")
 	}
-	sess, err := Settings{EventsOut: "-", TraceKeep: 4, Watchdog: true}.Apply()
+	sess, err := Settings{EventsOut: "-", EventBuffer: 4}.Apply()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sess.Recorder() != nil || sess.Tail() != nil {
+	if Events().Active() || Enabled() {
 		t.Fatal("session installed components under noobs")
 	}
 	if err := sess.Close(); err != nil {
@@ -53,22 +43,23 @@ func TestNoobsStubsReturnNil(t *testing.T) {
 }
 
 // TestNoobsEventPathAllocsNothing is the compile-out guarantee in numbers:
-// the entire per-image recording path — guard, record, trace inspection,
-// tail offer — must not allocate a single byte when observability is
-// compiled out.
+// the entire per-image recording path — guard, trace open, record, trace
+// inspection, trace end and release — must not allocate a single byte
+// when observability is compiled out.
 func TestNoobsEventPathAllocsNothing(t *testing.T) {
 	rec := Events()
-	tail := Tail()
 	ctx := context.Background()
 	ev := Event{Name: "detect", DurNs: int64(time.Millisecond)}
 	allocs := testing.AllocsPerRun(100, func() {
+		tctx, tr := WithTrace(ctx, "detect")
 		if rec.Active() {
 			rec.Record(ev)
 		}
-		if id := TraceID(ctx); id != "" {
+		if id := TraceID(tctx); id != "" {
 			panic("traced under noobs")
 		}
-		tail.Offer(nil, nil)
+		tr.End()
+		tr.Release()
 		var h *Histogram
 		h.ObserveTraced(time.Millisecond, "")
 	})

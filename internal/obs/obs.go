@@ -30,10 +30,7 @@
 // guard its own observability calls.
 package obs
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "sync/atomic"
 
 // enabled gates all metric recording. Tracing is gated separately, by the
 // presence of a trace in the context (see WithTrace).
@@ -48,13 +45,3 @@ func Disable() { enabled.Store(false) }
 // Enabled reports whether metric recording is on. Under the noobs build
 // tag it is constant false.
 func Enabled() bool { return !compiledOut && enabled.Load() }
-
-// Clock returns the current time when metric recording is enabled and the
-// zero Time otherwise, so hot paths skip the time.Now call entirely while
-// disabled. Pair with Histogram.ObserveSince, which ignores zero starts.
-func Clock() time.Time {
-	if !Enabled() {
-		return time.Time{}
-	}
-	return time.Now()
-}

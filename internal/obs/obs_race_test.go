@@ -66,6 +66,7 @@ func TestRegistryConcurrent(t *testing.T) {
 func TestEnableDisableConcurrent(t *testing.T) {
 	t.Cleanup(obs.Disable)
 	c := obs.C("race.toggle.count")
+	h := obs.H("race.toggle.seconds")
 	err := parallel.For(context.Background(), 1000, func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			if i%2 == 0 {
@@ -75,7 +76,7 @@ func TestEnableDisableConcurrent(t *testing.T) {
 			}
 			c.Inc()
 			_ = obs.Enabled()
-			_ = obs.Clock()
+			h.Observe(time.Microsecond)
 		}
 		return nil
 	}, parallel.Workers(8))

@@ -84,7 +84,6 @@ func (d *DebugServer) Close() error {
 //	/metrics          default registry, Prometheus text format
 //	/metrics.json     default registry, JSON snapshot
 //	/debug/events     flight-recorder events, NDJSON (?trace=ID filters)
-//	/debug/traces     retained traces, NDJSON (?id=ID filters)
 //	/debug/vars       expvar (includes decamouflage.metrics)
 //	/debug/pprof/...  net/http/pprof profiles
 //
@@ -132,28 +131,6 @@ func ServeDebug(addr string) (*DebugServer, error) {
 			return
 		}
 		if err := rec.WriteNDJSON(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, r *http.Request) {
-		ts := Tail()
-		if !ts.Active() {
-			http.Error(w, "no tail sampler installed", http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		if id := r.URL.Query().Get("id"); id != "" {
-			rt, ok := ts.Find(id)
-			if !ok {
-				http.Error(w, "no retained trace "+id, http.StatusNotFound)
-				return
-			}
-			if err := json.NewEncoder(w).Encode(&rt); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-			return
-		}
-		if err := ts.WriteNDJSON(w); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})

@@ -20,7 +20,6 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	help     map[string]string
 }
 
 // NewRegistry returns an empty registry.
@@ -29,19 +28,7 @@ func NewRegistry() *Registry {
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
-		help:     map[string]string{},
 	}
-}
-
-// SetHelp attaches help text to a metric name, emitted as a # HELP line in
-// Prometheus exposition (with exposition-format escaping applied).
-func (r *Registry) SetHelp(name, text string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.help[name] = text
-	r.mu.Unlock()
 }
 
 // Default is the process-wide registry every instrumented package records
@@ -208,13 +195,6 @@ func escapeLabel(v string) string {
 	return strings.ReplaceAll(v, "\n", `\n`)
 }
 
-// escapeHelp escapes # HELP text: backslash and newline only (quotes are
-// legal in help text, unlike in label values).
-func escapeHelp(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	return strings.ReplaceAll(v, "\n", `\n`)
-}
-
 // writeExemplar appends an OpenMetrics exemplar to a bucket line:
 //
 //	name_bucket{le="0.005"} 42 # {trace_id="a1b2-7"} 0.0049 1712345678.123
@@ -228,8 +208,8 @@ func writeExemplar(w io.Writer, e Exemplar) error {
 // format (version 0.0.4): counters and gauges as single samples,
 // histograms as cumulative _bucket/_sum/_count families with le labels in
 // seconds. Buckets that pinned an exemplar carry it in OpenMetrics
-// `# {trace_id="..."}` syntax; label values and HELP text are escaped per
-// the exposition-format spec.
+// `# {trace_id="..."}` syntax; label values are escaped per the
+// exposition-format spec.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
@@ -238,8 +218,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		counters map[string]*Counter
 		gauges   map[string]*Gauge
 		hists    map[string]*Histogram
-		help     map[string]string
-	}{map[string]*Counter{}, map[string]*Gauge{}, map[string]*Histogram{}, map[string]string{}}
+	}{map[string]*Counter{}, map[string]*Gauge{}, map[string]*Histogram{}}
 	r.mu.Lock()
 	for k, v := range r.counters {
 		snap.counters[k] = v
@@ -250,19 +229,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for k, v := range r.hists {
 		snap.hists[k] = v
 	}
-	for k, v := range r.help {
-		snap.help[k] = v
-	}
 	r.mu.Unlock()
 
 	header := func(name, kind string) error {
-		pn := promName(name)
-		if help, ok := snap.help[name]; ok {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", pn, escapeHelp(help)); err != nil {
-				return err
-			}
-		}
-		_, err := fmt.Fprintf(w, "# TYPE %s %s\n", pn, kind)
+		_, err := fmt.Fprintf(w, "# TYPE %s %s\n", promName(name), kind)
 		return err
 	}
 	for _, name := range sortedKeys(snap.counters) {

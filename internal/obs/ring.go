@@ -1,8 +1,8 @@
 package obs
 
 // ringBuf is a fixed-capacity overwrite-oldest ring. It is not
-// goroutine-safe on its own; owners (Recorder, TailSampler) serialize
-// access under their mutex, keeping the hot push path to one slot write
+// goroutine-safe on its own; its owner (Recorder) serializes access
+// under its mutex, keeping the hot push path to one slot write
 // and two index updates.
 type ringBuf[T any] struct {
 	buf  []T

@@ -5,7 +5,6 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 )
 
 // Settings is the serializable observability configuration shared by the
@@ -20,8 +19,8 @@ type Settings struct {
 	// MetricsFormat selects the dump format: "json" (default) or "prom".
 	MetricsFormat string `json:"metrics_format,omitempty"`
 	// DebugAddr, when non-empty, serves /healthz, /metrics,
-	// /debug/events, /debug/traces and /debug/pprof on this address for
-	// the life of the session.
+	// /debug/events, /debug/vars and /debug/pprof on this address for the
+	// life of the session.
 	DebugAddr string `json:"debug_addr,omitempty"`
 	// CPUProfile and MemProfile are pprof output paths.
 	CPUProfile string `json:"cpuprofile,omitempty"`
@@ -35,52 +34,16 @@ type Settings struct {
 	// positive value installs a recorder even without EventsOut (events
 	// then reachable via /debug/events).
 	EventBuffer int `json:"event_buffer,omitempty"`
-	// TraceKeep sizes the tail-sampler ring (default 64 when TraceOut or
-	// TraceSample ask for retention). A positive value installs the
-	// sampler.
-	TraceKeep int `json:"trace_keep,omitempty"`
-	// TraceOut, when non-empty, dumps the retained traces as NDJSON on
-	// Close ("-" for stdout) and installs the sampler.
-	TraceOut string `json:"trace_out,omitempty"`
-	// TraceSample is the probability in [0,1] of retaining an otherwise
-	// unremarkable trace (errored, record and adaptively slow traces are
-	// always kept).
-	TraceSample float64 `json:"trace_sample,omitempty"`
-	// Watchdog starts the runtime watchdog for the session.
-	Watchdog bool `json:"watchdog,omitempty"`
-	// WatchdogIntervalMs overrides the watchdog sampling interval
-	// (default 1000).
-	WatchdogIntervalMs int `json:"watchdog_interval_ms,omitempty"`
 }
 
 // Session is the running state created by Settings.Apply. Close stops
-// profiling and the watchdog, writes any requested dumps, uninstalls the
-// recorder/sampler it installed, and shuts the debug server down.
+// profiling, writes any requested dumps, uninstalls the recorder it
+// installed, and shuts the debug server down.
 type Session struct {
 	settings Settings
 	stopCPU  func() error
 	server   *DebugServer
 	recorder *Recorder
-	tail     *TailSampler
-	watchdog *Watchdog
-}
-
-// Recorder returns the flight recorder this session installed (nil when
-// events were not requested).
-func (s *Session) Recorder() *Recorder {
-	if s == nil {
-		return nil
-	}
-	return s.recorder
-}
-
-// Tail returns the tail sampler this session installed (nil when trace
-// retention was not requested).
-func (s *Session) Tail() *TailSampler {
-	if s == nil {
-		return nil
-	}
-	return s.tail
 }
 
 // DebugAddr returns the bound debug-server address, or "" if none was
@@ -98,22 +61,12 @@ func (s *Session) DebugAddr() string {
 // can unconditionally defer it.
 func (s Settings) Apply() (*Session, error) {
 	sess := &Session{settings: s}
-	if s.Metrics || s.MetricsOut != "" || s.DebugAddr != "" ||
-		s.wantRecorder() || s.wantTail() || s.Watchdog {
+	if s.Metrics || s.MetricsOut != "" || s.DebugAddr != "" || s.wantRecorder() {
 		Enable()
 	}
 	if s.wantRecorder() {
 		sess.recorder = NewRecorder(s.EventBuffer)
 		SetRecorder(sess.recorder)
-	}
-	if s.wantTail() {
-		sess.tail = NewTailSampler(s.TraceKeep, s.TraceSample)
-		SetTailSampler(sess.tail)
-	}
-	if s.Watchdog {
-		sess.watchdog = StartWatchdog(WatchdogConfig{
-			Interval: time.Duration(s.WatchdogIntervalMs) * time.Millisecond,
-		})
 	}
 	if s.CPUProfile != "" {
 		stop, err := StartCPUProfile(s.CPUProfile)
@@ -137,11 +90,6 @@ func (s Settings) Apply() (*Session, error) {
 
 // wantRecorder reports whether the settings ask for a flight recorder.
 func (s Settings) wantRecorder() bool { return s.EventsOut != "" || s.EventBuffer > 0 }
-
-// wantTail reports whether the settings ask for trace retention.
-func (s Settings) wantTail() bool {
-	return s.TraceKeep > 0 || s.TraceOut != "" || s.TraceSample > 0
-}
 
 // dump runs write on dst ("-" or "" for stdout), creating the file and
 // closing it; what names the dump in the create error.
@@ -178,10 +126,10 @@ func (s Settings) DumpMetrics(dst string) error {
 	return dump(dst, "metrics", s.writeMetrics)
 }
 
-// Close finishes the session: stops the watchdog and CPU profiling,
-// writes the heap profile and the metrics/events/traces dumps if
-// requested, uninstalls the recorder and sampler it installed, and closes
-// the debug server. The first error wins but every step runs.
+// Close finishes the session: stops CPU profiling, writes the heap
+// profile and the metrics/events dumps if requested, uninstalls the
+// recorder it installed, and closes the debug server. The first error
+// wins but every step runs.
 func (s *Session) Close() error {
 	if s == nil {
 		return nil
@@ -192,7 +140,6 @@ func (s *Session) Close() error {
 			first = err
 		}
 	}
-	s.watchdog.Stop()
 	if s.stopCPU != nil {
 		keep(s.stopCPU())
 	}
@@ -203,14 +150,8 @@ func (s *Session) Close() error {
 	if s.settings.EventsOut != "" {
 		keep(dump(s.settings.EventsOut, "events", s.recorder.WriteNDJSON))
 	}
-	if s.settings.TraceOut != "" {
-		keep(dump(s.settings.TraceOut, "traces", s.tail.WriteNDJSON))
-	}
 	if s.recorder != nil && Events() == s.recorder {
 		SetRecorder(nil)
-	}
-	if s.tail != nil && Tail() == s.tail {
-		SetTailSampler(nil)
 	}
 	keep(s.server.Close())
 	return first

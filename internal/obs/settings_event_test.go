@@ -5,56 +5,39 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"decamouflage/internal/testutil"
 )
 
-// TestSettingsEventSession pins the Apply/Close lifecycle of the v2
-// surface: EventsOut installs a recorder, trace settings install a tail
-// sampler, Watchdog starts (and Stop joins) the watchdog, and Close dumps
-// NDJSON files and uninstalls the globals it installed.
+// TestSettingsEventSession pins the Apply/Close lifecycle of the event
+// surface: EventsOut enables metrics and installs a recorder, and Close
+// dumps its events as NDJSON and uninstalls it.
 func TestSettingsEventSession(t *testing.T) {
 	if compiledOut {
 		t.Skip("observability compiled out (noobs)")
 	}
-	testutil.VerifyNoLeaks(t) // pins that Session.Close joins the watchdog
+	testutil.VerifyNoLeaks(t)
 	t.Cleanup(Disable)
-	dir := t.TempDir()
-	evPath := filepath.Join(dir, "events.ndjson")
-	trPath := filepath.Join(dir, "traces.ndjson")
+	evPath := filepath.Join(t.TempDir(), "events.ndjson")
 
-	s := Settings{
-		EventsOut:          evPath,
-		TraceKeep:          8,
-		TraceOut:           trPath,
-		Watchdog:           true,
-		WatchdogIntervalMs: 20,
-	}
-	sess, err := s.Apply()
+	sess, err := Settings{EventsOut: evPath}.Apply()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !Enabled() {
 		t.Fatal("Apply with events requested did not enable metrics")
 	}
-	rec := sess.Recorder()
-	if rec == nil || Events() != rec {
-		t.Fatal("Apply did not install the session recorder")
+	rec := Events()
+	if !rec.Active() {
+		t.Fatal("Apply did not install a recorder")
 	}
-	ts := sess.Tail()
-	if ts == nil || Tail() != ts {
-		t.Fatal("Apply did not install the session tail sampler")
-	}
-
 	rec.Record(Event{Name: "detect", TraceID: "s-1", Verdict: "attack"})
-	ts.Offer(fakeTrace("detect", "s-1", 2*time.Millisecond), nil)
 
 	if err := sess.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if Events().Active() || Tail().Active() {
-		t.Fatal("Close did not uninstall the recorder/sampler")
+	if Events().Active() {
+		t.Fatal("Close did not uninstall the recorder")
 	}
 
 	ev, err := os.ReadFile(evPath)
@@ -63,13 +46,6 @@ func TestSettingsEventSession(t *testing.T) {
 	}
 	if !strings.Contains(string(ev), `"trace_id":"s-1"`) {
 		t.Fatalf("events dump missing event: %q", ev)
-	}
-	tr, err := os.ReadFile(trPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(tr), `"id":"s-1"`) {
-		t.Fatalf("traces dump missing trace: %q", tr)
 	}
 }
 

@@ -98,7 +98,7 @@ const arenaSpans = 24
 
 // spanArena is one trace's span storage: a fixed block so a trace costs
 // one allocation instead of one per span, recycled through arenaPool when
-// the tail sampler finishes with the trace. The block never grows —
+// the trace's owner releases it. The block never grows —
 // growing would move spans out from under live *Span pointers (and copy
 // their mutexes); overflow spans come from the heap instead.
 type spanArena struct {
@@ -158,7 +158,7 @@ func newTraceID() string {
 
 // Trace owns the root span of one traced operation (e.g. one image
 // classification). Create with WithTrace, finish with End, print with
-// Render.
+// Render, and recycle its spans with Release.
 type Trace struct {
 	root *Span
 }
@@ -173,7 +173,7 @@ func WithTrace(ctx context.Context, name string) (context.Context, *Trace) {
 	}
 	a := arenaPool.Get().(*spanArena)
 	s := a.take()
-	//declint:ignore poollife arena recycling is opportunistic, not owned: traces offered to the tail sampler release the arena through Offer's ownership transfer, and caller-owned traces drop it to the GC — the pool's miss path, not a leak
+	//declint:ignore poollife arena recycling is opportunistic, not owned: the ensemble releases the traces it opens once their event is recorded, and caller-owned traces drop the arena to the GC — the pool's miss path, not a leak
 	s.name, s.start, s.tid, s.arena, s.parent = name, time.Now(), newTraceID(), a, ctx
 	return s, &Trace{root: s}
 }
@@ -186,13 +186,14 @@ func (t *Trace) ID() string {
 	return t.root.tid
 }
 
-// release returns the trace's span arena to the pool and detaches the
+// Release returns the trace's span arena to the pool and detaches the
 // root, so later method calls on the trace are visible no-ops instead of
-// reads of recycled spans. TailSampler.Offer calls this — offering a
-// trace transfers ownership of it and of every span taken from it.
-// Traces whose root was not arena-allocated (tests building Span values
-// by hand) release nothing.
-func (t *Trace) release() {
+// reads of recycled spans. Only the trace's owner may call it, once
+// nothing reads the trace or any span taken from it: copy what must
+// outlive the trace (FlattenSpans) first. Nil-safe. Traces whose root
+// was not arena-allocated (tests building Span values by hand) release
+// nothing.
+func (t *Trace) Release() {
 	if t == nil || t.root == nil {
 		return
 	}

@@ -6,14 +6,15 @@ import (
 	"testing"
 )
 
-// TestSpanArenaRecycling pins the ownership transfer on Offer: the trace
-// detaches, the retained copy survives, and a recycled arena hands out
+// TestSpanArenaRecycling pins the release path the ensemble follows:
+// the event's flattened copy is taken and recorded, Release detaches the
+// trace, the recorded copy survives, and a recycled arena hands out
 // clean spans with no attrs or children leaking from the previous trace.
 func TestSpanArenaRecycling(t *testing.T) {
 	if compiledOut {
 		t.Skip("observability compiled out (noobs)")
 	}
-	s := NewTailSampler(8, 0)
+	rec := NewRecorder(8)
 
 	ctx, tr := WithTrace(context.Background(), "req")
 	_, sp := StartSpan(ctx, "child")
@@ -21,19 +22,22 @@ func TestSpanArenaRecycling(t *testing.T) {
 	sp.End()
 	tr.End()
 	id := tr.ID()
+	rec.Record(Event{Name: "req", TraceID: id, Stages: FlattenSpans(tr.Root())})
 
-	if _, kept := s.Offer(tr, nil); !kept {
-		t.Fatal("first trace not kept")
-	}
+	tr.Release()
 	if got := tr.ID(); got != "" {
 		t.Errorf("released trace still has ID %q", got)
 	}
-	rt, ok := s.Find(id)
-	if !ok {
-		t.Fatalf("retained trace %q not found", id)
+	if tr.Root() != nil {
+		t.Error("released trace still has a root")
 	}
-	if len(rt.Spans) != 2 || rt.Spans[1].Attrs["k"] != "v" {
-		t.Errorf("retained copy lost data: %+v", rt.Spans)
+	tr.Release() // a second release is a no-op
+	ev, ok := rec.Find(id)
+	if !ok {
+		t.Fatalf("recorded event %q not found", id)
+	}
+	if len(ev.Stages) != 2 || ev.Stages[1].Attrs["k"] != "v" {
+		t.Errorf("recorded copy lost data: %+v", ev.Stages)
 	}
 
 	// A fresh trace (likely on the recycled arena) must start clean.
@@ -53,7 +57,7 @@ func TestSpanArenaRecycling(t *testing.T) {
 	if spans[0].Name != "req2" || spans[1].Name != "child2" {
 		t.Errorf("recycled trace names wrong: %+v", spans)
 	}
-	s.Offer(tr2, nil)
+	tr2.Release()
 }
 
 // TestSpanArenaOverflow drives a trace past the fixed arena size: spans
@@ -79,7 +83,7 @@ func TestSpanArenaOverflow(t *testing.T) {
 			t.Fatalf("span %d named %q, want %q", i+1, spans[i+1].Name, want)
 		}
 	}
-	NewTailSampler(4, 0).Offer(tr, nil)
+	tr.Release()
 	if tr.Root() != nil {
 		t.Error("overflow trace not released")
 	}

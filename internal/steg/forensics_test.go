@@ -56,40 +56,6 @@ func TestEstimateTargetSizeOnRealAttacks(t *testing.T) {
 	}
 }
 
-func TestEstimateTargetSizeBenignReturnsFalse(t *testing.T) {
-	g, err := dataset.NewGenerator(dataset.Config{Corpus: dataset.NeurIPSLike, W: 128, H: 128, C: 3, Seed: 73})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		a, err := Analyze(g.Image(i), Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, ok := a.EstimateTargetSize(); ok && a.Count == 1 {
-			t.Errorf("benign image %d with single CSP yielded a target-size estimate", i)
-		}
-	}
-}
-
-func TestEstimateTargetSizeDegenerate(t *testing.T) {
-	a := &Analysis{W: 64, H: 64, Count: 1, Centroids: [][2]float64{{32, 32}}}
-	if _, _, ok := a.EstimateTargetSize(); ok {
-		t.Error("single-component analysis yielded estimate")
-	}
-	// Components off both axes: nothing to measure.
-	a = &Analysis{W: 64, H: 64, Count: 3, Centroids: [][2]float64{{32, 32}, {10, 10}, {50, 50}}}
-	if _, _, ok := a.EstimateTargetSize(); ok {
-		t.Error("diagonal-only replicas yielded estimate")
-	}
-	// Horizontal replica only: vertical falls back to horizontal.
-	a = &Analysis{W: 64, H: 64, Count: 2, Centroids: [][2]float64{{32, 32}, {48, 32}}}
-	w, h, ok := a.EstimateTargetSize()
-	if !ok || w != 16 || h != 16 {
-		t.Errorf("horizontal-only = %d,%d,%v, want 16,16,true", w, h, ok)
-	}
-}
-
 // TestFundamentalSpacingRefinesToFit: the largest spacing within tolerance
 // of every replica distance sits above the true spacing; the least-squares
 // refinement brings it back, and a sub-harmonic still does not win.

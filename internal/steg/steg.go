@@ -222,57 +222,6 @@ func AnalyzeSpectrumCtx(ctx context.Context, spec []float64, w, h int, opts Opti
 	return a, nil
 }
 
-// EstimateTargetSize infers the geometry of the attacker's embedded target
-// from the spectral replica spacing: the attack comb repeats every
-// (src/dst) pixels, so its spectrum replicas sit at multiples of the
-// target size. It returns the estimated target width and height in pixels
-// and ok=false when the analysis has no off-center replicas to measure
-// (e.g. a benign image). The estimate is a defender-side forensic: it
-// reveals WHICH model input geometry the attacker was aiming at.
-func (a *Analysis) EstimateTargetSize() (w, h int, ok bool) {
-	if a.Count < 2 {
-		return 0, 0, false
-	}
-	cx := float64(a.W) / 2
-	cy := float64(a.H) / 2
-	const axisTol = 3.0
-	minPos := func(vals []float64) float64 {
-		best := math.Inf(1)
-		for _, v := range vals {
-			if v > axisTol && v < best {
-				best = v
-			}
-		}
-		return best
-	}
-	var dxs, dys []float64
-	for _, c := range a.Centroids {
-		dx := math.Abs(c[0] - cx)
-		dy := math.Abs(c[1] - cy)
-		// Replicas on (or near) the horizontal axis measure the
-		// horizontal spacing, and vice versa.
-		if dy <= axisTol {
-			dxs = append(dxs, dx)
-		}
-		if dx <= axisTol {
-			dys = append(dys, dy)
-		}
-	}
-	sx := minPos(dxs)
-	sy := minPos(dys)
-	if math.IsInf(sx, 1) && math.IsInf(sy, 1) {
-		return 0, 0, false
-	}
-	// A missing axis falls back to the other (square-ratio assumption).
-	if math.IsInf(sx, 1) {
-		sx = sy
-	}
-	if math.IsInf(sy, 1) {
-		sy = sx
-	}
-	return int(math.Round(sx)), int(math.Round(sy)), true
-}
-
 // EstimateTargetSize estimates the attacker's target geometry from a
 // suspected attack image. The attack comb replicates the spectrum at
 // multiples of the target size; depending on the binarization level, the
