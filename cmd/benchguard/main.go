@@ -28,28 +28,9 @@
 // carry allocation data (run the benchmarks with -benchmem or
 // ReportAllocs).
 //
-// A third mode gates the committed perf trajectory instead of one run:
-//
-//	go run ./cmd/benchguard -trend bench/ -max-regression-pct 10 \
-//	    -trend-write bench/README.md
-//
-// -trend walks every BENCH_*.json snapshot under the directory (see
-// cmd/benchjson), compares each tracked kernel's latest median ns/op
-// against its best committed median, and fails when any kernel regressed
-// more than the budget. Snapshots whose recorded environment differs
-// from the latest one's are flagged and excluded rather than silently
-// mixed; snapshots without an environment record predate the field and
-// are assumed to come from the reference container (bench/README.md).
-// Reference baselines (Naive/Unplanned/Legacy/PerColumn/Float256
-// benchmarks) are reported in the speedup table but not gated. With
-// -trend-write the history and speedup tables are rendered between
-// benchtrend markers in the named markdown file, so CI can verify the
-// committed table matches the committed snapshots with git diff.
-//
-// Exit codes: 0 within budget, 1 over budget (or allocs not fewer, or a
-// tracked kernel regressed in trend mode), 2 on usage/parse errors or
-// when a named benchmark (or its allocation data, under
-// -require-fewer-allocs) is missing from its file.
+// Exit codes: 0 within budget, 1 over budget (or allocs not fewer), 2 on
+// usage/parse errors or when a named benchmark (or its allocation data,
+// under -require-fewer-allocs) is missing from its file.
 package main
 
 import (
@@ -76,19 +57,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	candBenchFlag := fs.String("candidate-bench", "", "candidate benchmark name (defaults to -bench)")
 	maxFlag := fs.Float64("max-overhead-pct", 2, "largest tolerated median-ns/op increase, in percent")
 	allocsFlag := fs.Bool("require-fewer-allocs", false, "fail unless candidate median allocs/op is strictly below baseline")
-	trendFlag := fs.String("trend", "", "directory of BENCH_*.json snapshots to trajectory-gate (replaces file comparison)")
-	trendMaxFlag := fs.Float64("max-regression-pct", 10, "trend mode: largest tolerated regression of a kernel's latest median vs its best committed one, in percent")
-	trendWriteFlag := fs.String("trend-write", "", "trend mode: markdown file whose benchtrend-marked region is rewritten with the history table")
 	fs.Usage = func() {
 		fmt.Fprintln(stderr, "usage: benchguard -baseline a.txt -candidate b.txt -bench BenchmarkName [-baseline-bench N] [-candidate-bench N] [-max-overhead-pct 2] [-require-fewer-allocs]")
-		fmt.Fprintln(stderr, "       benchguard -trend bench/ [-max-regression-pct 10] [-trend-write bench/README.md]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if *trendFlag != "" {
-		return runTrend(*trendFlag, *trendMaxFlag, *trendWriteFlag, stdout, stderr)
 	}
 	baseBench, candBench := *baseBenchFlag, *candBenchFlag
 	if baseBench == "" {

@@ -271,7 +271,7 @@ func borderline(out io.Writer, events []obs.Event, top int) {
 }
 
 // renderTrace prints the stage timeline of the most recent event with
-// the given trace ID, the offline twin of obs.Trace.Render.
+// the given trace ID under a header line, in obs.Trace.Render's format.
 func renderTrace(out io.Writer, events []obs.Event, id string) error {
 	for i := len(events) - 1; i >= 0; i-- {
 		ev := events[i]
@@ -283,20 +283,7 @@ func renderTrace(out io.Writer, events []obs.Event, id string) error {
 			status = "error: " + ev.Err
 		}
 		fmt.Fprintf(out, "trace %s (%s, %s, %s)\n", ev.TraceID, ev.Name, fmtNs(ev.DurNs), status)
-		for _, sd := range ev.Stages {
-			line := fmt.Sprintf("%*s%-24s +%-10s %10s",
-				sd.Depth*2, "", sd.Name, fmtNs(sd.OffsetNs), fmtNs(sd.DurNs))
-			keys := make([]string, 0, len(sd.Attrs))
-			for k := range sd.Attrs {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				line += " " + k + "=" + sd.Attrs[k]
-			}
-			fmt.Fprintln(out, line)
-		}
-		return nil
+		return obs.RenderStages(out, ev.Stages)
 	}
 	return fmt.Errorf("no event for trace %q", id)
 }

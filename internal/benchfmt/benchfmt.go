@@ -1,8 +1,7 @@
 // Package benchfmt parses `go test -bench` text output into structured
-// results. It backs cmd/benchjson (archiving benchmark runs as JSON
-// artifacts) and cmd/benchguard (failing CI when the observability
-// layer's disabled-mode overhead exceeds its budget), so both tools agree
-// on one parser.
+// results for cmd/benchguard, which fails CI when a benchmark pair's
+// median overhead exceeds its budget. It also defines Environment, the
+// machine stamp perfbench prints with every end-to-end result.
 package benchfmt
 
 import (
@@ -18,38 +17,18 @@ import (
 type Result struct {
 	// Name is the benchmark name as printed, including any -N GOMAXPROCS
 	// suffix and sub-benchmark path.
-	Name string `json:"name"`
-	// Iterations is b.N for the measured run.
-	Iterations int64 `json:"iterations"`
+	Name string
 	// NsPerOp is the reported ns/op.
-	NsPerOp float64 `json:"ns_op"`
-	// BytesPerOp is the reported B/op; -1 when the benchmark did not run
-	// with -benchmem or ReportAllocs.
-	BytesPerOp int64 `json:"bytes_op"`
-	// AllocsPerOp is the reported allocs/op; -1 when absent.
-	AllocsPerOp int64 `json:"allocs_op"`
-	// MBPerSec is the reported MB/s; 0 when absent.
-	MBPerSec float64 `json:"mb_s,omitempty"`
-}
-
-// Document is the JSON artifact cmd/benchjson emits.
-type Document struct {
-	// Date is the run date (CI passes the commit date).
-	Date string `json:"date"`
-	// GoVersion is the toolchain that produced the numbers.
-	GoVersion string `json:"go_version"`
-	// Env identifies the machine that produced the numbers; nil on
-	// snapshots archived before the field existed (those were produced on
-	// the reference container documented in bench/README.md).
-	Env *Environment `json:"env,omitempty"`
-	// Benchmarks holds the parsed results in input order.
-	Benchmarks []Result `json:"benchmarks"`
+	NsPerOp float64
+	// AllocsPerOp is the reported allocs/op; -1 when the benchmark did not
+	// run with -benchmem or ReportAllocs.
+	AllocsPerOp int64
 }
 
 // Parse extracts benchmark result lines from go test output. A result
 // line is `Benchmark<Name>[-P] <N> <value> <unit> [<value> <unit>]...`;
-// everything else is skipped. Unknown units are ignored so future testing
-// package additions do not break parsing.
+// everything else is skipped. Only ns/op and allocs/op are read; other
+// units (B/op, MB/s, custom metrics) are ignored.
 func Parse(r io.Reader) ([]Result, error) {
 	var out []Result
 	sc := bufio.NewScanner(r)
@@ -61,11 +40,11 @@ func Parse(r io.Reader) ([]Result, error) {
 		}
 		// The second field must be the iteration count; "Benchmarking..."
 		// chatter and similar noise fails this and is skipped.
-		iters, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
+		if _, err := strconv.ParseInt(fields[1], 10, 64); err != nil {
 			continue
 		}
-		res := Result{Name: fields[0], Iterations: iters, BytesPerOp: -1, AllocsPerOp: -1}
+		res := Result{Name: fields[0], AllocsPerOp: -1}
+		var err error
 		ok := false
 		for i := 2; i+1 < len(fields); i += 2 {
 			val, unit := fields[i], fields[i+1]
@@ -75,17 +54,9 @@ func Parse(r io.Reader) ([]Result, error) {
 					return nil, fmt.Errorf("line %q: bad ns/op %q", sc.Text(), val)
 				}
 				ok = true
-			case "B/op":
-				if res.BytesPerOp, err = strconv.ParseInt(val, 10, 64); err != nil {
-					return nil, fmt.Errorf("line %q: bad B/op %q", sc.Text(), val)
-				}
 			case "allocs/op":
 				if res.AllocsPerOp, err = strconv.ParseInt(val, 10, 64); err != nil {
 					return nil, fmt.Errorf("line %q: bad allocs/op %q", sc.Text(), val)
-				}
-			case "MB/s":
-				if res.MBPerSec, err = strconv.ParseFloat(val, 64); err != nil {
-					return nil, fmt.Errorf("line %q: bad MB/s %q", sc.Text(), val)
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package benchfmt
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -30,10 +31,10 @@ func TestParse(t *testing.T) {
 		t.Fatalf("parsed %d results, want 4: %+v", len(got), got)
 	}
 	want := []Result{
-		{Name: "BenchmarkFFT2D256", Iterations: 50, NsPerOp: 3301700, BytesPerOp: 1048766, AllocsPerOp: 6},
-		{Name: "BenchmarkFFT1D256Planned-8", Iterations: 100000, NsPerOp: 3805, BytesPerOp: 0, AllocsPerOp: 0},
-		{Name: "BenchmarkRankFilter256Serial/Window5", Iterations: 50, NsPerOp: 9049049, BytesPerOp: -1, AllocsPerOp: -1},
-		{Name: "BenchmarkThroughput", Iterations: 200, NsPerOp: 52341, BytesPerOp: 1024, AllocsPerOp: 2, MBPerSec: 312.45},
+		{Name: "BenchmarkFFT2D256", NsPerOp: 3301700, AllocsPerOp: 6},
+		{Name: "BenchmarkFFT1D256Planned-8", NsPerOp: 3805, AllocsPerOp: 0},
+		{Name: "BenchmarkRankFilter256Serial/Window5", NsPerOp: 9049049, AllocsPerOp: -1},
+		{Name: "BenchmarkThroughput", NsPerOp: 52341, AllocsPerOp: 2},
 	}
 	for i := range want {
 		if got[i] != want[i] {
@@ -118,5 +119,35 @@ func TestMedianAllocsPerOp(t *testing.T) {
 	}
 	if got := MedianAllocsPerOp([]Result{{AllocsPerOp: -1}}); got != -1 {
 		t.Errorf("all-unreported median = %d, want -1", got)
+	}
+}
+
+// TestEnvironmentJSONRoundTrip pins the key names of the stamp perfbench
+// prints on its env line and the committed bench/BENCH_<date>.json record
+// carries: renaming a field's JSON tag would orphan every recorded entry.
+func TestEnvironmentJSONRoundTrip(t *testing.T) {
+	in := Environment{GOOS: "linux", GOARCH: "amd64", GOMAXPROCS: 2, CPU: "Example CPU", GoVersion: "go1.24.0"}
+	buf, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys map[string]any
+	if err := json.Unmarshal(buf, &keys); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"goos", "goarch", "gomaxprocs", "cpu", "go_version"} {
+		if _, ok := keys[k]; !ok {
+			t.Errorf("marshaled environment %s lacks key %q", buf, k)
+		}
+	}
+	if len(keys) != 5 {
+		t.Errorf("marshaled environment %s has %d keys, want 5", buf, len(keys))
+	}
+	var out Environment
+	if err := json.Unmarshal(buf, &out); err != nil {
+		t.Fatal(err)
+	}
+	if out != in {
+		t.Errorf("round trip = %+v, want %+v", out, in)
 	}
 }

@@ -1,38 +1,19 @@
 package benchfmt
 
-import "fmt"
-
-// Environment records where a benchmark run was produced. cmd/benchjson
-// embeds it in every archived document so trajectory comparisons
-// (cmd/benchguard -trend) can flag snapshots from a different machine
-// instead of silently mixing their numbers. Snapshots predating the
-// field carry no Environment; per bench/README.md they were produced on
-// the reference container and are treated as comparable.
+// Environment records where a benchmark run was produced. perfbench
+// prints it on the `env` line of every run, and each entry of the
+// committed bench/BENCH_<date>.json record carries it, so a reader can
+// tell numbers from different machines apart.
 type Environment struct {
 	// GOOS/GOARCH are the platform the benchmarks ran on.
 	GOOS   string `json:"goos,omitempty"`
 	GOARCH string `json:"goarch,omitempty"`
 	// GOMAXPROCS is the scheduler width at run time — parallel kernels
-	// scale with it, so differing values are different machines for
-	// comparison purposes.
+	// scale with it, so differing values are not comparable.
 	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
 	// CPU is the processor model string (from /proc/cpuinfo on Linux);
 	// empty when the platform does not expose one.
 	CPU string `json:"cpu,omitempty"`
-	// GoVersion is the toolchain that built the benchmarks. Recorded for
-	// the reader but excluded from Fingerprint: a toolchain bump shifts
-	// numbers legitimately and the trajectory should show that shift, not
-	// hide the history behind it.
+	// GoVersion is the toolchain that built the benchmarks.
 	GoVersion string `json:"go_version,omitempty"`
-}
-
-// Fingerprint condenses the machine-identifying fields into one
-// comparable string. A nil or zero Environment fingerprints as "" —
-// callers treat that as "reference container assumed" rather than as a
-// distinct machine.
-func (e *Environment) Fingerprint() string {
-	if e == nil || (e.GOOS == "" && e.GOARCH == "" && e.GOMAXPROCS == 0 && e.CPU == "") {
-		return ""
-	}
-	return fmt.Sprintf("%s/%s maxprocs=%d cpu=%q", e.GOOS, e.GOARCH, e.GOMAXPROCS, e.CPU)
 }

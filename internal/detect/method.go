@@ -8,7 +8,7 @@ type Method int
 
 // The detection methods of sections IV-A through IV-C.
 const (
-	// UnknownMethod is the zero value, reported for names no method owns.
+	// UnknownMethod is the zero value, which names no method.
 	UnknownMethod Method = iota
 	// Scaling is Method 1: the down-up round trip comparison.
 	Scaling
@@ -32,31 +32,6 @@ func (m Method) String() string {
 		return fmt.Sprintf("Method(%d)", int(m))
 	}
 }
-
-// MethodOf maps a scorer name ("scaling/MSE", "steganalysis/CSP") to the
-// method that owns it, or UnknownMethod.
-func MethodOf(name string) Method {
-	for i := 0; i < len(name); i++ {
-		if name[i] == '/' {
-			name = name[:i]
-			break
-		}
-	}
-	switch name {
-	case "scaling":
-		return Scaling
-	case "filtering":
-		return Filtering
-	case "steganalysis":
-		return Steganalysis
-	default:
-		return UnknownMethod
-	}
-}
-
-// MethodOf returns the detection method that produced the verdict (the
-// Method field is the full scorer name; this resolves its method prefix).
-func (v Verdict) MethodOf() Method { return MethodOf(v.Method) }
 
 // String implements fmt.Stringer: "scaling/MSE: attack (score 123.456)".
 func (v Verdict) String() string {

@@ -17,24 +17,6 @@ func TestMethodString(t *testing.T) {
 	}
 }
 
-func TestMethodOf(t *testing.T) {
-	cases := map[string]Method{
-		"scaling/MSE":      Scaling,
-		"scaling/SSIM":     Scaling,
-		"scaling":          Scaling,
-		"filtering/SSIM":   Filtering,
-		"steganalysis/CSP": Steganalysis,
-		"histogram/deltaB": UnknownMethod,
-		"":                 UnknownMethod,
-		"scalingX/MSE":     UnknownMethod,
-	}
-	for name, want := range cases {
-		if got := MethodOf(name); got != want {
-			t.Errorf("MethodOf(%q) = %v, want %v", name, got, want)
-		}
-	}
-}
-
 func TestVerdictString(t *testing.T) {
 	v := Verdict{Attack: true, Score: 123.456, Method: "scaling/MSE"}
 	if got, want := v.String(), "scaling/MSE: attack (score 123.456)"; got != want {
@@ -43,9 +25,6 @@ func TestVerdictString(t *testing.T) {
 	v = Verdict{Attack: false, Score: 0.25, Method: "filtering/SSIM"}
 	if got, want := v.String(), "filtering/SSIM: benign (score 0.25)"; got != want {
 		t.Errorf("Verdict.String() = %q, want %q", got, want)
-	}
-	if got, want := v.MethodOf(), Filtering; got != want {
-		t.Errorf("Verdict.MethodOf() = %v, want %v", got, want)
 	}
 }
 

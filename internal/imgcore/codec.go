@@ -136,12 +136,6 @@ func fromRGBA(dst []float64, pix []uint8, stride, w, h int) {
 	}
 }
 
-// FromGrayImage converts a stdlib image into a single-channel luminance
-// image using BT.601 weights.
-func FromGrayImage(src image.Image) *Image {
-	return FromImage(src).Gray()
-}
-
 // ToNRGBA converts the image into an 8-bit stdlib NRGBA image, rounding and
 // clamping samples. Grayscale images are replicated across RGB.
 func (m *Image) ToNRGBA() *image.NRGBA {
@@ -160,21 +154,6 @@ func (m *Image) ToNRGBA() *image.NRGBA {
 			out.SetNRGBA(x, y, color.NRGBA{
 				R: clampByte(r), G: clampByte(g), B: clampByte(b), A: 255,
 			})
-		}
-	}
-	return out
-}
-
-// ToGray converts the image into an 8-bit stdlib grayscale image.
-func (m *Image) ToGray() *image.Gray {
-	g := m
-	if m.C != 1 {
-		g = m.Gray()
-	}
-	out := image.NewGray(image.Rect(0, 0, g.W, g.H))
-	for y := 0; y < g.H; y++ {
-		for x := 0; x < g.W; x++ {
-			out.SetGray(x, y, color.Gray{Y: clampByte(g.At(x, y, 0))})
 		}
 	}
 	return out
@@ -243,25 +222,6 @@ func (m *Image) SavePNG(path string) error {
 	}
 	defer f.Close()
 	if err := png.Encode(f, m.ToNRGBA()); err != nil {
-		return fmt.Errorf("imgcore: encode %s: %w", path, err)
-	}
-	return nil
-}
-
-// SaveJPEG writes the image as a JPEG file with the given quality (1-100).
-func (m *Image) SaveJPEG(path string, quality int) error {
-	if err := m.Validate(); err != nil {
-		return err
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("imgcore: mkdir for %s: %w", path, err)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("imgcore: create %s: %w", path, err)
-	}
-	defer f.Close()
-	if err := jpeg.Encode(f, m.ToNRGBA(), &jpeg.Options{Quality: quality}); err != nil {
 		return fmt.Errorf("imgcore: encode %s: %w", path, err)
 	}
 	return nil

@@ -6,7 +6,7 @@
 // row-major order (y, x, channel). Floating point is used throughout the
 // pipeline so that the attack optimizer and the detection metrics are not
 // perturbed by intermediate quantization; quantization to 8-bit happens only
-// at encode time, where ToNRGBA and ToGray round and clamp each sample.
+// at encode time, where ToNRGBA rounds and clamps each sample.
 package imgcore
 
 import (
@@ -193,21 +193,6 @@ func (m *Image) Channel(c int) (*Image, error) {
 	return out, nil
 }
 
-// SetChannel overwrites channel c of m with the single-channel image src.
-func (m *Image) SetChannel(c int, src *Image) error {
-	if c < 0 || c >= m.C {
-		return fmt.Errorf("imgcore: channel %d out of range [0,%d)", c, m.C)
-	}
-	if src.C != 1 || src.W != m.W || src.H != m.H {
-		return fmt.Errorf("%w: want %dx%dx1, got %dx%dx%d",
-			ErrShapeMismatch, m.W, m.H, src.W, src.H, src.C)
-	}
-	for i := 0; i < m.W*m.H; i++ {
-		m.Pix[i*m.C+c] = src.Pix[i]
-	}
-	return nil
-}
-
 // Sub returns m - o as a new image. The shapes must match.
 func (m *Image) Sub(o *Image) (*Image, error) {
 	if !m.SameShape(o) {
@@ -278,17 +263,6 @@ func (m *Image) MinMax() (lo, hi float64) {
 		}
 	}
 	return lo, hi
-}
-
-// AbsMax returns the largest absolute sample value, or 0 for an empty image.
-func (m *Image) AbsMax() float64 {
-	var mx float64
-	for _, v := range m.Pix {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
 }
 
 // HasNaN reports whether any sample is NaN or infinite.

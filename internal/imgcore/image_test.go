@@ -131,7 +131,7 @@ func TestGrayWeights(t *testing.T) {
 	}
 }
 
-func TestChannelExtractAndSet(t *testing.T) {
+func TestChannelExtract(t *testing.T) {
 	img := MustNew(2, 2, 3)
 	for i := 0; i < 4; i++ {
 		img.Pix[i*3+2] = float64(i + 1)
@@ -145,19 +145,8 @@ func TestChannelExtractAndSet(t *testing.T) {
 			t.Fatalf("channel sample %d = %v, want %v", i, ch.Pix[i], i+1)
 		}
 	}
-	ch.Scale(2)
-	if err := img.SetChannel(2, ch); err != nil {
-		t.Fatalf("SetChannel error: %v", err)
-	}
-	if !testutil.BitEqual(img.Pix[3*3+2], 8) {
-		t.Errorf("SetChannel did not write back, got %v", img.Pix[3*3+2])
-	}
 	if _, err := img.Channel(3); err == nil {
 		t.Error("Channel(3) = nil error, want out of range")
-	}
-	bad := MustNew(3, 2, 1)
-	if err := img.SetChannel(0, bad); err == nil {
-		t.Error("SetChannel with mismatched shape = nil error")
 	}
 }
 
@@ -199,9 +188,6 @@ func TestStatsHelpers(t *testing.T) {
 	if !testutil.BitEqual(lo, -1) || !testutil.BitEqual(hi, 5) {
 		t.Errorf("MinMax = %v,%v, want -1,5", lo, hi)
 	}
-	if got := img.AbsMax(); !testutil.BitEqual(got, 5) {
-		t.Errorf("AbsMax = %v, want 5", got)
-	}
 	if img.HasNaN() {
 		t.Error("HasNaN = true for finite image")
 	}
@@ -236,23 +222,6 @@ func TestFromImageToNRGBARoundTrip(t *testing.T) {
 	}
 }
 
-func TestGrayImageRoundTrip(t *testing.T) {
-	img := MustNew(2, 2, 1)
-	copy(img.Pix, []float64{0, 85, 170, 255})
-	g := img.ToGray()
-	for i, want := range []uint8{0, 85, 170, 255} {
-		if got := g.Pix[i]; got != want {
-			t.Errorf("gray pixel %d = %d, want %d", i, got, want)
-		}
-	}
-	back := FromGrayImage(g)
-	for i, want := range []float64{0, 85, 170, 255} {
-		if math.Abs(back.Pix[i]-want) > 0.51 {
-			t.Errorf("round trip gray pixel %d = %v, want ~%v", i, back.Pix[i], want)
-		}
-	}
-}
-
 func TestPNGSaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	img := MustNew(8, 6, 3)
@@ -274,23 +243,6 @@ func TestPNGSaveLoadRoundTrip(t *testing.T) {
 		if !testutil.BitEqual(got.Pix[i], img.Pix[i]) {
 			t.Fatalf("pixel %d = %v, want %v", i, got.Pix[i], img.Pix[i])
 		}
-	}
-}
-
-func TestJPEGSaveLoad(t *testing.T) {
-	dir := t.TempDir()
-	img := MustNew(16, 16, 3)
-	img.Fill(128)
-	path := filepath.Join(dir, "t.jpg")
-	if err := img.SaveJPEG(path, 90); err != nil {
-		t.Fatalf("SaveJPEG: %v", err)
-	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	if math.Abs(got.Mean()-128) > 3 {
-		t.Errorf("JPEG mean drifted: %v", got.Mean())
 	}
 }
 

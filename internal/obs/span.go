@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -343,20 +345,47 @@ func (s *Span) AttrBool(key string, v bool) {
 	s.attr(key, strconv.FormatBool(v))
 }
 
-// Render writes the trace as an indented timeline, one line per span:
-//
-//	ensemble.detect                 12.4ms
-//	  scaling/MSE          +0.1ms    8.2ms  score=123.456 attack=true
-//	    downscale          +0.1ms    5.0ms
-//
-// The +offset column is the span's start relative to the root. A nil
+// Render writes the trace's span tree as RenderStages prints it. A nil
 // trace renders nothing.
 func (t *Trace) Render(w io.Writer) error {
-	root := t.Root()
-	if root == nil {
-		return nil
+	return RenderStages(w, FlattenSpans(t.Root()))
+}
+
+// RenderStages writes a flattened span tree as an indented timeline, one
+// line per stage:
+//
+//	ensemble.detect                        12.4ms
+//	  scaling/MSE            +100µs         8.2ms attack=true score=123.456
+//	    downscale            +150µs           5ms
+//
+// Names are indented two spaces per depth within a 24-column field. The
+// +offset column is the stage's start relative to the root, which leaves
+// it blank; attributes print sorted by key. Trace.Render and
+// cmd/obsdump -trace both print through it, so a live trace and a dumped
+// flight-recorder event read alike.
+func RenderStages(w io.Writer, stages []StageDur) error {
+	var keys []string
+	for _, sd := range stages {
+		line := fmt.Sprintf("%-24s", strings.Repeat("  ", sd.Depth)+sd.Name)
+		if sd.Depth > 0 {
+			line += fmt.Sprintf(" +%-9s", fmtDur(time.Duration(sd.OffsetNs)))
+		} else {
+			line += fmt.Sprintf(" %-10s", "")
+		}
+		line += fmt.Sprintf(" %9s", fmtDur(time.Duration(sd.DurNs)))
+		keys = keys[:0]
+		for k := range sd.Attrs {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			line += " " + k + "=" + sd.Attrs[k]
+		}
+		if _, err := fmt.Fprintln(w, line); err != nil {
+			return err
+		}
 	}
-	return renderSpan(w, root, root.start, 0)
+	return nil
 }
 
 // fmtDur rounds a duration for display: microsecond precision below 10ms,
@@ -366,39 +395,6 @@ func fmtDur(d time.Duration) string {
 		return d.Round(time.Microsecond).String()
 	}
 	return d.Round(10 * time.Microsecond).String()
-}
-
-func renderSpan(w io.Writer, s *Span, origin time.Time, depth int) error {
-	s.mu.Lock()
-	name := s.name
-	dur := s.dur
-	if !s.ended {
-		dur = time.Since(s.start)
-	}
-	attrs := append([]Attr(nil), s.attrs...)
-	children := append([]*Span(nil), s.children...)
-	start := s.start
-	s.mu.Unlock()
-
-	line := fmt.Sprintf("%*s%-24s", depth*2, "", name)
-	if depth > 0 {
-		line += fmt.Sprintf(" +%-9s", fmtDur(start.Sub(origin)))
-	} else {
-		line += fmt.Sprintf(" %-10s", "")
-	}
-	line += fmt.Sprintf(" %9s", fmtDur(dur))
-	for _, a := range attrs {
-		line += " " + a.Key + "=" + a.Value
-	}
-	if _, err := fmt.Fprintln(w, line); err != nil {
-		return err
-	}
-	for _, c := range children {
-		if err := renderSpan(w, c, origin, depth+1); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Stage couples a span with a latency histogram so a single Start/End

@@ -169,3 +169,26 @@ func TestStageNestsUnderStage(t *testing.T) {
 		t.Fatal("inner stage should nest under outer stage")
 	}
 }
+
+// TestRenderStages pins the one span-tree format that Trace.Render and
+// obsdump -trace share: the root line has a blank offset column, each
+// descendant is indented two spaces per level with its start offset from
+// the root, and attributes print sorted by key.
+func TestRenderStages(t *testing.T) {
+	stages := []StageDur{
+		{Name: "ensemble.detect", DurNs: 12_400_000},
+		{Name: "scaling/MSE", Depth: 1, OffsetNs: 100_000, DurNs: 8_200_000,
+			Attrs: map[string]string{"score": "123.456", "attack": "true"}},
+		{Name: "downscale", Depth: 2, OffsetNs: 150_000, DurNs: 5_000_000},
+	}
+	var sb strings.Builder
+	if err := RenderStages(&sb, stages); err != nil {
+		t.Fatal(err)
+	}
+	want := "ensemble.detect                        12.4ms\n" +
+		"  scaling/MSE            +100µs         8.2ms attack=true score=123.456\n" +
+		"    downscale            +150µs           5ms\n"
+	if got := sb.String(); got != want {
+		t.Errorf("render =\n%s\nwant\n%s", got, want)
+	}
+}

@@ -1,6 +1,6 @@
 // Package stats provides the descriptive statistics used by Decamouflage's
 // threshold calibration and evaluation harness: moments, percentiles,
-// histograms, normal fits, and distribution-overlap measures.
+// histograms, and distribution-overlap measures.
 package stats
 
 import (
@@ -37,11 +37,6 @@ func Variance(xs []float64) float64 {
 		s += d * d
 	}
 	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	return math.Sqrt(Variance(xs))
 }
 
 // MeanStd returns both the mean and population standard deviation in one
@@ -106,56 +101,6 @@ func Percentile(xs []float64, p float64) (float64, error) {
 // Median returns the 50th percentile of xs.
 func Median(xs []float64) (float64, error) {
 	return Percentile(xs, 50)
-}
-
-// NormalFit holds the parameters of a normal distribution fitted to data.
-type NormalFit struct {
-	Mean float64
-	Std  float64
-	N    int
-}
-
-// FitNormal fits a normal distribution to xs by the method of moments.
-func FitNormal(xs []float64) (NormalFit, error) {
-	if len(xs) == 0 {
-		return NormalFit{}, ErrEmpty
-	}
-	m, s := MeanStd(xs)
-	return NormalFit{Mean: m, Std: s, N: len(xs)}, nil
-}
-
-// CDF evaluates the cumulative distribution function of the fitted normal.
-func (f NormalFit) CDF(x float64) float64 {
-	//declint:ignore floateq an exactly-zero std marks the degenerate point-mass fit
-	if f.Std == 0 {
-		if x < f.Mean {
-			return 0
-		}
-		return 1
-	}
-	return 0.5 * (1 + math.Erf((x-f.Mean)/(f.Std*math.Sqrt2)))
-}
-
-// Quantile returns the value below which fraction q (in (0,1)) of the
-// fitted normal's mass lies, via bisection on the CDF.
-func (f NormalFit) Quantile(q float64) (float64, error) {
-	if q <= 0 || q >= 1 || math.IsNaN(q) {
-		return 0, fmt.Errorf("stats: quantile %v out of range (0,1)", q)
-	}
-	//declint:ignore floateq an exactly-zero std marks the degenerate point-mass fit
-	if f.Std == 0 {
-		return f.Mean, nil
-	}
-	lo, hi := f.Mean-10*f.Std, f.Mean+10*f.Std
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if f.CDF(mid) < q {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2, nil
 }
 
 // OverlapCoefficient estimates the overlap between the empirical
@@ -223,19 +168,6 @@ func NewHistogram(xs []float64, lo, hi float64, bins int) (*Histogram, error) {
 		return nil, fmt.Errorf("stats: invalid histogram range [%v,%v]", lo, hi)
 	}
 	return &Histogram{Lo: lo, Hi: hi, Counts: binCounts(xs, lo, hi, bins), Total: len(xs)}, nil
-}
-
-// AutoHistogram bins xs across its own min-max range.
-func AutoHistogram(xs []float64, bins int) (*Histogram, error) {
-	lo, hi, err := MinMax(xs)
-	if err != nil {
-		return nil, err
-	}
-	//declint:ignore floateq a degenerate range needs exact detection before padding
-	if lo == hi {
-		hi = lo + 1
-	}
-	return NewHistogram(xs, lo, hi, bins)
 }
 
 // BinCenter returns the center value of bin i.

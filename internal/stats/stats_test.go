@@ -29,8 +29,8 @@ func TestMeanVarianceStd(t *testing.T) {
 			if got := Variance(tt.xs); math.Abs(got-tt.variance) > 1e-12 {
 				t.Errorf("Variance = %v, want %v", got, tt.variance)
 			}
-			if got := StdDev(tt.xs); math.Abs(got-math.Sqrt(tt.variance)) > 1e-12 {
-				t.Errorf("StdDev = %v", got)
+			if _, got := MeanStd(tt.xs); math.Abs(got-math.Sqrt(tt.variance)) > 1e-12 {
+				t.Errorf("MeanStd std = %v", got)
 			}
 		})
 	}
@@ -39,8 +39,8 @@ func TestMeanVarianceStd(t *testing.T) {
 func TestMeanStdMatchesSeparate(t *testing.T) {
 	xs := []float64{3, 1, 4, 1, 5, 9, 2, 6}
 	m, s := MeanStd(xs)
-	if math.Abs(m-Mean(xs)) > 1e-12 || math.Abs(s-StdDev(xs)) > 1e-12 {
-		t.Errorf("MeanStd = (%v,%v), want (%v,%v)", m, s, Mean(xs), StdDev(xs))
+	if sd := math.Sqrt(Variance(xs)); math.Abs(m-Mean(xs)) > 1e-12 || math.Abs(s-sd) > 1e-12 {
+		t.Errorf("MeanStd = (%v,%v), want (%v,%v)", m, s, Mean(xs), sd)
 	}
 }
 
@@ -117,59 +117,6 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestNormalFit(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	xs := make([]float64, 20000)
-	for i := range xs {
-		xs[i] = 10 + 3*rng.NormFloat64()
-	}
-	fit, err := FitNormal(xs)
-	if err != nil {
-		t.Fatalf("FitNormal: %v", err)
-	}
-	if math.Abs(fit.Mean-10) > 0.1 || math.Abs(fit.Std-3) > 0.1 {
-		t.Errorf("fit = %+v, want mean~10 std~3", fit)
-	}
-	if got := fit.CDF(10); math.Abs(got-0.5) > 0.01 {
-		t.Errorf("CDF(mean) = %v, want ~0.5", got)
-	}
-	q, err := fit.Quantile(0.5)
-	if err != nil || math.Abs(q-fit.Mean) > 1e-6 {
-		t.Errorf("Quantile(0.5) = %v,%v, want mean", q, err)
-	}
-	q1, _ := fit.Quantile(0.01)
-	q99, _ := fit.Quantile(0.99)
-	if !(q1 < fit.Mean && fit.Mean < q99) {
-		t.Errorf("quantiles not ordered: %v %v %v", q1, fit.Mean, q99)
-	}
-	if _, err := FitNormal(nil); err == nil {
-		t.Error("FitNormal(empty) = nil error")
-	}
-	if _, err := fit.Quantile(0); err == nil {
-		t.Error("Quantile(0) = nil error")
-	}
-	if _, err := fit.Quantile(1.5); err == nil {
-		t.Error("Quantile(1.5) = nil error")
-	}
-}
-
-func TestNormalFitDegenerate(t *testing.T) {
-	fit, err := FitNormal([]float64{4, 4, 4})
-	if err != nil {
-		t.Fatalf("FitNormal: %v", err)
-	}
-	if !testutil.BitEqual(fit.Std, 0) {
-		t.Fatalf("Std = %v, want 0", fit.Std)
-	}
-	if !testutil.BitEqual(fit.CDF(3.9), 0) || !testutil.BitEqual(fit.CDF(4.1), 1) {
-		t.Error("degenerate CDF not a step function")
-	}
-	q, err := fit.Quantile(0.3)
-	if err != nil || !testutil.BitEqual(q, 4) {
-		t.Errorf("degenerate Quantile = %v,%v", q, err)
-	}
-}
-
 func TestOverlapCoefficient(t *testing.T) {
 	a := []float64{0, 1, 2, 3, 4}
 	farB := []float64{100, 101, 102}
@@ -233,26 +180,6 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
-func TestAutoHistogram(t *testing.T) {
-	h, err := AutoHistogram([]float64{1, 2, 3}, 3)
-	if err != nil {
-		t.Fatalf("AutoHistogram: %v", err)
-	}
-	if !testutil.BitEqual(h.Lo, 1) || !testutil.BitEqual(h.Hi, 3) {
-		t.Errorf("range = [%v,%v]", h.Lo, h.Hi)
-	}
-	h, err = AutoHistogram([]float64{7, 7}, 3)
-	if err != nil {
-		t.Fatalf("AutoHistogram(constant): %v", err)
-	}
-	if h.Counts[0] != 2 {
-		t.Errorf("constant data bin = %v", h.Counts)
-	}
-	if _, err := AutoHistogram(nil, 3); err == nil {
-		t.Error("AutoHistogram(empty) = nil error")
-	}
-}
-
 // Property: histogram preserves total sample count for any range.
 func TestHistogramConservesMassProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -274,20 +201,6 @@ func TestHistogramConservesMassProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-// Property: quantile and CDF are approximate inverses for non-degenerate fits.
-func TestQuantileCDFInverseProperty(t *testing.T) {
-	fit := NormalFit{Mean: 5, Std: 2, N: 100}
-	for _, q := range []float64{0.01, 0.1, 0.25, 0.5, 0.9, 0.99} {
-		x, err := fit.Quantile(q)
-		if err != nil {
-			t.Fatalf("Quantile(%v): %v", q, err)
-		}
-		if got := fit.CDF(x); math.Abs(got-q) > 1e-6 {
-			t.Errorf("CDF(Quantile(%v)) = %v", q, got)
-		}
 	}
 }
 
