@@ -275,3 +275,20 @@ func TestRegistry(t *testing.T) {
 		t.Error("KnownCheck(bogus) = true")
 	}
 }
+
+// TestLoadExternalTestSeesExportTest: as under go test, an external test
+// package imports its package together with the in-package test files, so
+// a name an export_test.go file declares type-checks.
+func TestLoadExternalTestSeesExportTest(t *testing.T) {
+	pkgs, err := LoadModule(filepath.Join("testdata", "exporttest"))
+	if err != nil {
+		t.Fatalf("LoadModule: %v", err)
+	}
+	var paths []string
+	for _, p := range pkgs {
+		paths = append(paths, p.Path)
+	}
+	if got := strings.Join(paths, " "); got != "exporttest/internal/lib exporttest/internal/lib_test" {
+		t.Fatalf("units = %q", got)
+	}
+}

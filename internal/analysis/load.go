@@ -72,6 +72,22 @@ func (l *loader) Import(path string) (*types.Package, error) {
 	return l.std.Import(path)
 }
 
+// withTestUnit imports path as its library+in-package-test unit and every
+// other path through the loader: the importer of an external test unit.
+type withTestUnit struct {
+	l    *loader
+	path string
+	pkg  *types.Package
+}
+
+// Import implements types.Importer.
+func (w withTestUnit) Import(path string) (*types.Package, error) {
+	if path == w.path {
+		return w.pkg, nil
+	}
+	return w.l.Import(path)
+}
+
 func newInfo() *types.Info {
 	return &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
@@ -146,12 +162,12 @@ func (l *loader) parseDir(dir string) (lib, inTest, extTest []*File, err error) 
 	return lib, inTest, extTest, nil
 }
 
-func (l *loader) check(path string, files []*File, info *types.Info) (*types.Package, error) {
+func (l *loader) check(path string, files []*File, info *types.Info, imp types.Importer) (*types.Package, error) {
 	asts := make([]*ast.File, len(files))
 	for i, f := range files {
 		asts[i] = f.Ast
 	}
-	cfg := types.Config{Importer: l}
+	cfg := types.Config{Importer: imp}
 	pkg, err := cfg.Check(path, l.fset, asts, info)
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %w", path, err)
@@ -169,7 +185,7 @@ func (l *loader) loadLib(dir, path string) (*types.Package, error) {
 	if len(lib) == 0 {
 		return nil, fmt.Errorf("no buildable Go files in %s", dir)
 	}
-	return l.check(path, lib, newInfo())
+	return l.check(path, lib, newInfo(), l)
 }
 
 // loadUnits builds the analysis units for dir: the combined
@@ -182,7 +198,7 @@ func (l *loader) loadUnits(dir, path string) ([]*Package, error) {
 	var units []*Package
 	if len(lib)+len(inTest) > 0 {
 		info := newInfo()
-		pkg, err := l.check(path, append(append([]*File{}, lib...), inTest...), info)
+		pkg, err := l.check(path, append(append([]*File{}, lib...), inTest...), info, l)
 		if err != nil {
 			return nil, err
 		}
@@ -193,8 +209,15 @@ func (l *loader) loadUnits(dir, path string) ([]*Package, error) {
 		})
 	}
 	if len(extTest) > 0 {
+		// As under go test, the external tests import the package with its
+		// in-package test files, so names an export_test.go file declares
+		// resolve.
+		imp := types.Importer(l)
+		if len(units) > 0 {
+			imp = withTestUnit{l, path, units[0].Pkg}
+		}
 		info := newInfo()
-		pkg, err := l.check(path+"_test", extTest, info)
+		pkg, err := l.check(path+"_test", extTest, info, imp)
 		if err != nil {
 			return nil, err
 		}

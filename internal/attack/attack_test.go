@@ -7,7 +7,6 @@ import (
 
 	"decamouflage/internal/imgcore"
 	"decamouflage/internal/metrics"
-	"decamouflage/internal/qpsolve"
 	"decamouflage/internal/scaling"
 	"decamouflage/internal/testutil"
 )
@@ -178,40 +177,6 @@ func TestCraftQuantizedOutputIsIntegral(t *testing.T) {
 	// Solver tolerance (0.05) is allowed on top of eps.
 	if res.MaxViolation > 3.06 {
 		t.Errorf("unquantized violation %v > eps+tol", res.MaxViolation)
-	}
-}
-
-func TestCraftProjGradAgreesWithPOCS(t *testing.T) {
-	s := mustScaler(t, 24, 24, 6, 6, scaling.Bilinear)
-	src := smoothImage(11, 24, 24, 1)
-	tgt := smoothImage(12, 6, 6, 1)
-	pocs, err := Craft(src, tgt, Config{Scaler: s, Eps: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The projected-gradient solver is the independent cross-check: it
-	// solves the problem Craft builds, inside Craft's quantization margin
-	// (eps 3 − 0.6), and its image is quantized and measured the same way.
-	prob := buildProblem(s.Vertical(), s.Horizontal(), tgt, 0, 3-0.6, 24, 24)
-	sr, err := qpsolve.SolveProjGrad(prob, channelVector(src, 0), qpsolve.Options{MaxSweeps: 50000, Tol: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pg := &Result{Attack: src.Clone()}
-	writeChannel(pg.Attack, 0, sr.X)
-	pg.Attack.Quantize8()
-	if err := pg.measure(src, tgt, Config{Scaler: s}); err != nil {
-		t.Fatal(err)
-	}
-	if pocs.MaxViolation > 3.01 {
-		t.Errorf("POCS violation %v", pocs.MaxViolation)
-	}
-	if pg.MaxViolation > 4 {
-		t.Errorf("ProjGrad violation %v", pg.MaxViolation)
-	}
-	// Both must hit the target similarly well.
-	if math.Abs(pocs.DownscaledMSE-pg.DownscaledMSE) > 10 {
-		t.Errorf("solver disagreement: POCS %v vs PG %v", pocs.DownscaledMSE, pg.DownscaledMSE)
 	}
 }
 

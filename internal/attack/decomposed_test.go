@@ -73,9 +73,14 @@ func CraftDecomposed(source, target *imgcore.Image, cfg Config) (*Result, error)
 		return nil, err
 	}
 	for y := 0; y < srcH; y++ {
-		for c := 0; c < source.C; c++ {
-			horiz.Apply(source.Pix[(y*srcW)*source.C+c:], source.C,
-				oh.Pix[(y*dstW)*source.C+c:], source.C)
+		for j, r := range horiz.Rows {
+			for c := 0; c < source.C; c++ {
+				var s float64
+				for k, x := range r.Idx {
+					s += r.W[k] * source.At(x, y, c)
+				}
+				oh.Set(j, y, c, s)
+			}
 		}
 	}
 

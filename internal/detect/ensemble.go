@@ -80,9 +80,10 @@ func (e *Ensemble) Detect(ctx context.Context, img *imgcore.Image) (*EnsembleVer
 	return e.detect(ctx, img)
 }
 
-// detect is Detect with parallel options threaded through (the
-// differential suite pins Workers(1) vs Workers(N) equivalence; the fused
-// batch path serializes member dispatch per image).
+// detect is Detect with parallel options threaded through to the member
+// fan-out and to every stage kernel of the image's table (the
+// differential suite pins Workers(1) vs Workers(N) equivalence; the batch
+// path runs each image on one worker).
 func (e *Ensemble) detect(ctx context.Context, img *imgcore.Image, popts ...parallel.Option) (*EnsembleVerdict, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -100,7 +101,7 @@ func (e *Ensemble) detect(ctx context.Context, img *imgcore.Image, popts ...para
 		ctx, tr = obs.WithTrace(ctx, "ensemble.detect")
 	}
 	sctx, st := obs.StartStage(ctx, "ensemble.detect", e.detectH)
-	in := intermediates(img)
+	in := intermediates(img, popts...)
 	// parallel.Do waits for in-flight tasks even on error/cancellation, so
 	// no task can still be reading the pooled substrates when they return
 	// to their pools.
@@ -163,14 +164,14 @@ func (e *Ensemble) tally(st obs.Stage, verdicts []Verdict) *EnsembleVerdict {
 
 // DetectBatch runs the ensemble over many images concurrently (bounded by
 // GOMAXPROCS via the shared parallel substrate) and returns one verdict
-// per image, in order. Images fan out across workers, and each image's
-// members run serially on its worker: parallel.Workers(1) reaches only
-// the member fan-out. The stage kernels inside a member (the SSIM blur,
-// the spectrum FFT, the resize and the erosion) take no worker option, so
-// each still fans out at GOMAXPROCS inside the image fan-out. All images
-// share the pipeline's scaler and FFT-plan caches. It stops at the first
-// error or context cancellation. An empty batch returns an empty, non-nil
-// verdict slice.
+// per image, in order. Images fan out across workers, and each image runs
+// on its worker alone: parallel.Workers(1) reaches the member fan-out and,
+// through the image's Intermediates table, every stage kernel (the
+// resize, the erosion, the spectrum FFT and the SSIM blur), so no kernel
+// fans out again inside the image fan-out. Verdicts are bit-identical to
+// Detect's. All images share the pipeline's scaler and FFT-plan caches.
+// It stops at the first error or context cancellation. An empty batch
+// returns an empty, non-nil verdict slice.
 func (e *Ensemble) DetectBatch(ctx context.Context, imgs []*imgcore.Image) ([]*EnsembleVerdict, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

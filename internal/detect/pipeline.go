@@ -38,6 +38,7 @@ import (
 	"decamouflage/internal/imgcore"
 	"decamouflage/internal/metrics"
 	"decamouflage/internal/obs"
+	"decamouflage/internal/parallel"
 	"decamouflage/internal/scaling"
 	"decamouflage/internal/steg"
 )
@@ -124,9 +125,12 @@ func scoreAlone(ctx context.Context, s pipelineScorer, img *imgcore.Image) (floa
 	return s.ScorePipeline(ctx, in)
 }
 
-// intermediates opens a fresh per-image memo table over img.
-func intermediates(img *imgcore.Image) *Intermediates {
-	return &Intermediates{img: img, entries: make(map[stageKey]*memoEntry)}
+// intermediates opens a fresh per-image memo table over img. popts reach
+// every stage kernel the table runs (the resize, the erosion, the
+// spectrum FFT and the SSIM blur), so a caller that already fans out over
+// images can pin each image's kernels to one worker.
+func intermediates(img *imgcore.Image, popts ...parallel.Option) *Intermediates {
+	return &Intermediates{img: img, popts: popts, entries: make(map[stageKey]*memoEntry)}
 }
 
 // Intermediates is the per-image memo table of the stage DAG. Scorers
@@ -136,6 +140,8 @@ func intermediates(img *imgcore.Image) *Intermediates {
 // it handed out must not be used afterwards.
 type Intermediates struct {
 	img *imgcore.Image
+	// popts are the parallel options of every stage kernel call.
+	popts []parallel.Option
 
 	mu      sync.Mutex
 	entries map[stageKey]*memoEntry
@@ -260,7 +266,7 @@ func (in *Intermediates) roundTrip(ctx context.Context, key stageKey) (*imgcore.
 		}
 		_, st := obs.StartStage(ctx, "pipeline.downscale", downH)
 		down, putDown := pooledImage(key.dstW, key.dstH, img.C)
-		err = downScaler.ResizeInto(ctx, img, down)
+		err = downScaler.ResizeInto(ctx, img, down, in.popts...)
 		st.End()
 		if err != nil {
 			putDown()
@@ -268,7 +274,7 @@ func (in *Intermediates) roundTrip(ctx context.Context, key stageKey) (*imgcore.
 		}
 		_, st = obs.StartStage(ctx, "pipeline.upscale", upH)
 		up, putUp := pooledImage(img.W, img.H, img.C)
-		err = upScaler.ResizeInto(ctx, down, up)
+		err = upScaler.ResizeInto(ctx, down, up, in.popts...)
 		st.End()
 		putDown()
 		if err != nil {
@@ -290,7 +296,7 @@ func (in *Intermediates) minFiltered(ctx context.Context, window int) (*imgcore.
 	v, err := in.memo(stageKey{kind: stageMinFilter, window: window}, func() (any, error) {
 		_, st := obs.StartStage(ctx, "pipeline.minfilter", minH)
 		f, put := pooledImage(in.img.W, in.img.H, in.img.C)
-		err := filtering.MinimumInto(ctx, in.img, f, window)
+		err := filtering.MinimumInto(ctx, in.img, f, window, in.popts...)
 		st.End()
 		if err != nil {
 			put()
@@ -319,7 +325,7 @@ func (in *Intermediates) spectrum(ctx context.Context) ([]float64, error) {
 		}
 		_, st := obs.StartStage(ctx, "pipeline.spectrum", specH)
 		spec := make([]float64, g.W*g.H)
-		err = plan.CenteredSpectrumInto(ctx, g.Pix, spec)
+		err = plan.CenteredSpectrumInto(ctx, g.Pix, spec, in.popts...)
 		st.End()
 		if err != nil {
 			return nil, fmt.Errorf("steg: spectrum: %w", err)
@@ -365,7 +371,7 @@ func (in *Intermediates) ssimRef(ctx context.Context) (*metrics.SSIMRef, error) 
 			return nil, err
 		}
 		_, st := obs.StartStage(ctx, "pipeline.metric", metricH)
-		ref, err := metrics.NewSSIMRef(ctx, g, metrics.DefaultSSIM())
+		ref, err := metrics.NewSSIMRef(ctx, g, metrics.DefaultSSIM(), in.popts...)
 		st.End()
 		if err != nil {
 			return nil, err
@@ -417,7 +423,7 @@ func (in *Intermediates) scoreAgainst(ctx context.Context, m Metric, sub stageKe
 			return 0, err
 		}
 		_, st := obs.StartStage(ctx, "pipeline.metric", metricH)
-		v, err := ref.ScoreCtx(ctx, other)
+		v, err := ref.ScoreCtx(ctx, other, in.popts...)
 		st.End()
 		return v, err
 	default:

@@ -23,7 +23,7 @@ func pickMin(buf []float64) float64 {
 }
 
 // erodeFloat runs the float64 instantiation of erode on img whatever its
-// samples: the lane minimumInto takes for inputs without an 8-bit view,
+// samples: the lane MinimumInto takes for inputs without an 8-bit view,
 // and the oracle the uint8 lane is pinned against.
 func erodeFloat(img *imgcore.Image, size int, popts ...parallel.Option) (*imgcore.Image, error) {
 	if err := img.Validate(); err != nil {
@@ -39,11 +39,11 @@ func erodeFloat(img *imgcore.Image, size int, popts ...parallel.Option) (*imgcor
 	return out, nil
 }
 
-// minimumWith is MinimumCtx with parallel options: minimumInto into a
+// minimumWith is MinimumCtx with parallel options: MinimumInto into a
 // fresh output.
 func minimumWith(img *imgcore.Image, size int, popts ...parallel.Option) (*imgcore.Image, error) {
 	out := &imgcore.Image{W: img.W, H: img.H, C: img.C, Pix: make([]float64, len(img.Pix))}
-	if err := minimumInto(context.Background(), img, out, size, popts...); err != nil {
+	if err := MinimumInto(context.Background(), img, out, size, popts...); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -112,8 +112,8 @@ func TestFastFiltersDegenerateGeometry(t *testing.T) {
 }
 
 // TestFastFiltersSerialParallelEquivalence: the erosion kernel's band
-// decomposition (rows for the horizontal sweep, columns for the vertical
-// sweep) must be bit-identical across worker counts.
+// decomposition (bands of rows for both passes) must be bit-identical
+// across worker counts.
 func TestFastFiltersSerialParallelEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
 	for _, wh := range [][2]int{{7, 5}, {31, 29}, {64, 48}} {

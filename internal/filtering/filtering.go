@@ -50,16 +50,6 @@ func MinimumCtx(ctx context.Context, img *imgcore.Image, size int) (*imgcore.Ima
 	return out, nil
 }
 
-// MinimumInto writes the size×size minimum of src into dst, which must
-// already have src's geometry. It is the allocation-lean variant of
-// MinimumCtx for callers that recycle output buffers (the detection
-// pipeline), and the one body behind Minimum and MinimumCtx: inputs whose
-// samples are all 8-bit integers erode over uint8, others over float64,
-// with bit-identical results (see fast.go).
-func MinimumInto(ctx context.Context, src, dst *imgcore.Image, size int) error {
-	return minimumInto(ctx, src, dst, size)
-}
-
 // Maximum applies a size×size maximum filter (grayscale dilation) with
 // the naive window scan of rankFilter. The paper shows it only as a foil
 // to the minimum filter (Figures 4/5).

@@ -8,7 +8,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"decamouflage/internal/dataset"
 	"decamouflage/internal/imgcore"
+	"decamouflage/internal/parallel"
 	"decamouflage/internal/testutil"
 )
 
@@ -350,6 +352,37 @@ func BenchmarkMinimum2x2_256(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkMinimum2x2_512 is the paper's 2×2 minimum at the audit
+// geometry, a 512²×3 natural-statistics 8-bit image, at one worker. The
+// u8 sub-benchmark is the lane MinimumInto picks for such an image
+// (narrow, erode, widen); float64 erodes the same samples as float64, the
+// lane the narrowing has to beat.
+func BenchmarkMinimum2x2_512(b *testing.B) {
+	g, err := dataset.NewGenerator(dataset.Config{Corpus: dataset.CaltechLike, W: 512, H: 512, C: 3, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	img := g.Image(0)
+	dst := imgcore.MustNew(512, 512, 3)
+	ctx := context.Background()
+	b.Run("u8", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := MinimumInto(ctx, img, dst, 2, parallel.Workers(1)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("float64", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := erode(ctx, dst.Pix, make([]float64, len(img.Pix)), img.Pix, 512, 512, 3, 2, parallel.Workers(1)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func BenchmarkMedian3x3_256(b *testing.B) {

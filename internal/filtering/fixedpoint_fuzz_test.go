@@ -20,6 +20,7 @@ func FuzzFixedPointKernels(f *testing.F) {
 	f.Add(uint8(5), uint8(7), false, uint8(11), []byte{4, 200}) // window ≥ image
 	f.Add(uint8(9), uint8(9), true, uint8(4), []byte("prime"))  // odd square
 	f.Add(uint8(8), uint8(8), false, uint8(6), []byte{17, 3, 99})
+	f.Add(uint8(12), uint8(5), true, uint8(0), []byte{200, 7, 255, 31}) // odd width 13, 2×2 RGB
 	f.Fuzz(func(t *testing.T, w8, h8 uint8, rgb bool, win8 uint8, pix []byte) {
 		w, h := int(w8%33)+1, int(h8%33)+1
 		channels := 1

@@ -80,14 +80,8 @@ var specScratch = sync.Pool{New: func() any { return new([]complex128) }}
 // and at its mirror's. One pooled complex buffer holds the transform;
 // its columns above w/2 hold stale values and are never read. Parallel
 // chunks depend only on the geometry, so output is bit-identical across
-// worker counts.
-func (p *Plan2D) CenteredSpectrumInto(ctx context.Context, data []float64, dst []float64) error {
-	return p.centeredSpectrumInto(ctx, data, dst)
-}
-
-// centeredSpectrumInto is CenteredSpectrumInto with parallel options
-// threaded through for the worker-count equivalence tests.
-func (p *Plan2D) centeredSpectrumInto(ctx context.Context, data []float64, dst []float64, opts ...parallel.Option) error {
+// worker counts; opts pin the worker count of both passes.
+func (p *Plan2D) CenteredSpectrumInto(ctx context.Context, data []float64, dst []float64, opts ...parallel.Option) error {
 	w, h := p.Size()
 	if len(data) != w*h {
 		return fmt.Errorf("fourier: data length %d does not match plan geometry %dx%d", len(data), w, h)

@@ -331,7 +331,7 @@ func TestCenteredSpectrumWorkerCountsBitEqual(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := make([]float64, len(data))
-		if err := p.centeredSpectrumInto(context.Background(), data, want, parallel.Workers(1)); err != nil {
+		if err := p.CenteredSpectrumInto(context.Background(), data, want, parallel.Workers(1)); err != nil {
 			t.Fatal(err)
 		}
 		runs := map[string][]parallel.Option{
@@ -340,7 +340,7 @@ func TestCenteredSpectrumWorkerCountsBitEqual(t *testing.T) {
 		}
 		for name, opts := range runs {
 			got := make([]float64, len(data))
-			if err := p.centeredSpectrumInto(context.Background(), data, got, opts...); err != nil {
+			if err := p.CenteredSpectrumInto(context.Background(), data, got, opts...); err != nil {
 				t.Fatal(err)
 			}
 			if i := testutil.FirstDiff(got, want); i != -1 {

@@ -123,7 +123,7 @@ func TestSolverErrors(t *testing.T) {
 	if _, err := SolvePOCS(p, []float64{1}, Options{}); err == nil {
 		t.Error("POCS bad x0 length = nil error")
 	}
-	if _, err := SolveProjGrad(p, []float64{1}, Options{}); err == nil {
+	if _, err := solveProjGrad(p, []float64{1}, Options{}); err == nil {
 		t.Error("ProjGrad bad x0 length = nil error")
 	}
 	bad := &Problem{N: 0}
@@ -212,7 +212,7 @@ func TestPOCSNearMinimumNorm(t *testing.T) {
 	if err != nil || !pocs.Converged {
 		t.Fatalf("POCS failed: %v %+v", err, pocs)
 	}
-	pg, err := SolveProjGrad(p, x0, Options{MaxSweeps: 20000, Tol: 1e-2})
+	pg, err := solveProjGrad(p, x0, Options{MaxSweeps: 20000, Tol: 1e-2})
 	if err != nil {
 		t.Fatalf("ProjGrad failed: %v", err)
 	}
@@ -239,7 +239,7 @@ func TestProjGradSimpleProblem(t *testing.T) {
 			{Idx: []int{0, 1}, W: []float64{1, 1}, Target: 100, Eps: 2},
 		},
 	}
-	res, err := SolveProjGrad(p, []float64{10, 10}, Options{MaxSweeps: 50000, Tol: 1e-3})
+	res, err := solveProjGrad(p, []float64{10, 10}, Options{MaxSweeps: 50000, Tol: 1e-3})
 	if err != nil {
 		t.Fatal(err)
 	}

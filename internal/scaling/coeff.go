@@ -208,21 +208,6 @@ func fastCeil(x float64) float64 {
 	return f
 }
 
-// Apply resamples one channel-strided signal: src has length N with the
-// given stride between consecutive samples; dst receives M samples with
-// its own stride.
-//
-//declint:hot
-func (c *Coeff) Apply(src []float64, srcStride int, dst []float64, dstStride int) {
-	for i, row := range c.Rows {
-		var s float64
-		for k, j := range row.Idx {
-			s += row.W[k] * src[j*srcStride]
-		}
-		dst[i*dstStride] = s
-	}
-}
-
 // MaxTaps returns the largest number of source taps any row uses — the
 // effective kernel footprint.
 func (c *Coeff) MaxTaps() int {

@@ -126,3 +126,32 @@ func BenchmarkResize256Serial(b *testing.B) { benchmarkResize(b, 1) }
 // BenchmarkResize256Parallel is the same resize at the default
 // (GOMAXPROCS) worker count.
 func BenchmarkResize256Parallel(b *testing.B) { benchmarkResize(b, parallel.DefaultWorkers()) }
+
+// BenchmarkResizeRoundTrip512 is the audit geometry's Method-1 round trip
+// at one worker: bilinear 512²×3 down to 128² and back up through
+// ResizeInto, with both outputs recycled as the detection pipeline does.
+func BenchmarkResizeRoundTrip512(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	img := noiseImage(b, rng, 512, 512, 3)
+	opts := Options{Algorithm: Bilinear}
+	downS, err := NewScaler(512, 512, 128, 128, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	upS, err := NewScaler(128, 128, 512, 512, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	down, up := imgcore.MustNew(128, 128, 3), imgcore.MustNew(512, 512, 3)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := downS.ResizeInto(ctx, img, down, parallel.Workers(1)); err != nil {
+			b.Fatal(err)
+		}
+		if err := upS.ResizeInto(ctx, down, up, parallel.Workers(1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

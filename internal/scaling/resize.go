@@ -110,10 +110,11 @@ func Resize(img *imgcore.Image, dstW, dstH int, opts Options) (*imgcore.Image, e
 // resize pass stays on the calling goroutine.
 const minResizeWork = 1 << 14
 
-// midPool recycles the intermediate (dstH × srcW) pass buffers of the
-// separable resize so steady-state resizes allocate only their output. The
-// vertical pass fully overwrites the buffer (Coeff.Apply assigns, and every
-// (x, c) column covers all dstH rows), so stale contents never leak.
+// midPool recycles the mid row each chunk of the separable resize builds
+// its output rows through (one vertically resampled source row, srcW × c
+// samples), so steady-state resizes allocate only their output. The row is
+// cleared before each output row's taps accumulate into it, so stale
+// contents never leak.
 var midPool = sync.Pool{New: func() any { return new([]float64) }}
 
 // ResizeInto resamples img into dst, which must already have the scaler's
@@ -161,53 +162,82 @@ func resizeWith(ctx context.Context, img *imgcore.Image, horiz, vert *Coeff, pop
 	return out, nil
 }
 
-// resizeInto applies the separable operator: vertical pass then horizontal.
-// Both passes run in parallel bands over disjoint output columns/rows, so
-// the result is bit-identical to the serial order for any worker count. out
-// must be (horiz.M × vert.M × img.C); its prior contents are ignored.
+// resizeInto applies the separable operator one output row at a time:
+// mid row y is Σ_k W[k]·(source row Idx[k]) of the vertical operator,
+// accumulated from zero in ascending k, and output row y is mid row y
+// resampled by the horizontal operator, all channels in one walk. Every
+// sample is therefore the same sum, in the same order, as the operator's
+// per-sample definition (Coeff), and bands of output rows are disjoint, so
+// the result is bit-identical to the serial order for any worker count.
+// Each mid row is resampled while it is still in cache. out must be
+// (horiz.M × vert.M × img.C); its prior contents are ignored.
 func resizeInto(ctx context.Context, img, out *imgcore.Image, horiz, vert *Coeff, popts ...parallel.Option) error {
-	dstW, dstH := horiz.M, vert.M
-	// Vertical pass: (img.H × img.W) -> (dstH × img.W), chunked over x,
-	// through a pooled intermediate.
-	midN := img.W * dstH * img.C
-	mp := midPool.Get().(*[]float64)
-	defer midPool.Put(mp)
-	if cap(*mp) < midN {
-		*mp = make([]float64, midN)
-	}
-	mid := &imgcore.Image{W: img.W, H: dstH, C: img.C, Pix: (*mp)[:midN]}
-	rowStride := img.W * img.C
-	vertCost := dstH * img.C * vert.MaxTaps()
-	vertOpts := append([]parallel.Option{
-		parallel.Grain(parallel.GrainForWidth(vertCost, minResizeWork)),
+	c := img.C
+	srcRow, dstRow := img.W*c, horiz.M*c
+	rowCost := srcRow*vert.MaxTaps() + dstRow*horiz.MaxTaps()
+	opts := append([]parallel.Option{
+		parallel.Grain(parallel.GrainForWidth(rowCost, minResizeWork)),
 	}, popts...)
-	err := parallel.For(ctx, img.W, func(xLo, xHi int) error {
-		for x := xLo; x < xHi; x++ {
-			for c := 0; c < img.C; c++ {
-				off := x*img.C + c
-				vert.Apply(img.Pix[off:], rowStride, mid.Pix[off:], rowStride)
-			}
+	return parallel.For(ctx, vert.M, func(yLo, yHi int) error {
+		mp := midPool.Get().(*[]float64)
+		defer midPool.Put(mp)
+		if cap(*mp) < srcRow {
+			*mp = make([]float64, srcRow)
 		}
-		return nil
-	}, vertOpts...)
-	if err != nil {
-		return err
-	}
-	// Horizontal pass: (dstH × img.W) -> (dstH × dstW), chunked over y.
-	horizCost := dstW * img.C * horiz.MaxTaps()
-	horizOpts := append([]parallel.Option{
-		parallel.Grain(parallel.GrainForWidth(horizCost, minResizeWork)),
-	}, popts...)
-	return parallel.For(ctx, dstH, func(yLo, yHi int) error {
+		m := (*mp)[:srcRow]
 		for y := yLo; y < yHi; y++ {
-			for c := 0; c < img.C; c++ {
-				srcOff := y*rowStride + c
-				dstOff := y*dstW*img.C + c
-				horiz.Apply(mid.Pix[srcOff:], img.C, out.Pix[dstOff:], img.C)
+			clear(m)
+			r := vert.Rows[y]
+			for k, j := range r.Idx {
+				axpy(m, r.W[k], img.Pix[j*srcRow:(j+1)*srcRow])
 			}
+			resampleRow(out.Pix[y*dstRow:(y+1)*dstRow], m, horiz, c)
 		}
 		return nil
-	}, horizOpts...)
+	}, opts...)
+}
+
+// axpy adds w·x to acc elementwise: one tap of the vertical pass applied
+// to a whole row.
+//
+//declint:hot
+func axpy(acc []float64, w float64, x []float64) {
+	x = x[:len(acc)]
+	for i := range acc {
+		acc[i] += w * x[i]
+	}
+}
+
+// resampleRow applies h to one interleaved row of c channels: dst pixel i,
+// channel ch is Σ_k W[k]·src[Idx[k]·c + ch], accumulated from zero in
+// ascending k. The three-channel case keeps one accumulator per channel so
+// each source pixel is read once.
+//
+//declint:hot
+func resampleRow(dst, src []float64, h *Coeff, c int) {
+	if c == 3 {
+		for i, r := range h.Rows {
+			var s0, s1, s2 float64
+			for k, j := range r.Idx {
+				w, p := r.W[k], src[j*3:j*3+3]
+				s0 += w * p[0]
+				s1 += w * p[1]
+				s2 += w * p[2]
+			}
+			d := dst[i*3 : i*3+3]
+			d[0], d[1], d[2] = s0, s1, s2
+		}
+		return
+	}
+	for i, r := range h.Rows {
+		for ch := 0; ch < c; ch++ {
+			var s float64
+			for k, j := range r.Idx {
+				s += r.W[k] * src[j*c+ch]
+			}
+			dst[i*c+ch] = s
+		}
+	}
 }
 
 // DownUp performs the paper's scaling-detection transform: downscale img to

@@ -44,6 +44,23 @@ func FirstDiff(a, b []float64) int {
 	return -1
 }
 
+// FirstBitDiff is FirstDiff on the IEEE-754 bit patterns: −0 differs
+// from +0, and a NaN matches a NaN of the same payload. Kernels that claim
+// to keep every sample's operations, not only its value, are pinned with
+// it.
+func FirstBitDiff(a, b []float64) int {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i
+		}
+	}
+	if len(a) != len(b) {
+		return n
+	}
+	return -1
+}
+
 // FirstDiffComplex is FirstDiff over complex128 slices.
 func FirstDiffComplex(a, b []complex128) int {
 	n := min(len(a), len(b))
