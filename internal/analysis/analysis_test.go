@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"go/build"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -290,5 +291,31 @@ func TestLoadExternalTestSeesExportTest(t *testing.T) {
 	}
 	if got := strings.Join(paths, " "); got != "exporttest/internal/lib exporttest/internal/lib_test" {
 		t.Fatalf("units = %q", got)
+	}
+}
+
+// TestLoadKeepsOneArchVariant loads a package whose kernelWidth is
+// declared once per architecture (kern_amd64.go, and kern_other.go under
+// //go:build !amd64) and once more behind a tag (//go:build debugkern).
+// The loader keeps the files `go build` compiles for the target, so the
+// package type-checks with one declaration on every GOARCH.
+func TestLoadKeepsOneArchVariant(t *testing.T) {
+	pkgs, err := LoadModule(filepath.Join("testdata", "archfiles"))
+	if err != nil {
+		t.Fatalf("LoadModule: %v", err)
+	}
+	if len(pkgs) != 1 {
+		t.Fatalf("loaded %d units, want 1", len(pkgs))
+	}
+	var names []string
+	for _, f := range pkgs[0].Files {
+		names = append(names, filepath.Base(f.Filename))
+	}
+	want := "kern_other.go lib.go"
+	if build.Default.GOARCH == "amd64" {
+		want = "kern_amd64.go lib.go"
+	}
+	if got := strings.Join(names, " "); got != want {
+		t.Fatalf("files = %q, want %q", got, want)
 	}
 }

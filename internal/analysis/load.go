@@ -3,7 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -98,35 +98,14 @@ func newInfo() *types.Info {
 	}
 }
 
-// excludedByBuildConstraint reports whether the file's //go:build
-// constraint evaluates false under declint's tag set, which is empty:
-// every tag reads as false, so declint analyzes the default build. A
-// tag-gated alternate file (e.g. the noobs variant of a const pair) is
-// skipped exactly as `go build` with no -tags would skip it; its
-// default-build counterpart (`//go:build !tag`) stays in.
-func excludedByBuildConstraint(f *ast.File) bool {
-	for _, cg := range f.Comments {
-		if cg.Pos() >= f.Package {
-			break
-		}
-		for _, c := range cg.List {
-			if !constraint.IsGoBuild(c.Text) {
-				continue
-			}
-			expr, err := constraint.Parse(c.Text)
-			if err != nil {
-				continue
-			}
-			return !expr.Eval(func(string) bool { return false })
-		}
-	}
-	return false
-}
-
 // parseDir parses every .go file in dir (no recursion), split into library
 // files, in-package test files, and external (_test package) test files.
-// Files excluded by a build constraint under the empty tag set are dropped,
-// matching the unit `go build ./...` compiles.
+// It keeps the files `go build ./...` compiles with no -tags: a
+// //go:build line sees the target's GOOS, GOARCH and toolchain tags and no
+// user tag, so a tag-gated alternate file (e.g. the noobs variant of a const pair) is
+// skipped and its `//go:build !tag` counterpart stays in, and a
+// _GOOS/_GOARCH file name keeps only the target's variant of an
+// architecture-specific pair.
 func (l *loader) parseDir(dir string) (lib, inTest, extTest []*File, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -137,6 +116,11 @@ func (l *loader) parseDir(dir string) (lib, inTest, extTest []*File, err error) 
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
 			continue
 		}
+		if ok, err := build.Default.MatchFile(dir, e.Name()); err != nil {
+			return nil, nil, nil, err
+		} else if !ok {
+			continue
+		}
 		names = append(names, e.Name())
 	}
 	sort.Strings(names)
@@ -145,9 +129,6 @@ func (l *loader) parseDir(dir string) (lib, inTest, extTest []*File, err error) 
 		f, err := parser.ParseFile(l.fset, full, nil, parser.ParseComments)
 		if err != nil {
 			return nil, nil, nil, err
-		}
-		if excludedByBuildConstraint(f) {
-			continue
 		}
 		file := &File{Ast: f, Filename: full, Test: strings.HasSuffix(name, "_test.go")}
 		switch {

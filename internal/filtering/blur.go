@@ -88,6 +88,23 @@ func getRows(n int) *[]float64 {
 	return bp
 }
 
+// offsPool recycles Blur's per-chunk tap offset tables. Tables are not
+// zeroed on reuse: each pass assigns every entry before convolveTaps
+// reads it.
+var offsPool = sync.Pool{New: func() any { return new([]int) }}
+
+// getOffsets borrows an n-entry tap offset table.
+//
+//declint:owns
+func getOffsets(n int) *[]int {
+	op := offsPool.Get().(*[]int)
+	if cap(*op) < n {
+		*op = make([]int, n)
+	}
+	*op = (*op)[:n]
+	return op
+}
+
 // BlurInput is one input plane of Blur: the samples X, or the elementwise
 // product X·Y when Y is non-nil. A product is formed one row at a time
 // inside the row pass, so it never exists as a plane.
@@ -130,6 +147,12 @@ func Blur(ctx context.Context, in []BlurInput, w, h int, kern []float64, sink fu
 		pp := getRows(w)
 		defer rowPool.Put(pp)
 		prod := *pp
+		op := getOffsets(len(kern))
+		defer offsPool.Put(op)
+		offs := *op
+		for i := range offs {
+			offs[i] = i
+		}
 		for y := yLo; y < yHi; y++ {
 			off := y * w
 			for j, p := range in {
@@ -138,7 +161,7 @@ func Blur(ctx context.Context, in []BlurInput, w, h int, kern []float64, sink fu
 					multiplyRow(prod, row, p.Y[off:off+w])
 					row = prod
 				}
-				convolveRow(tmp[j][off:off+w], row, kern, r)
+				convolveRow(tmp[j][off:off+w], row, kern, offs, r)
 			}
 		}
 		return nil
@@ -147,13 +170,21 @@ func Blur(ctx context.Context, in []BlurInput, w, h int, kern []float64, sink fu
 		return err
 	}
 	// Vertical: chunks own disjoint output row bands, reading all of tmp.
+	// Tap k of output row y reads tmp row clamp(y−r+k), so every row, the
+	// border rows included, is one convolveTaps over its offset table.
 	return parallel.For(ctx, h, func(yLo, yHi int) error {
 		rp := getRows(k * w)
 		defer rowPool.Put(rp)
 		rows := *rp
+		op := getOffsets(len(kern))
+		defer offsPool.Put(op)
+		offs := *op
 		for y := yLo; y < yHi; y++ {
+			for i := range offs {
+				offs[i] = min(max(y-r+i, 0), h-1) * w
+			}
 			for j := 0; j < k; j++ {
-				convolveColRow(rows[j*w:(j+1)*w], tmp[j], w, h, kern, r, y)
+				convolveTaps(rows[j*w:(j+1)*w], tmp[j], offs, kern)
 			}
 			sink(y, rows)
 		}
@@ -173,59 +204,20 @@ func multiplyRow(out, x, y []float64) {
 }
 
 // convolveRow writes row convolved with kern under replicate clamping into
-// out (len(out) == len(row)).
+// out (len(out) == len(row)). offs is the identity table 0..len(kern)−1:
+// the interior columns [r, w−r), whose window lies inside the row, are one
+// convolveTaps over row, and only the r columns at each end clamp.
 //
 //declint:hot
-func convolveRow(out, row []float64, kern []float64, r int) {
+func convolveRow(out, row []float64, kern []float64, offs []int, r int) {
 	w := len(row)
-	// Interior columns [lo, hi) have the kernel fully inside the row, so
-	// the clamp branches vanish from the inner loop. The per-element tap
-	// order (k ascending) matches the clamped loop exactly, keeping the
-	// result bit-identical.
-	lo := r
-	if lo > w {
-		lo = w
-	}
-	hi := w - r
-	if hi < lo {
-		hi = lo
-	}
+	lo := min(r, w)
+	hi := max(w-r, lo)
 	for x := 0; x < lo; x++ {
 		out[x] = convolveClampedAt(row, w, kern, r, x)
 	}
-	// Four output samples per iteration: each keeps its own accumulator
-	// summing taps in ascending k, so every sample's addition order — and
-	// therefore its bits — match the scalar loop, while the four
-	// independent chains hide the float64 add latency the scalar loop
-	// serializes on.
-	x := lo
-	for ; x+3 < hi; x += 4 {
-		var s0, s1, s2, s3 float64
-		// One window per sample, each len(kern) long, so the tap loop
-		// carries no bounds checks.
-		base := x - r
-		w0 := row[base : base+len(kern)]
-		w1 := row[base+1 : base+1+len(kern)]
-		w2 := row[base+2 : base+2+len(kern)]
-		w3 := row[base+3 : base+3+len(kern)]
-		for k, c := range kern {
-			s0 += c * w0[k]
-			s1 += c * w1[k]
-			s2 += c * w2[k]
-			s3 += c * w3[k]
-		}
-		out[x] = s0
-		out[x+1] = s1
-		out[x+2] = s2
-		out[x+3] = s3
-	}
-	for ; x < hi; x++ {
-		var s float64
-		base := x - r
-		for k := range kern {
-			s += kern[k] * row[base+k]
-		}
-		out[x] = s
+	if hi > lo {
+		convolveTaps(out[lo:hi], row, offs, kern)
 	}
 	for x := hi; x < w; x++ {
 		out[x] = convolveClampedAt(row, w, kern, r, x)
@@ -250,58 +242,54 @@ func convolveClampedAt(row []float64, w int, kern []float64, r, x int) float64 {
 	return s
 }
 
-// convolveColRow writes output row y of the vertical pass into out: sample
-// x is column x of the w×h plane tmp convolved with kern under replicate
-// clamping, taps in ascending k order.
+// haveTaps16 reports whether convolveTaps hands its 16-sample blocks to
+// the amd64 AVX2 kernel taps16. It is set once at package init from the
+// CPU; tests clear it to run the portable loop on the same inputs.
+var haveTaps16 = taps16Supported()
+
+// convolveTaps sets out[x] = Σ_k kern[k]·src[offs[k]+x] for every x in
+// [0, len(out)): every sample starts from +0 and adds its products in
+// ascending k, each product rounded before it is added, so on either path
+// it has the bits of the plain scalar loop. offs must have len(kern)
+// entries, and every offs[k]+x must index src.
+//
+// Whole blocks of 16 samples go to taps16 where the CPU has it. The rest,
+// and everything on other CPUs, runs the portable loop: four samples per
+// iteration, each in its own accumulator, so four add chains overlap.
 //
 //declint:hot
-func convolveColRow(out, tmp []float64, w, h int, kern []float64, r, y int) {
-	if y < r || y >= h-r {
-		// Edge rows: the window crosses the top or bottom border.
-		for x := 0; x < w; x++ {
-			var s float64
-			for k := -r; k <= r; k++ {
-				yy := y + k
-				if yy < 0 {
-					yy = 0
-				} else if yy >= h {
-					yy = h - 1
-				}
-				s += kern[k+r] * tmp[yy*w+x]
-			}
-			out[x] = s
-		}
-		return
-	}
-	// Interior rows need no clamping, and each tap reads a contiguous tmp
-	// row. Same four-accumulator shape as convolveRow: per-sample tap order
-	// stays k ascending (bit-identical to the scalar loop), and the four
-	// independent sums break the serial float64 add chain that otherwise
-	// bounds the column pass.
-	base := (y - r) * w
+func convolveTaps(out, src []float64, offs []int, kern []float64) {
+	offs = offs[:len(kern)]
 	x := 0
-	for ; x+3 < w; x += 4 {
+	if n := len(out) &^ 15; haveTaps16 && n > 0 {
+		// taps16 reads src unchecked.
+		for _, o := range offs {
+			if o < 0 || o+n > len(src) {
+				panic("filtering: tap offset outside the source")
+			}
+		}
+		taps16(&out[0], &src[0], &offs[0], &kern[0], len(kern), n)
+		x = n
+	}
+	for ; x+3 < len(out); x += 4 {
 		var s0, s1, s2, s3 float64
-		idx := base + x
-		for k := range kern {
-			c := kern[k]
-			s0 += c * tmp[idx]
-			s1 += c * tmp[idx+1]
-			s2 += c * tmp[idx+2]
-			s3 += c * tmp[idx+3]
-			idx += w
+		for k, c := range kern {
+			// One slice per tap, so the four loads carry no bounds checks.
+			t := src[offs[k]+x : offs[k]+x+4 : offs[k]+x+4]
+			s0 += c * t[0]
+			s1 += c * t[1]
+			s2 += c * t[2]
+			s3 += c * t[3]
 		}
 		out[x] = s0
 		out[x+1] = s1
 		out[x+2] = s2
 		out[x+3] = s3
 	}
-	for ; x < w; x++ {
+	for ; x < len(out); x++ {
 		var s float64
-		idx := base + x
-		for k := range kern {
-			s += kern[k] * tmp[idx]
-			idx += w
+		for k, c := range kern {
+			s += c * src[offs[k]+x]
 		}
 		out[x] = s
 	}

@@ -8,7 +8,8 @@
 // handling, matching OpenCV's default BORDER_REPLICATE semantics for small
 // kernels. The separable blur in blur.go (GaussianKernel, Blur and its
 // one-plane case BlurPlane) is the repository's only one: it blurs k
-// planes in one row pass and one column pass. SSIM's moments in
+// planes in one row pass and one column pass, whose taps run in an AVX2
+// kernel (taps_amd64.s) where the CPU has it. SSIM's moments in
 // internal/metrics (k = 2 and 3) and the CSP spectrum low-pass in
 // internal/steg (BlurPlane) run on it too.
 package filtering

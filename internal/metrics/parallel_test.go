@@ -155,10 +155,10 @@ func TestSSIMPublicAPIMatchesPinnedSerial(t *testing.T) {
 	}
 }
 
-func benchmarkSSIM(b *testing.B, workers int) {
+func benchmarkSSIM(b *testing.B, size, workers int) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(7))
-	x, y := noisePair(b, rng, 256, 256, 1)
+	x, y := noisePair(b, rng, size, size, 1)
 	opts := DefaultSSIM()
 	popt := parallel.Workers(workers)
 	b.ReportAllocs()
@@ -178,8 +178,12 @@ func benchmarkSSIM(b *testing.B, workers int) {
 
 // BenchmarkSSIM256Serial is the single-worker Gaussian-window SSIM
 // baseline at 256×256.
-func BenchmarkSSIM256Serial(b *testing.B) { benchmarkSSIM(b, 1) }
+func BenchmarkSSIM256Serial(b *testing.B) { benchmarkSSIM(b, 256, 1) }
 
 // BenchmarkSSIM256Parallel is the same score at the default (GOMAXPROCS)
 // worker count.
-func BenchmarkSSIM256Parallel(b *testing.B) { benchmarkSSIM(b, parallel.DefaultWorkers()) }
+func BenchmarkSSIM256Parallel(b *testing.B) { benchmarkSSIM(b, 256, parallel.DefaultWorkers()) }
+
+// BenchmarkSSIM512Serial is the single-worker score at the audit
+// geometry, 512×512, whose planes no longer fit in L2.
+func BenchmarkSSIM512Serial(b *testing.B) { benchmarkSSIM(b, 512, 1) }

@@ -163,6 +163,12 @@ func FuzzSSIMRef(f *testing.F) {
 	f.Add(uint8(3), uint8(17), uint8(5), uint8(15), uint8(2), []byte{255, 1, 30})
 	f.Add(uint8(23), uint8(9), uint8(2), uint8(8), uint8(1), []byte("fused"))
 	f.Add(uint8(10), uint8(4), uint8(11), uint8(60), uint8(0), []byte{4, 200, 99})
+	// Widths 15, 16, 17 and 33 at the default window: the taps16 kernel's
+	// 16-sample blocks against the portable tail, in both passes.
+	f.Add(uint8(14), uint8(13), uint8(4), uint8(14), uint8(0), []byte{3, 250, 17, 96})
+	f.Add(uint8(15), uint8(20), uint8(4), uint8(14), uint8(1), []byte{0, 255})
+	f.Add(uint8(16), uint8(7), uint8(4), uint8(14), uint8(2), []byte{1, 2, 3, 5, 8})
+	f.Add(uint8(32), uint8(18), uint8(4), uint8(14), uint8(0), []byte("block and tail"))
 	f.Fuzz(func(t *testing.T, w8, h8, r8, sigma8, layout uint8, pix []byte) {
 		w, h := int(w8%40)+1, int(h8%40)+1
 		opts := DefaultSSIM()

@@ -20,8 +20,15 @@ func FuzzCSP(f *testing.F) {
 	f.Add(uint8(7), uint8(11), true, []byte("prime sizes exercise bluestein"), int16(50), int16(-1))
 	f.Add(uint8(16), uint8(16), true, []byte{255}, int16(99), int16(4))
 	f.Add(uint8(0), uint8(4), true, []byte{1, 2, 3}, int16(78), int16(0)) // zero width → error
+	// Widths 15, 16, 17 and 33: the blur's 16-sample blocks against its
+	// portable tail.
+	f.Add(uint8(15), uint8(9), true, []byte{0, 90, 255, 3}, int16(78), int16(0))
+	f.Add(uint8(16), uint8(21), false, []byte("sixteen"), int16(78), int16(0))
+	f.Add(uint8(17), uint8(16), true, []byte{200, 1}, int16(50), int16(2))
+	f.Add(uint8(33), uint8(12), true, []byte{7, 77, 177}, int16(78), int16(0))
 	f.Fuzz(func(t *testing.T, w, h uint8, grayscale bool, pix []byte, thPct, minArea int16) {
-		width := int(w % 33)
+		// Widths reach 64, past two of the blur's 16-sample blocks.
+		width := int(w % 65)
 		height := int(h % 33)
 		channels := 3
 		if grayscale {
